@@ -226,21 +226,6 @@ func BenchmarkFigure16(b *testing.B) {
 
 // ——— micro-benchmarks of the hot simulator paths ———
 
-func BenchmarkSimEngine(b *testing.B) {
-	e := sim.NewEngine()
-	var fn func(now sim.Time)
-	count := 0
-	fn = func(now sim.Time) {
-		count++
-		if count < b.N {
-			e.After(1, fn)
-		}
-	}
-	b.ResetTimer()
-	e.Schedule(0, fn)
-	e.Run(0)
-}
-
 // BenchmarkCacheHierarchyAccess streams through the full three-level
 // hierarchy; the per-level hit/miss/eviction mixes live in
 // internal/cache's BenchmarkCacheAccess.

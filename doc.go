@@ -80,17 +80,17 @@
 // BenchmarkSnapshotFork measures the per-point saving — the measured phase
 // alone instead of warmup+measure.
 //
-// Contention is modeled by a batched calendar engine (package sim): each
-// memory-device bank, controller port and fabric link direction is a
-// sim.Server whose in-order arrivals pay a tail compare and whose
-// out-of-order arrivals book into a small gap calendar; sim.Resource keeps
-// the general sorted-interval form for the STU port. Both retire state
-// entirely in the simulated past against the engine clock (sim.Clock,
-// wired by core.NewSystem) — exact, O(1)-amortized pruning that replaced
-// the old lossy 512-entry calendar cap. Grants are bit-identical to the
-// unpruned interval calendar (the sim package cross-checks them
-// property-style), so reports at a fixed seed are byte-identical across
-// the rewrite. BenchmarkMemdevAccess and BenchmarkFabricTraverse guard the
+// Contention is modeled by one batched calendar type (package sim): each
+// memory-device bank, controller port, fabric link direction and STU port
+// is a sim.Server whose in-order arrivals pay a tail compare and whose
+// out-of-order arrivals book into a small gap calendar. A Server retires
+// gaps that closed in the simulated past against the engine clock
+// (sim.Clock, wired by core.NewSystem), and its 512-gap live bound only
+// ever drops such closed gaps; grants are bit-identical to an unpruned
+// interval calendar (the sim package cross-checks them property-style).
+// Every growth of a calendar's backing array compacts the retired gaps
+// away first, so memory tracks the live calendar, not the run length.
+// BenchmarkMemdevAccess and BenchmarkFabricTraverse guard the
 // device-level cost (~tens of ns and 0 allocs per access); the cache
 // hierarchy adds a per-set MRU way cache so repeat hits skip the way scan.
 //

@@ -18,9 +18,8 @@ func (s *stepper) Handle(now Time) {
 }
 
 // BenchmarkEngine measures the per-event cost of the scheduler itself with
-// a self-rescheduling chain. allocs/op is the headline: the handler path
-// must be allocation-free in steady state; the closure path pays one
-// closure per event (the caller's closure, not the engine's).
+// a self-rescheduling chain. allocs/op is the headline: scheduling must be
+// allocation-free in steady state.
 func BenchmarkEngine(b *testing.B) {
 	b.Run("handler", func(b *testing.B) {
 		e := NewEngine()
@@ -28,21 +27,6 @@ func BenchmarkEngine(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		e.ScheduleHandler(0, s)
-		e.Run(0)
-	})
-	b.Run("closure", func(b *testing.B) {
-		e := NewEngine()
-		var fn func(now Time)
-		count := 0
-		fn = func(now Time) {
-			count++
-			if count < b.N {
-				e.After(1, fn)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		e.Schedule(0, fn)
 		e.Run(0)
 	})
 }

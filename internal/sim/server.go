@@ -1,29 +1,46 @@
 package sim
 
-// Server models the same contract as Resource — a serially occupied
-// resource whose requests may start in any idle window at or after their
-// arrival — with a representation batched for the common case: a single
-// tail time serves in-order arrivals in O(1), and only out-of-order
-// arrivals (a request computed by an access chain that started earlier than
-// another chain's bookings) consult a small calendar of idle gaps.
+// Clock supplies the current simulated time. *Engine implements it; a
+// calendar bound to a clock uses it as a pruning watermark: no future request
+// can arrive before the engine's current time (access chains are computed
+// forward from the dispatching event), so idle windows that closed at or
+// before it can be retired exactly.
+type Clock interface {
+	Now() Time
+}
+
+// Server models a serially occupied hardware resource — a memory-device
+// bank, a fabric link direction, an STU port — whose requests may start in
+// any idle window at or after their arrival. A request occupies the server
+// for its service time; overlapping requests queue.
 //
-// The two representations are complements of each other: Resource stores
-// the busy intervals, Server stores the tail of the last booking plus the
-// idle gaps before it. For the memory-device banks and fabric links, whose
-// arrivals are overwhelmingly tail-ordered, the gap calendar stays near
-// empty and Acquire is a compare and an add.
+// Booking into idle windows, rather than behind a scalar next-free time,
+// matters because the simulator computes whole access chains
+// synchronously: a page-table walk reserves a link at T, T+1.1µs, T+2.2µs…,
+// and with a scalar every other requester would queue behind the last of
+// those reservations even though the link is idle in between — which
+// silently serializes the whole machine.
 //
-// Like Resource, a Server bound to a Clock retires gaps that closed at or
-// before the engine's current time — exact pruning, since no future arrival
-// can precede it. Pruning is kept off the tail fast path: it runs when an
-// out-of-order arrival is about to scan the calendar, and when the calendar
-// needs room, both O(1) amortized (each gap is appended, skipped and
-// compacted away once).
+// The representation is batched for the common case: a single tail time
+// serves in-order arrivals in O(1), and only out-of-order arrivals (a
+// request computed by an access chain that started earlier than another
+// chain's bookings) consult a calendar of the idle gaps before the tail.
+// For the device banks and fabric links, whose arrivals are overwhelmingly
+// tail-ordered, the calendar stays near empty and Acquire is a compare and
+// an add. Grants equal those of a sorted busy-interval calendar that never
+// forgets anything, as long as the maxLiveGaps bound drops only closed
+// gaps; the package tests hold the two to each other.
+//
+// A Server bound to a Clock retires gaps that closed at or before the
+// engine's current time — exact pruning, since no future arrival can
+// precede it. Pruning is kept off the tail fast path: it runs when a new
+// idle gap finds the backing array full, O(1) amortized (each gap is
+// appended, skipped and compacted away once).
 type Server struct {
 	clock     Clock
 	tail      Time  // end of the last booking; everything at/after is free
 	gaps      []gap // gaps[head:] is live: sorted, disjoint, before tail
-	head      int   // retired prefix length, compacted away periodically
+	head      int   // retired prefix length, compacted away by insertGap
 	watermark Time
 	busy      Time
 	uses      uint64
@@ -31,10 +48,15 @@ type Server struct {
 
 type gap struct{ start, end Time }
 
-// maxLiveGaps bounds the live gap calendar for servers without a bound
-// clock (or whose clock lags far behind): when exceeded, the oldest gap is
-// forgotten (no longer bookable), which only over-serializes the distant
-// past. A clock-bound server prunes exactly and in practice never hits it.
+// maxLiveGaps bounds the live gap calendar: when a new gap would exceed it,
+// the oldest live gap is forgotten (no longer bookable), which can only
+// over-serialize the distant past. A clock-bound server does hit the bound:
+// pruning runs only when the backing array fills, so closed gaps linger in
+// the live range. A two-node I-FAM sssp run at the default scale hits it
+// about 4.1M times, and every gap it drops there had closed before the
+// engine clock and could host no future arrival. So the bound never
+// changes a grant in practice; it caps memory for unbound servers and for
+// clocks that lag far behind.
 const maxLiveGaps = 512
 
 // Bind attaches the pruning clock. The caller guarantees that no subsequent
@@ -50,13 +72,6 @@ func (s *Server) Prune(w Time) {
 	s.watermark = w
 	for s.head < len(s.gaps) && s.gaps[s.head].end <= w {
 		s.head++
-	}
-	// Compact once the retired prefix dominates the slice, so the backing
-	// array stays proportional to the live calendar.
-	if s.head >= 32 && s.head*2 >= len(s.gaps) {
-		n := copy(s.gaps, s.gaps[s.head:])
-		s.gaps = s.gaps[:n]
-		s.head = 0
 	}
 }
 
@@ -135,24 +150,15 @@ func (s *Server) pushGap(from, to Time) {
 	if to <= s.watermark {
 		return // already unreachable
 	}
-	// Bound the live calendar for unbound (or badly lagging) clocks by
-	// forgetting the oldest idle window: an O(1) head advance, no copy.
+	// Bound the live calendar by forgetting the oldest idle window: an O(1)
+	// head advance, no copy.
 	if len(s.gaps)-s.head >= maxLiveGaps {
 		s.head++
 	}
 	if len(s.gaps) == cap(s.gaps) {
-		// About to grow: retire what the clock allows and compact when
-		// that halves the slice — otherwise let append grow it. Either way
-		// the work is O(1) amortized per push and memory stays
-		// O(maxLiveGaps).
-		s.prune()
-		if s.head*2 >= len(s.gaps) {
-			n := copy(s.gaps, s.gaps[s.head:])
-			s.gaps = s.gaps[:n]
-			s.head = 0
-		}
+		s.prune() // retire what the clock allows before making room
 	}
-	s.gaps = append(s.gaps, gap{start: from, end: to})
+	s.insertGap(len(s.gaps), gap{start: from, end: to})
 }
 
 // bookInGap splits gaps[i] around the booking [start, done).
@@ -170,10 +176,8 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 		if len(s.gaps)-s.head >= maxLiveGaps && s.head < i {
 			s.head++
 		}
-		s.gaps = append(s.gaps, gap{})
-		copy(s.gaps[i+2:], s.gaps[i+1:])
 		s.gaps[i] = left
-		s.gaps[i+1] = right
+		s.insertGap(i+1, right)
 	case hasL:
 		s.gaps[i] = left
 	case hasR:
@@ -181,6 +185,30 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 	default:
 		s.gaps = append(s.gaps[:i], s.gaps[i+1:]...)
 	}
+}
+
+// insertGap inserts g before gaps[i] (i == len(gaps) appends). Every growth
+// of the calendar goes through here, and none carries the retired prefix
+// gaps[:head] along: at capacity the live gaps are first compacted to the
+// front — in place when a quarter or more of the array is retired, else
+// into a fresh array twice their number — so the backing array is sized
+// by the live calendar, never by the server's history. insertGap retires
+// nothing itself: the live count len(gaps)-head, which the maxLiveGaps
+// bound reads, is the same as without compaction, and so is every grant.
+func (s *Server) insertGap(i int, g gap) {
+	if len(s.gaps) == cap(s.gaps) {
+		live := s.gaps[s.head:]
+		if s.head*4 >= len(s.gaps) {
+			s.gaps = s.gaps[:copy(s.gaps, live)]
+		} else {
+			s.gaps = append(make([]gap, 0, 2*len(live)+1), live...)
+		}
+		i -= s.head
+		s.head = 0
+	}
+	s.gaps = append(s.gaps, gap{})
+	copy(s.gaps[i+1:], s.gaps[i:])
+	s.gaps[i] = g
 }
 
 // NextFree returns the end of the last booking — the earliest time a

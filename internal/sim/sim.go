@@ -7,10 +7,8 @@
 // The event queue is a value-based indexed d-ary heap: events are stored
 // inline (no per-event heap allocation), and the steady-state scheduling
 // path allocates nothing once the queue has reached its high-water mark.
-// Components with a per-event hot path should implement Handler and use
-// ScheduleHandler/AfterHandler, which is closure-free; Schedule/After accept
-// plain funcs for convenience (the closure, if any, is the caller's only
-// allocation).
+// Components implement Handler and schedule themselves with
+// ScheduleHandler/AfterHandler, the one closure-free scheduling API.
 //
 // All simulated time is expressed in picoseconds (type Time). At the 2GHz
 // core clock used throughout the paper one cycle is 500ps.
@@ -40,12 +38,6 @@ func US(n uint64) Time { return Time(n) * Microsecond }
 type Handler interface {
 	Handle(now Time)
 }
-
-// handlerFunc adapts a plain func to Handler. Func values are
-// pointer-shaped, so the interface conversion itself does not allocate.
-type handlerFunc func(now Time)
-
-func (f handlerFunc) Handle(now Time) { f(now) }
 
 // event is one scheduled callback, stored by value in the heap.
 type event struct {
@@ -92,7 +84,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // ScheduleHandler enqueues h to run at absolute time at. Scheduling in the
 // past (at < Now) clamps to Now; this keeps component code simple when
-// latencies round to zero. This is the allocation-free scheduling path.
+// latencies round to zero.
 func (e *Engine) ScheduleHandler(at Time, h Handler) {
 	if at < e.now {
 		at = e.now
@@ -105,17 +97,6 @@ func (e *Engine) ScheduleHandler(at Time, h Handler) {
 // AfterHandler enqueues h to run delay picoseconds from now.
 func (e *Engine) AfterHandler(delay Time, h Handler) {
 	e.ScheduleHandler(e.now+delay, h)
-}
-
-// Schedule enqueues fn to run at absolute time at, clamping past times to
-// Now like ScheduleHandler.
-func (e *Engine) Schedule(at Time, fn func(now Time)) {
-	e.ScheduleHandler(at, handlerFunc(fn))
-}
-
-// After enqueues fn to run delay picoseconds from now.
-func (e *Engine) After(delay Time, fn func(now Time)) {
-	e.Schedule(e.now+delay, fn)
 }
 
 // siftUp restores the heap property from leaf i toward the root.

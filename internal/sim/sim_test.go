@@ -2,16 +2,22 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// fn adapts a plain func to Handler, so tests can schedule closures.
+type fn func(now Time)
+
+func (f fn) Handle(now Time) { f(now) }
+
 func TestEngineOrdersEventsByTime(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(300, func(Time) { got = append(got, 3) })
-	e.Schedule(100, func(Time) { got = append(got, 1) })
-	e.Schedule(200, func(Time) { got = append(got, 2) })
+	e.ScheduleHandler(300, fn(func(Time) { got = append(got, 3) }))
+	e.ScheduleHandler(100, fn(func(Time) { got = append(got, 1) }))
+	e.ScheduleHandler(200, fn(func(Time) { got = append(got, 2) }))
 	e.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events fired out of order: %v", got)
@@ -26,7 +32,7 @@ func TestEngineTieBreaksByInsertionOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(42, func(Time) { got = append(got, i) })
+		e.ScheduleHandler(42, fn(func(Time) { got = append(got, i) }))
 	}
 	e.Run(0)
 	for i, v := range got {
@@ -39,9 +45,9 @@ func TestEngineTieBreaksByInsertionOrder(t *testing.T) {
 func TestEngineSchedulePastClampsToNow(t *testing.T) {
 	e := NewEngine()
 	var fired Time
-	e.Schedule(1000, func(now Time) {
-		e.Schedule(5, func(now Time) { fired = now })
-	})
+	e.ScheduleHandler(1000, fn(func(now Time) {
+		e.ScheduleHandler(5, fn(func(now Time) { fired = now }))
+	}))
 	e.Run(0)
 	if fired != 1000 {
 		t.Fatalf("past event fired at %d, want clamp to 1000", fired)
@@ -51,12 +57,12 @@ func TestEngineSchedulePastClampsToNow(t *testing.T) {
 func TestEngineAfter(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.Schedule(100, func(Time) {
-		e.After(50, func(now Time) { at = now })
-	})
+	e.ScheduleHandler(100, fn(func(Time) {
+		e.AfterHandler(50, fn(func(now Time) { at = now }))
+	}))
 	e.Run(0)
 	if at != 150 {
-		t.Fatalf("After fired at %d, want 150", at)
+		t.Fatalf("AfterHandler fired at %d, want 150", at)
 	}
 }
 
@@ -64,12 +70,12 @@ func TestEngineHalt(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i*10), func(Time) {
+		e.ScheduleHandler(Time(i*10), fn(func(Time) {
 			count++
 			if count == 3 {
 				e.Halt()
 			}
-		})
+		}))
 	}
 	e.Run(0)
 	if count != 3 {
@@ -84,7 +90,7 @@ func TestEngineHorizon(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i*100), func(Time) { count++ })
+		e.ScheduleHandler(Time(i*100), fn(func(Time) { count++ }))
 	}
 	final := e.Run(450)
 	if count != 4 {
@@ -103,7 +109,7 @@ func TestEngineHorizonKeepsFutureEvent(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{100, 200, 300} {
 		at := at
-		e.Schedule(at, func(now Time) { fired = append(fired, now) })
+		e.ScheduleHandler(at, fn(func(now Time) { fired = append(fired, now) }))
 	}
 	if final := e.Run(150); final != 150 {
 		t.Fatalf("first run ended at %d, want 150", final)
@@ -132,8 +138,8 @@ func TestEngineHorizonKeepsFutureEvent(t *testing.T) {
 // clock must not move time backwards.
 func TestEngineHorizonDoesNotRewindClock(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1000, func(Time) {})
-	e.Schedule(2000, func(Time) {})
+	e.ScheduleHandler(1000, fn(func(Time) {}))
+	e.ScheduleHandler(2000, fn(func(Time) {}))
 	e.Run(1500)
 	if e.Now() != 1500 {
 		t.Fatalf("now = %d, want 1500", e.Now())
@@ -146,14 +152,14 @@ func TestEngineHorizonDoesNotRewindClock(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	depth := 0
-	var recurse func(now Time)
+	var recurse fn
 	recurse = func(now Time) {
 		depth++
 		if depth < 100 {
-			e.After(1, recurse)
+			e.AfterHandler(1, recurse)
 		}
 	}
-	e.Schedule(0, recurse)
+	e.ScheduleHandler(0, recurse)
 	e.Run(0)
 	if depth != 100 {
 		t.Fatalf("nested depth = %d, want 100", depth)
@@ -172,8 +178,8 @@ type recorder struct {
 func (r *recorder) Handle(Time) { *r.out = append(*r.out, r.id) }
 
 // TestEngineSameTimestampFIFOMixedAPIs: events at one timestamp fire in
-// scheduling order regardless of which API (closure or handler) enqueued
-// them.
+// scheduling order regardless of which kind of Handler (struct or func)
+// was enqueued.
 func TestEngineSameTimestampFIFOMixedAPIs(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -182,7 +188,7 @@ func TestEngineSameTimestampFIFOMixedAPIs(t *testing.T) {
 		if i%2 == 0 {
 			e.ScheduleHandler(42, &recorder{id: i, out: &got})
 		} else {
-			e.Schedule(42, func(Time) { got = append(got, i) })
+			e.ScheduleHandler(42, fn(func(Time) { got = append(got, i) }))
 		}
 	}
 	e.Run(0)
@@ -236,17 +242,21 @@ func TestEngineHaltMidDispatchAndResume(t *testing.T) {
 	}
 }
 
-// TestEngineScheduleHandlerClampsPast mirrors the closure-path clamp test
-// for the handler path.
+// stamp is a struct Handler, the shape components schedule, that records
+// when it fired.
+type stamp struct{ at Time }
+
+func (s *stamp) Handle(now Time) { s.at = now }
+
+// TestEngineScheduleHandlerClampsPast mirrors the func-handler clamp test
+// for a struct Handler.
 func TestEngineScheduleHandlerClampsPast(t *testing.T) {
 	e := NewEngine()
-	var at Time
-	e.Schedule(1000, func(Time) {
-		e.ScheduleHandler(5, handlerFunc(func(now Time) { at = now }))
-	})
+	var h stamp
+	e.ScheduleHandler(1000, fn(func(Time) { e.ScheduleHandler(5, &h) }))
 	e.Run(0)
-	if at != 1000 {
-		t.Fatalf("past handler fired at %d, want clamp to 1000", at)
+	if h.at != 1000 {
+		t.Fatalf("past handler fired at %d, want clamp to 1000", h.at)
 	}
 }
 
@@ -259,7 +269,7 @@ func TestEngineManyEventsOrdered(t *testing.T) {
 	// A deterministic scatter of timestamps with plenty of collisions.
 	for i := 0; i < n; i++ {
 		at := Time((i * 7919) % 257)
-		e.Schedule(at, func(now Time) { got = append(got, now) })
+		e.ScheduleHandler(at, fn(func(now Time) { got = append(got, now) }))
 	}
 	e.Run(0)
 	if len(got) != n {
@@ -275,8 +285,12 @@ func TestEngineManyEventsOrdered(t *testing.T) {
 	}
 }
 
+// The TestResource* tests pin the contention contract — serial
+// occupancy, gap filling, exact pruning — on Server, the simulator's one
+// resource calendar.
+
 func TestResourceSerializes(t *testing.T) {
-	var r Resource
+	var r Server
 	s1, d1 := r.Acquire(100, 50)
 	if s1 != 100 || d1 != 150 {
 		t.Fatalf("first acquire = (%d,%d), want (100,150)", s1, d1)
@@ -300,11 +314,17 @@ func TestResourceSerializes(t *testing.T) {
 }
 
 func TestResourceReset(t *testing.T) {
-	var r Resource
+	var r Server
+	clk := &fakeClock{}
+	r.Bind(clk)
 	r.Acquire(10, 10)
+	r.Acquire(50, 10)
 	r.Reset()
-	if r.NextFree() != 0 || r.BusyTime() != 0 || r.Uses() != 0 {
+	if r.NextFree() != 0 || r.BusyTime() != 0 || r.Uses() != 0 || r.liveGaps() != 0 {
 		t.Fatal("reset did not clear state")
+	}
+	if r.clock != clk {
+		t.Fatal("reset dropped the bound clock")
 	}
 }
 
@@ -312,11 +332,10 @@ func TestResourceReset(t *testing.T) {
 // service, and no two granted intervals overlap (the resource is serially
 // occupied).
 func TestResourceInvariantsQuick(t *testing.T) {
-	type iv struct{ s, e Time }
 	f := func(arrivals []uint16, services []uint8) bool {
-		var r Resource
+		var r Server
 		var now Time
-		var granted []iv
+		var granted []interval
 		n := len(arrivals)
 		if len(services) < n {
 			n = len(services)
@@ -332,11 +351,11 @@ func TestResourceInvariantsQuick(t *testing.T) {
 				continue
 			}
 			for _, g := range granted {
-				if start < g.e && g.s < done {
+				if start < g.end && g.start < done {
 					return false // overlap
 				}
 			}
-			granted = append(granted, iv{start, done})
+			granted = append(granted, interval{start, done})
 		}
 		return true
 	}
@@ -348,7 +367,7 @@ func TestResourceInvariantsQuick(t *testing.T) {
 // TestResourceGapFilling: a request arriving in an idle gap between two
 // future bookings is served in the gap, not behind them.
 func TestResourceGapFilling(t *testing.T) {
-	var r Resource
+	var r Server
 	r.Acquire(0, 10)    // [0,10)
 	r.Acquire(1000, 10) // [1000,1010)
 	start, done := r.Acquire(20, 10)
@@ -367,11 +386,11 @@ type fakeClock struct{ now Time }
 
 func (c *fakeClock) Now() Time { return c.now }
 
-// TestResourceCalendarBoundedWithClock: a clock-bound resource retires past
-// bookings, so the live calendar stays O(outstanding window) even across
-// arbitrarily long runs.
+// TestResourceCalendarBounded: a clock-bound server retires past gaps, so
+// the calendar stays O(outstanding window) even across arbitrarily long
+// runs.
 func TestResourceCalendarBounded(t *testing.T) {
-	var r Resource
+	var r Server
 	clk := &fakeClock{}
 	r.Bind(clk)
 	for i := 0; i < 10000; i++ {
@@ -382,34 +401,35 @@ func TestResourceCalendarBounded(t *testing.T) {
 		}
 		r.Acquire(Time(i*100), 1)
 	}
-	// Pruning is amortized (every 64th Acquire consults the clock), so the
-	// live window is the trailing span plus at most one amortization period.
-	if live := r.live(); live > 128 {
-		t.Fatalf("live calendar grew to %d intervals", live)
+	// Pruning runs when the array fills, so the live calendar is the
+	// trailing window plus at most one array's worth of closed gaps.
+	if live := r.liveGaps(); live > 128 {
+		t.Fatalf("live calendar grew to %d gaps", live)
 	}
-	if cap(r.intervals) > 1024 {
-		t.Fatalf("backing array grew to %d despite compaction", cap(r.intervals))
+	if cap(r.gaps) > 128 {
+		t.Fatalf("backing array grew to %d despite compaction", cap(r.gaps))
 	}
 	if r.Uses() != 10000 {
 		t.Fatalf("uses = %d", r.Uses())
 	}
 }
 
-// TestResourcePruneRetiresOnlyFullyPast: the watermark retires intervals
-// that end at or before it; an interval straddling the watermark survives.
+// TestResourcePruneRetiresOnlyFullyPast: the watermark retires gaps that
+// close at or before it; a booking straddling the watermark still delays
+// arrivals inside it, and a later gap stays bookable.
 func TestResourcePruneRetiresOnlyFullyPast(t *testing.T) {
-	var r Resource
-	r.Acquire(0, 10)   // [0,10) — fully past after Prune(50)
-	r.Acquire(40, 20)  // [40,60) — straddles watermark 50
-	r.Acquire(100, 10) // [100,110) — future
+	var r Server
+	r.Acquire(0, 10)   // [0,10)
+	r.Acquire(40, 20)  // [40,60) — straddles watermark 50; gap [10,40) closes before it
+	r.Acquire(100, 10) // [100,110) — future; gap [60,100)
 	r.Prune(50)
-	if live := r.live(); live != 2 {
-		t.Fatalf("live = %d, want 2 (straddling interval must survive)", live)
+	if live := r.liveGaps(); live != 1 {
+		t.Fatalf("live = %d, want 1 (the gap after the watermark must survive)", live)
 	}
 	// The straddling booking still delays a request arriving inside it.
 	start, _ := r.Acquire(50, 5)
 	if start != 60 {
-		t.Fatalf("request inside straddling interval started at %d, want 60", start)
+		t.Fatalf("request inside straddling booking started at %d, want 60", start)
 	}
 	// A monotone-violating (earlier) watermark is a no-op.
 	r.Prune(10)
@@ -421,48 +441,79 @@ func TestResourcePruneRetiresOnlyFullyPast(t *testing.T) {
 // TestResourceGapBookingAcrossWatermark: an idle gap that straddles the
 // watermark stays bookable for arrivals at or after the watermark.
 func TestResourceGapBookingAcrossWatermark(t *testing.T) {
-	var r Resource
+	var r Server
 	r.Acquire(0, 10)    // [0,10)
 	r.Acquire(1000, 10) // [1000,1010); gap [10,1000)
-	r.Prune(500)        // [0,10) retires; the gap now straddles the watermark
+	r.Prune(500)        // the gap now straddles the watermark
 	start, done := r.Acquire(500, 100)
 	if start != 500 || done != 600 {
 		t.Fatalf("gap booking across watermark = (%d,%d), want (500,600)", start, done)
 	}
 }
 
-// TestResourceCountersSurvivePruning: BusyTime and Uses are cumulative and
+// TestResourceCountersSurvivePruning: BusyTime, Uses and NextFree are
 // unaffected by calendar retirement.
 func TestResourceCountersSurvivePruning(t *testing.T) {
-	var r Resource
+	var r Server
 	r.Acquire(0, 30)
 	r.Acquire(100, 70)
-	busy, uses := r.BusyTime(), r.Uses()
+	busy, uses, next := r.BusyTime(), r.Uses(), r.NextFree()
 	r.Prune(1000)
-	if r.live() != 0 {
-		t.Fatalf("live = %d, want 0", r.live())
+	if r.liveGaps() != 0 {
+		t.Fatalf("live = %d, want 0", r.liveGaps())
 	}
-	if r.BusyTime() != busy || r.Uses() != uses {
-		t.Fatalf("counters changed by pruning: busy %d→%d uses %d→%d", busy, r.BusyTime(), uses, r.Uses())
-	}
-	if r.NextFree() != 1000 {
-		t.Fatalf("NextFree after full retirement = %d, want watermark 1000", r.NextFree())
+	if r.BusyTime() != busy || r.Uses() != uses || r.NextFree() != next {
+		t.Fatalf("counters changed by pruning: busy %d→%d uses %d→%d next %d→%d",
+			busy, r.BusyTime(), uses, r.Uses(), next, r.NextFree())
 	}
 }
 
-// contentionSequence drives a randomized arrival pattern against several
-// calendar implementations at once: a pruned Resource, an unpruned
-// Resource (the oracle), and a clock-bound Server. The engine time trails
-// the arrival front the way real event dispatch does, and arrivals jitter
-// backward within the trailing window to exercise out-of-order gap booking
-// across the watermark boundary.
+// interval is one busy period [start, end) of the reference calendar.
+type interval struct{ start, end Time }
+
+// intervalCalendar is the reference contention calendar Server is held to:
+// the busy intervals, sorted and disjoint, never retired or forgotten. A
+// request starts in the earliest idle window at or after its arrival that
+// fits it, else behind the last booking.
+type intervalCalendar struct {
+	busy []interval
+}
+
+func (c *intervalCalendar) Acquire(now, service Time) (start, done Time) {
+	if service == 0 {
+		return now, now
+	}
+	iv := c.busy
+	// Intervals ending at or before the arrival can neither delay the
+	// request nor host it.
+	i := sort.Search(len(iv), func(j int) bool { return iv[j].end > now })
+	start = now
+	for ; i < len(iv) && start+service > iv[i].start; i++ {
+		start = max(start, iv[i].end)
+	}
+	done = start + service
+	c.busy = append(c.busy, interval{})
+	copy(c.busy[i+1:], c.busy[i:])
+	c.busy[i] = interval{start, done}
+	return start, done
+}
+
+// maxGapCap bounds a Server's backing array: insertGap only grows it when
+// three quarters of it are live, to twice the live count, so it stays a
+// fixed multiple of the live bound however long the server runs.
+const maxGapCap = 4 * maxLiveGaps
+
+// contentionSequence drives a randomized arrival pattern against a
+// clock-bound Server and the unpruned reference calendar. The engine time
+// trails the arrival front the way real event dispatch does, and arrivals
+// jitter backward within the trailing window to exercise out-of-order gap
+// booking across the watermark boundary.
 func contentionSequence(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var oracle, pruned Resource
+	var oracle intervalCalendar
 	var srv Server
 	clk := &fakeClock{}
-	pruned.Bind(clk)
 	srv.Bind(clk)
 	var front Time // the farthest arrival seen; the clock trails it
 	for i := 0; i < 5000; i++ {
@@ -476,12 +527,7 @@ func contentionSequence(t *testing.T, seed int64) {
 		}
 		svc := Time(rng.Intn(100))
 		os, od := oracle.Acquire(now, svc)
-		ps, pd := pruned.Acquire(now, svc)
 		ss, sd := srv.Acquire(now, svc)
-		if os != ps || od != pd {
-			t.Fatalf("seed %d step %d: pruned (%d,%d) != oracle (%d,%d) for Acquire(%d,%d)",
-				seed, i, ps, pd, os, od, now, svc)
-		}
 		if os != ss || od != sd {
 			t.Fatalf("seed %d step %d: server (%d,%d) != oracle (%d,%d) for Acquire(%d,%d)",
 				seed, i, ss, sd, os, od, now, svc)
@@ -492,20 +538,14 @@ func contentionSequence(t *testing.T, seed int64) {
 			clk.now = front - 500
 		}
 	}
-	if oracle.BusyTime() != pruned.BusyTime() || oracle.Uses() != pruned.Uses() {
-		t.Fatalf("seed %d: pruned counters diverged", seed)
-	}
-	if oracle.BusyTime() != srv.BusyTime() || oracle.Uses() != srv.Uses() {
-		t.Fatalf("seed %d: server counters diverged", seed)
-	}
-	// Retirement is amortized (pushes bound the list, splits ride between
-	// capacity events), so live state may exceed the nominal bound between
-	// prunes but stays O(maxLiveGaps).
-	if live := pruned.live(); live > 1024 {
-		t.Fatalf("seed %d: pruned calendar grew to %d live intervals", seed, live)
+	if srv.Uses() != 5000 {
+		t.Fatalf("seed %d: uses = %d", seed, srv.Uses())
 	}
 	if gaps := srv.liveGaps(); gaps > 1024 {
 		t.Fatalf("seed %d: server gap calendar grew to %d", seed, gaps)
+	}
+	if c := cap(srv.gaps); c > maxGapCap {
+		t.Fatalf("seed %d: backing array grew to %d gaps", seed, c)
 	}
 }
 
@@ -516,6 +556,80 @@ func contentionSequence(t *testing.T, seed int64) {
 func TestContentionImplementationsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		contentionSequence(t, seed)
+	}
+}
+
+// splitStep makes one arrival of a split-heavy pattern: mostly a request
+// landing inside one of the newest recent live gaps, which splits it, and
+// otherwise an in-order arrival a little past the tail, which opens a new
+// gap. Arrivals never reach back past the newest recent gaps, so forgetting
+// older ones (the maxLiveGaps bound) cannot change a grant.
+func splitStep(rng *rand.Rand, s *Server, recent int) (now, svc Time) {
+	live := s.gaps[s.head:]
+	if len(live) > recent {
+		live = live[len(live)-recent:]
+	}
+	if len(live) == 0 || rng.Intn(3) == 0 {
+		return s.tail + 1 + Time(rng.Intn(64)), 1 + Time(rng.Intn(16))
+	}
+	g := live[rng.Intn(len(live))]
+	now = g.start + Time(rng.Int63n(int64(g.end-g.start)))
+	return now, 1 + Time(rng.Intn(int(g.end-g.start)))
+}
+
+// TestServerSplitHeavyBoundedArray is the regression test for the backing
+// array: interior splits of a server whose clock lags far behind keep the
+// live calendar at the maxLiveGaps bound for most of the run, and every
+// growth of the array must compact the retired prefix rather than carry it.
+// Grants still match the unpruned reference one for one.
+func TestServerSplitHeavyBoundedArray(t *testing.T) {
+	const steps = 40000
+	rng := rand.New(rand.NewSource(7))
+	var oracle intervalCalendar
+	var srv Server
+	clk := &fakeClock{}
+	srv.Bind(clk)
+	atBound := 0
+	for i := 0; i < steps; i++ {
+		now, svc := splitStep(rng, &srv, 64)
+		os, od := oracle.Acquire(now, svc)
+		ss, sd := srv.Acquire(now, svc)
+		if os != ss || od != sd {
+			t.Fatalf("step %d: server (%d,%d) != oracle (%d,%d) for Acquire(%d,%d)",
+				i, ss, sd, os, od, now, svc)
+		}
+		if srv.liveGaps() >= maxLiveGaps {
+			atBound++
+		}
+		if c := cap(srv.gaps); c > maxGapCap {
+			t.Fatalf("step %d: backing array grew to %d gaps (%d live)", i, c, srv.liveGaps())
+		}
+		// The clock lags far behind the arrivals: it only ever retires
+		// gaps much older than the bound already forgets.
+		if srv.tail > 50_000 {
+			clk.now = srv.tail - 50_000
+		}
+	}
+	if atBound < steps/2 {
+		t.Fatalf("live calendar sat at the bound for %d of %d steps; the sequence does not exercise it", atBound, steps)
+	}
+}
+
+// TestServerSplitHeavyAllocs: once warm, a split-heavy server compacts its
+// calendar in place and allocates nothing. Each measured run is a whole
+// batch of Acquires, so geometric growth of the array — which averages
+// to 0 allocs per call — still counts.
+func TestServerSplitHeavyAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var srv Server
+	batch := func() {
+		for i := 0; i < 20000; i++ {
+			srv.Acquire(splitStep(rng, &srv, 64))
+		}
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(5, batch); allocs != 0 {
+		t.Fatalf("warm split-heavy server allocated %.0f times per 20000 Acquires, want 0", allocs)
 	}
 }
 

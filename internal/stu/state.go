@@ -44,7 +44,7 @@ func (a *assoc[V]) restoreState(st *assocState[V]) {
 // the counters. The walk scratch buffer is not state (it never survives a
 // call), and the page-table alias is restored by the broker, not here.
 type State struct {
-	port   sim.ResourceState
+	port   sim.ServerState
 	ifam   assocState[ifamEntry]
 	wcache assocState[struct{}]
 	ncache assocState[acm.Entry]

@@ -16,7 +16,7 @@
 //
 // The STU sits on the per-FAM-access hot path of every scheme but E-FAM:
 // lookups, ACM checks and FAM-table walks are array-backed and
-// allocation-free in steady state, the port is a sim.Resource calendar
+// allocation-free in steady state, the port is a sim.Server calendar
 // bound to the engine clock, and all behaviour is deterministic for a
 // fixed seed.
 package stu
@@ -155,7 +155,7 @@ type STU struct {
 	famRead FAMAccessFunc
 	fault   func(np addr.NPPage) (addr.FPage, error) // broker allocation callback
 
-	port sim.Resource
+	port sim.Server
 
 	ifam   *assoc[ifamEntry] // OrgIFAM
 	wcache *assoc[struct{}]  // OrgDeACTW: key = ACM group of contiguous pages
