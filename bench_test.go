@@ -1,12 +1,15 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus micro-benchmarks of the hot simulator paths.
+// Benchmark harness: one sub-benchmark of BenchmarkExperiments per entry
+// of the experiments registry (every table and figure of the paper's
+// evaluation plus the beyond-paper sweeps), plus micro-benchmarks of the
+// hot simulator paths.
 //
 //	go test -bench=. -benchmem
 //
-// Each figure benchmark regenerates the corresponding rows/series through
-// internal/experiments and reports a headline figure metric via
-// b.ReportMetric, so `go test -bench=Figure12` is the programmatic
-// equivalent of re-plotting the paper's Figure 12.
+// Each experiment sub-benchmark regenerates the corresponding rows/series
+// through internal/experiments and reports a headline figure metric via
+// b.ReportMetric, so `go test -bench=Experiments/Figure_12` is the
+// programmatic equivalent of re-plotting the paper's Figure 12 (Go turns
+// the spaces of a registry id into underscores).
 package deact_test
 
 import (
@@ -17,10 +20,7 @@ import (
 	"deact/internal/addr"
 	"deact/internal/broker"
 	"deact/internal/cache"
-	"deact/internal/core"
 	"deact/internal/experiments"
-	"deact/internal/memdev"
-	"deact/internal/sim"
 	"deact/internal/stats"
 	"deact/internal/tlb"
 	"deact/internal/workload"
@@ -77,150 +77,27 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.TableIII(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure3(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure4(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure9(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure10(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure11(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(benchOptions())
-		t, err := h.Figure12(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.Figure13(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkAssociativitySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.AssociativitySweep(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.Figure14(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkPairsPerWaySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.PairsPerWaySweep(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure15(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := experiments.New(sweepOptions())
-		t, err := h.Figure15(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
-	}
-}
-
-func BenchmarkFigure16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := sweepOptions()
-		if !testing.Short() {
-			o.Warmup, o.Measure = 15_000, 15_000
-		}
-		h := experiments.New(o)
-		t, err := h.Figure16(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSeries(b, t)
+// BenchmarkExperiments regenerates every registry entry, one sub-benchmark
+// each; sweeps run on the trimmed sweepOptions benchmark list.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			o := benchOptions()
+			if e.Sweep != "" {
+				o = sweepOptions()
+			}
+			// The node-count sweep simulates up to 8 nodes per point.
+			if e.Sweep == "nodes" && !testing.Short() {
+				o.Warmup, o.Measure = 15_000, 15_000
+			}
+			for i := 0; i < b.N; i++ {
+				t, err := e.Run(context.Background(), experiments.New(o))
+				if err != nil {
+					b.Fatal(err)
+				}
+				reportSeries(b, t)
+			}
+		})
 	}
 }
 
@@ -284,41 +161,6 @@ func BenchmarkACMCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Check(addr.FPage(i)%4096, uint16(i)%63, acm.PermR)
-	}
-}
-
-func BenchmarkMemDevAccess(b *testing.B) {
-	d := memdev.New(memdev.Config{Name: "bench", Banks: 32,
-		ReadLatency: sim.NS(60), WriteLatency: sim.NS(150), PortLatency: sim.NS(2)})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Access(sim.Time(i)*100, uint64(i)*64, i%4 == 0)
-	}
-}
-
-// BenchmarkEndToEnd measures whole-system simulation throughput
-// (instructions simulated per wall second) for each scheme.
-func BenchmarkEndToEnd(b *testing.B) {
-	measure := uint64(50_000)
-	if testing.Short() {
-		measure = 10_000
-	}
-	for _, scheme := range core.Schemes() {
-		b.Run(scheme.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.Scheme = scheme
-				cfg.Benchmark = "mcf"
-				cfg.CoresPerNode = 1
-				cfg.WarmupInstructions = 0
-				cfg.MeasureInstructions = measure
-				r, err := core.Run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.IPC, "sim_ipc")
-			}
-		})
 	}
 }
 

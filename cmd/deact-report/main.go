@@ -12,6 +12,10 @@
 //	deact-report -cpuprofile cpu.prof  # profile the hot simulation paths
 //	deact-report -memprofile mem.prof  # allocation profile after the run
 //
+// Every additive (beyond-the-paper) entry of the experiments registry gets
+// one bool flag named by its sweep name; `deact-report -h` lists them.
+// Requested sections are appended after the base report in registry order.
+//
 // Independent simulations run concurrently on a worker pool of
 // -parallelism slots (default: GOMAXPROCS). The report is byte-identical
 // at every parallelism level for a given seed and scale.
@@ -49,12 +53,15 @@ func main() {
 // teardown) execute on error paths too, instead of being skipped by
 // os.Exit.
 func run(ctx context.Context) error {
-	var (
-		out    = flag.String("out", "EXPERIMENTS.md", "output file (- for stdout)")
-		capSec = flag.Bool("capacity", false, "append the multi-tenant capacity-planning section (per-tenant p99 latency under a noisy neighbor); strictly additive to the base report")
-		pfSec  = flag.Bool("prefetch", false, "append the prefetch-interaction section (IPC vs stream-prefetch degree across workload shapes); strictly additive to the base report")
-		mlpSec = flag.Bool("mlp", false, "append the memory-level-parallelism section (IPC vs OoO scheduling-window size in ops, across workload dependence shapes); strictly additive to the base report")
-	)
+	out := flag.String("out", "EXPERIMENTS.md", "output file (- for stdout)")
+	// One bool flag per additive registry entry, named by its sweep name.
+	sectionFlags := map[string]*bool{}
+	for _, e := range experiments.Registry() {
+		if e.Additive {
+			sectionFlags[e.Sweep] = flag.Bool(e.Sweep, false,
+				fmt.Sprintf("append the %s — %s section; strictly additive to the base report", e.ID, e.PaperRef))
+		}
+	}
 	scale := cli.ScaleFlags(flag.CommandLine, 80_000, 60_000, 2)
 	runner := cli.RunnerFlags(flag.CommandLine)
 	prof := cli.ProfilingFlags(flag.CommandLine, "the full report run")
@@ -70,23 +77,26 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	opts.Capacity = *capSec
-	opts.Prefetch = *pfSec
-	opts.MLP = *mlpSec
 	opts.OnRunDone = cli.ProgressPrinter(os.Stderr)
+	var sections []string
+	for name, on := range sectionFlags {
+		if *on {
+			sections = append(sections, name)
+		}
+	}
 
-	if err := generate(ctx, opts, *out); err != nil {
+	if err := generate(ctx, opts, sections, *out); err != nil {
 		return err
 	}
 	return prof.WriteHeap()
 }
 
-// generate stages the whole report in memory and writes the output file
-// only on success, so a cancelled or failed run never leaves a partial
-// EXPERIMENTS.md behind.
-func generate(ctx context.Context, opts experiments.Options, outPath string) error {
+// generate stages the whole report, plus the named additive sections, in
+// memory and writes the output file only on success, so a cancelled or
+// failed run never leaves a partial EXPERIMENTS.md behind.
+func generate(ctx context.Context, opts experiments.Options, sections []string, outPath string) error {
 	var buf bytes.Buffer
-	err := experiments.Report(ctx, &buf, opts)
+	err := experiments.Report(ctx, &buf, opts, sections...)
 	if opts.OnRunDone != nil {
 		fmt.Fprintln(os.Stderr) // terminate the progress line
 	}

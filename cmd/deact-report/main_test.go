@@ -19,7 +19,7 @@ func TestGenerateCancelledWritesNothing(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
 	opts := experiments.Options{Warmup: 1_000, Measure: 1_000, Cores: 1, Seed: 42,
 		Benchmarks: []string{"mcf"}, Parallelism: 1}
-	err := generate(ctx, opts, out)
+	err := generate(ctx, opts, nil, out)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -36,7 +36,7 @@ func TestGenerateWritesOnSuccess(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "EXPERIMENTS.md")
 	opts := experiments.Options{Warmup: 2_000, Measure: 2_000, Cores: 1, Seed: 42,
 		Benchmarks: []string{"mcf", "canl", "dc"}, Parallelism: 2}
-	if err := generate(context.Background(), opts, out); err != nil {
+	if err := generate(context.Background(), opts, nil, out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)

@@ -15,6 +15,9 @@
 //	deact-sweep -sweep nodes -cpuprofile cpu.prof -memprofile mem.prof
 //	deact-sweep -sweep stu -store .deact-store   # serve repeat points from the persistent result store
 //
+// Each -sweep name selects one entry of the experiments registry;
+// `deact-sweep -h` lists the valid names.
+//
 // The capacity sweep takes three extra knobs: -steady and -noisy name the
 // benchmarks the steady tenants and the noisy tenant 0 run, and
 // -broker-shards fixes how many shards the FAM broker's ownership state is
@@ -42,11 +45,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"deact/internal/cli"
 	"deact/internal/experiments"
-	"deact/internal/stats"
 )
 
 func main() {
@@ -62,7 +65,7 @@ func main() {
 // paths too, instead of being skipped by os.Exit.
 func run(ctx context.Context) error {
 	var (
-		sweep  = flag.String("sweep", "stu", "sweep to run: stu, assoc, acm, pairs, fabric, nodes, capacity, prefetch, mlp")
+		sweep  = flag.String("sweep", "stu", "sweep to run: "+strings.Join(experiments.SweepNames(), ", "))
 		steady = flag.String("steady", "sp", "capacity sweep: benchmark the steady tenants run")
 		noisy  = flag.String("noisy", "canl", "capacity sweep: benchmark the noisy tenant 0 runs on every node")
 		shards = flag.Int("broker-shards", 0, "capacity sweep: FAM broker shards per point, clamped to the node count (0 = one shard per two nodes)")
@@ -76,10 +79,10 @@ func run(ctx context.Context) error {
 
 	// Usage errors exit 2 (before any profile is started), runtime
 	// failures exit 1 — the same convention cmd/benchgate follows.
-	switch *sweep {
-	case "stu", "assoc", "acm", "pairs", "fabric", "nodes", "capacity", "prefetch", "mlp":
-	default:
-		fmt.Fprintf(os.Stderr, "deact-sweep: unknown sweep %q\n", *sweep)
+	exp, ok := experiments.Lookup(*sweep)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "deact-sweep: unknown sweep %q (valid: %s)\n",
+			*sweep, strings.Join(experiments.SweepNames(), ", "))
 		os.Exit(2)
 	}
 
@@ -98,27 +101,7 @@ func run(ctx context.Context) error {
 	r := experiments.New(opts)
 	defer r.WaitIdle()
 
-	var tbl stats.Table
-	switch *sweep {
-	case "stu":
-		tbl, err = r.Figure13(ctx)
-	case "assoc":
-		tbl, err = r.AssociativitySweep(ctx)
-	case "acm":
-		tbl, err = r.Figure14(ctx)
-	case "pairs":
-		tbl, err = r.PairsPerWaySweep(ctx)
-	case "fabric":
-		tbl, err = r.Figure15(ctx)
-	case "nodes":
-		tbl, err = r.Figure16(ctx)
-	case "capacity":
-		tbl, err = r.CapacitySweep(ctx)
-	case "prefetch":
-		tbl, err = r.PrefetchSweep(ctx)
-	case "mlp":
-		tbl, err = r.MLPSweep(ctx)
-	}
+	tbl, err := exp.Run(ctx, r)
 	fmt.Fprintln(os.Stderr) // terminate the progress line
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,16 +165,65 @@ func TestReportSmoke(t *testing.T) {
 	}
 }
 
-func TestAllListsEveryExperiment(t *testing.T) {
-	ids := map[string]bool{}
-	for _, nt := range All() {
-		ids[nt.id] = true
-	}
-	for _, want := range []string{"Table III", "Figure 3", "Figure 4", "Figure 9", "Figure 10",
-		"Figure 11", "Figure 12", "Figure 13", "Figure 14", "Figure 15", "Figure 16",
-		"§V-D1 associativity", "§V-D2 pairs/way"} {
-		if !ids[want] {
-			t.Errorf("experiment %q missing from All()", want)
+// TestRegistry pins the registry every consumer reads: the paper's
+// experiments in report order, one entry per sweep name, complete additive
+// entries, and Report rejecting an unknown section before it simulates.
+func TestRegistry(t *testing.T) {
+	paper := []string{"Table III", "Figure 3", "Figure 4", "Figure 9", "Figure 10",
+		"Figure 11", "Figure 12", "Figure 13", "§V-D1 associativity", "Figure 14",
+		"§V-D2 pairs/way", "Figure 15", "Figure 16", "§III-A read trust"}
+	sweeps := []string{"stu", "assoc", "acm", "pairs", "fabric", "nodes", "capacity", "prefetch", "mlp"}
+	reg := Registry()
+
+	t.Run("paper ids in order", func(t *testing.T) {
+		var got []string
+		for _, e := range reg {
+			if !e.Additive {
+				got = append(got, e.ID)
+			}
 		}
-	}
+		if !slices.Equal(got, paper) {
+			t.Fatalf("paper experiments = %q, want %q", got, paper)
+		}
+	})
+	t.Run("sweep names unique", func(t *testing.T) {
+		if got := SweepNames(); !slices.Equal(got, sweeps) {
+			t.Fatalf("SweepNames() = %q, want %q", got, sweeps)
+		}
+		for _, name := range sweeps {
+			n := 0
+			for _, e := range reg {
+				if e.Sweep == name {
+					n++
+				}
+			}
+			if e, ok := Lookup(name); n != 1 || !ok || e.Sweep != name {
+				t.Errorf("sweep %q: %d entries, Lookup ok=%v", name, n, ok)
+			}
+		}
+		if _, ok := Lookup(""); ok {
+			t.Error(`Lookup("") matched a non-sweep entry`)
+		}
+	})
+	t.Run("additive entries complete", func(t *testing.T) {
+		for _, e := range reg {
+			if e.Additive && (e.Sweep == "" || e.Prose == "" || e.RunsLabel == "" || len(e.expect) == 0) {
+				t.Errorf("additive entry %q lacks a sweep name, prose, runs label or check", e.ID)
+			}
+		}
+	})
+	t.Run("unknown section rejected before simulating", func(t *testing.T) {
+		for _, name := range []string{"bogus", "stu", ""} {
+			calls := 0
+			o := tinyOptions()
+			o.OnRunDone = func(RunInfo) { calls++ }
+			var buf bytes.Buffer
+			if err := Report(context.Background(), &buf, o, "capacity", name); err == nil {
+				t.Errorf("Report accepted section %q", name)
+			}
+			if calls != 0 || buf.Len() != 0 {
+				t.Errorf("section %q: %d runs, %d bytes before the error", name, calls, buf.Len())
+			}
+		}
+	})
 }

@@ -197,6 +197,51 @@ func (r *Runner) sensitivitySweep(ctx context.Context, title string, labels []st
 	return t, nil
 }
 
+// patternScenario is one workload row of a relative-IPC sweep: a catalog
+// benchmark, optionally re-shaped by a v2 pattern generator (degree is the
+// pattern's degree, not the swept axis).
+type patternScenario struct {
+	label   string
+	bench   string
+	pattern string
+	degree  int
+}
+
+// relativeIPCSweep is the body of the prefetch and MLP sweeps: one series
+// per (scheme, scenario) for I-FAM and DeACT-N, one column per axis point,
+// values = IPC relative to the row's first column. The whole grid is
+// submitted as one batch; t arrives with its title, format and labels.
+func (r *Runner) relativeIPCSweep(ctx context.Context, t stats.Table, scenarios []patternScenario, axis []int,
+	config func(core.Scheme, patternScenario, int) core.Config) (stats.Table, error) {
+	schemes := []core.Scheme{core.IFAM, core.DeACTN}
+	var cfgs []core.Config
+	for _, s := range schemes {
+		for _, sc := range scenarios {
+			for _, p := range axis {
+				cfgs = append(cfgs, config(s, sc, p))
+			}
+		}
+	}
+	res, err := r.RunAll(ctx, cfgs)
+	if err != nil {
+		return t, err
+	}
+	for _, s := range schemes {
+		for _, sc := range scenarios {
+			row := res[:len(axis)]
+			res = res[len(axis):]
+			vals := make([]float64, len(row))
+			for i, x := range row {
+				vals[i] = x.IPC / row[0].IPC
+			}
+			if err := t.AddSeries(fmt.Sprintf("%v %s", s, sc.label), vals); err != nil {
+				return t, err
+			}
+		}
+	}
+	return t, nil
+}
+
 // Figure13 sweeps the STU cache size (256–4096 entries; paper: the DeACT
 // advantage shrinks as the STU grows).
 func (r *Runner) Figure13(ctx context.Context) (stats.Table, error) {

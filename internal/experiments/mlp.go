@@ -19,23 +19,14 @@ func mlpWindows() []int { return []int{1, 2, 4, 8, 16, 32} }
 // issuing.
 const mlpSchedulerLatency = 2
 
-// mlpScenario is one workload column of the MLP sweep: a catalog benchmark
-// re-shaped by a v2 pattern generator whose dependence structure is known.
-type mlpScenario struct {
-	label   string
-	bench   string
-	pattern string
-	degree  int
-}
-
 // mlpScenarios spans the dependence spectrum the window can and cannot
 // exploit: a degree-1 pointer chase is a pure dependence chain (every load
 // feeds the next — run-ahead has nothing to overlap, IPC must stay flat), a
 // stencil is pure independent streams (overlap scales with the window), and
 // a graph frontier mixes a blocking vertex scan with independent edge
 // bursts (partial scaling).
-func mlpScenarios() []mlpScenario {
-	return []mlpScenario{
+func mlpScenarios() []patternScenario {
+	return []patternScenario{
 		{label: "mcf/chase", bench: "mcf", pattern: workload.PatternPointerChase, degree: 1},
 		{label: "mcf/frontier", bench: "mcf", pattern: workload.PatternGraphFrontier, degree: 8},
 		{label: "mcf/stencil", bench: "mcf", pattern: workload.PatternStencil, degree: 4},
@@ -46,7 +37,7 @@ func mlpScenarios() []mlpScenario {
 // scheduling window (a W-entry machine has ~W MSHRs), so the sweep varies
 // one machine-size axis: both the run-ahead depth past dependent loads and
 // the independent-miss overlap grow with W.
-func (r *Runner) mlpConfig(s core.Scheme, sc mlpScenario, window int) core.Config {
+func (r *Runner) mlpConfig(s core.Scheme, sc patternScenario, window int) core.Config {
 	return r.config(s, sc.bench, func(c *core.Config) {
 		c.Pattern = sc.pattern
 		c.PatternDegree = sc.degree
@@ -67,7 +58,6 @@ func (r *Runner) mlpConfig(s core.Scheme, sc mlpScenario, window int) core.Confi
 // the serialized chain.
 func (r *Runner) MLPSweep(ctx context.Context) (stats.Table, error) {
 	windows := mlpWindows()
-	scenarios := mlpScenarios()
 	t := stats.Table{
 		Title: fmt.Sprintf("MLP: IPC relative to window=1 (OoO core, scheduler latency %d cycles, MaxOutstanding=window)",
 			mlpSchedulerLatency),
@@ -76,36 +66,7 @@ func (r *Runner) MLPSweep(ctx context.Context) (stats.Table, error) {
 	for _, w := range windows {
 		t.XLabels = append(t.XLabels, fmt.Sprintf("W=%d", w))
 	}
-
-	schemes := []core.Scheme{core.IFAM, core.DeACTN}
-	var cfgs []core.Config
-	for _, s := range schemes {
-		for _, sc := range scenarios {
-			for _, w := range windows {
-				cfgs = append(cfgs, r.mlpConfig(s, sc, w))
-			}
-		}
-	}
-	res, err := r.RunAll(ctx, cfgs)
-	if err != nil {
-		return t, err
-	}
-
-	idx := 0
-	for _, s := range schemes {
-		for _, sc := range scenarios {
-			vals := make([]float64, 0, len(windows))
-			base := res[idx].IPC
-			for range windows {
-				vals = append(vals, res[idx].IPC/base)
-				idx++
-			}
-			if err := t.AddSeries(fmt.Sprintf("%v %s", s, sc.label), vals); err != nil {
-				return t, err
-			}
-		}
-	}
-	return t, nil
+	return r.relativeIPCSweep(ctx, t, mlpScenarios(), windows, r.mlpConfig)
 }
 
 // checkMLPSeparatesDependence pins the mechanism rather than a fragile perf

@@ -22,22 +22,13 @@ const (
 	prefetchThreshold = 2
 )
 
-// prefetchScenario is one workload column of the prefetch sweep: a
-// catalog benchmark, optionally re-shaped by a v2 pattern generator.
-type prefetchScenario struct {
-	label   string
-	bench   string
-	pattern string
-	degree  int // pattern degree, not prefetch degree
-}
-
 // prefetchScenarios spans the prefetch-friendliness spectrum: the
 // streaming-heavy skew benchmark (sp), a chase-heavy skew benchmark
 // (canl), and the three v2 generators on an mcf-sized footprint —
 // stencil (pure strided streams, the best case), pointer-chase (payload
 // bursts only) and graph-frontier (vertex scan only).
-func (o Options) prefetchScenarios() []prefetchScenario {
-	return []prefetchScenario{
+func (o Options) prefetchScenarios() []patternScenario {
+	return []patternScenario{
 		{label: o.steadyBenchmark() + "/skew", bench: o.steadyBenchmark()},
 		{label: o.noisyBenchmark() + "/skew", bench: o.noisyBenchmark()},
 		{label: "mcf/stencil", bench: "mcf", pattern: workload.PatternStencil, degree: 4},
@@ -49,7 +40,7 @@ func (o Options) prefetchScenarios() []prefetchScenario {
 // prefetchConfig builds one grid point: deg 0 leaves the prefetcher off
 // (bit-identical to a build without it), deg > 0 enables the PC-keyed
 // table at the fixed shape.
-func (r *Runner) prefetchConfig(s core.Scheme, sc prefetchScenario, deg int) core.Config {
+func (r *Runner) prefetchConfig(s core.Scheme, sc patternScenario, deg int) core.Config {
 	return r.config(s, sc.bench, func(c *core.Config) {
 		c.Pattern = sc.pattern
 		c.PatternDegree = sc.degree
@@ -70,7 +61,6 @@ func (r *Runner) prefetchConfig(s core.Scheme, sc prefetchScenario, deg int) cor
 // the AT traffic it rides on?
 func (r *Runner) PrefetchSweep(ctx context.Context) (stats.Table, error) {
 	degs := prefetchDegrees()
-	scenarios := r.opts.prefetchScenarios()
 	t := stats.Table{
 		Title: fmt.Sprintf("Prefetch interaction: IPC relative to prefetch-off (streams=%d, threshold=%d)",
 			prefetchStreams, prefetchThreshold),
@@ -83,36 +73,7 @@ func (r *Runner) PrefetchSweep(ctx context.Context) (stats.Table, error) {
 			t.XLabels = append(t.XLabels, fmt.Sprintf("deg=%d", d))
 		}
 	}
-
-	schemes := []core.Scheme{core.IFAM, core.DeACTN}
-	var cfgs []core.Config
-	for _, s := range schemes {
-		for _, sc := range scenarios {
-			for _, d := range degs {
-				cfgs = append(cfgs, r.prefetchConfig(s, sc, d))
-			}
-		}
-	}
-	res, err := r.RunAll(ctx, cfgs)
-	if err != nil {
-		return t, err
-	}
-
-	idx := 0
-	for _, s := range schemes {
-		for _, sc := range scenarios {
-			vals := make([]float64, 0, len(degs))
-			base := res[idx].IPC
-			for range degs {
-				vals = append(vals, res[idx].IPC/base)
-				idx++
-			}
-			if err := t.AddSeries(fmt.Sprintf("%v %s", s, sc.label), vals); err != nil {
-				return t, err
-			}
-		}
-	}
-	return t, nil
+	return r.relativeIPCSweep(ctx, t, r.opts.prefetchScenarios(), degs, r.prefetchConfig)
 }
 
 // checkPrefetchDetectsStreams pins the mechanism rather than a fragile
@@ -122,7 +83,7 @@ func (r *Runner) PrefetchSweep(ctx context.Context) (stats.Table, error) {
 // configuration is the golden-compatible no-op. Dedup answers both runs
 // from the sweep's cache.
 func checkPrefetchDetectsStreams(ctx context.Context, r *Runner) (bool, string, error) {
-	sc := prefetchScenario{bench: "mcf", pattern: workload.PatternStencil, degree: 4}
+	sc := patternScenario{bench: "mcf", pattern: workload.PatternStencil, degree: 4}
 	on := r.prefetchConfig(core.DeACTN, sc, 4)
 	off := r.prefetchConfig(core.DeACTN, sc, 0)
 	res, err := r.RunAll(ctx, []core.Config{on, off})

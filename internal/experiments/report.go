@@ -4,133 +4,35 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"deact/internal/stats"
+	"slices"
 )
 
-// expectation records the paper's qualitative claim for one experiment so
-// the report can state pass/fail on shape, not absolute numbers.
-type expectation struct {
-	id    string
-	claim string
-	check func(ctx context.Context, r *Runner) (bool, string, error)
-}
-
-// namedTable pairs an experiment id with its generator.
-type namedTable struct {
-	id       string
-	paperRef string
-	gen      func(r *Runner, ctx context.Context) (stats.Table, error)
-	expect   []expectation
-}
-
-// All returns every reproducible experiment in paper order.
-func All() []namedTable {
-	return []namedTable{
-		{id: "Table III", paperRef: "workload calibration",
-			gen: (*Runner).TableIII},
-		{id: "Figure 3", paperRef: "I-FAM slowdown wrt E-FAM",
-			gen: (*Runner).Figure3,
-			expect: []expectation{{
-				id:    "fig3-sensitive-worst",
-				claim: "AT-sensitive benchmarks (canl, sssp, ccsv, cactus) slow down more than the insensitive set (bc, lu, mg, sp)",
-				check: checkFig3Ordering,
-			}},
-		},
-		{id: "Figure 4", paperRef: "AT share of FAM requests, E-FAM vs I-FAM",
-			gen: (*Runner).Figure4,
-			expect: []expectation{{
-				id:    "fig4-indirection-blowup",
-				claim: "I-FAM's AT share exceeds E-FAM's for every benchmark",
-				check: checkFig4Blowup,
-			}},
-		},
-		{id: "Figure 9", paperRef: "ACM hit rate",
-			gen: (*Runner).Figure9,
-			expect: []expectation{{
-				id:    "fig9-n-beats-w",
-				claim: "DeACT-N's ACM hit rate beats DeACT-W's on AT-sensitive benchmarks; DeACT-W ≈ I-FAM",
-				check: checkFig9NBeatsW,
-			}},
-		},
-		{id: "Figure 10", paperRef: "translation hit rate",
-			gen: (*Runner).Figure10,
-			expect: []expectation{{
-				id:    "fig10-deact-high",
-				claim: "DeACT's in-DRAM translation cache hit rate exceeds I-FAM's STU hit rate on every benchmark (paper: >90%)",
-				check: checkFig10DeACTHigh,
-			}},
-		},
-		{id: "Figure 11", paperRef: "AT share of FAM requests, three organizations",
-			gen: (*Runner).Figure11,
-			expect: []expectation{{
-				id:    "fig11-monotone",
-				claim: "mean AT share decreases I-FAM → DeACT-W → DeACT-N",
-				check: checkFig11Monotone,
-			}},
-		},
-		{id: "Figure 12", paperRef: "normalized performance",
-			gen: (*Runner).Figure12,
-			expect: []expectation{{
-				id:    "fig12-ordering",
-				claim: "E-FAM ≥ DeACT-N ≥ DeACT-W ≥ I-FAM on AT-sensitive benchmarks; DeACT ≈ I-FAM on the insensitive set",
-				check: checkFig12Ordering,
-			}},
-		},
-		{id: "Figure 13", paperRef: "STU size sweep",
-			gen: (*Runner).Figure13,
-			expect: []expectation{{
-				id:    "fig13-shrinking-gain",
-				claim: "DeACT's speedup over I-FAM shrinks as the STU cache grows",
-				check: checkFig13Shrinks,
-			}},
-		},
-		{id: "§V-D1 associativity", paperRef: "STU associativity sweep",
-			gen: (*Runner).AssociativitySweep},
-		{id: "Figure 14", paperRef: "ACM width sweep",
-			gen: (*Runner).Figure14},
-		{id: "§V-D2 pairs/way", paperRef: "DeACT-N packing sweep",
-			gen: (*Runner).PairsPerWaySweep,
-			expect: []expectation{{
-				id:    "fig14-pairs-monotone",
-				claim: "more (tag, ACM) pairs per way → more speedup; one pair ≈ DeACT-W",
-				check: checkPairsMonotone,
-			}},
-		},
-		{id: "Figure 15", paperRef: "fabric latency sweep",
-			gen: (*Runner).Figure15,
-			expect: []expectation{{
-				id:    "fig15-growing-gain",
-				claim: "longer fabric latency → bigger DeACT speedup over I-FAM",
-				check: checkFig15Grows,
-			}},
-		},
-		{id: "Figure 16", paperRef: "node count sweep",
-			gen: (*Runner).Figure16,
-			expect: []expectation{{
-				id:    "fig16-growing-gain",
-				claim: "more nodes sharing the fabric → bigger DeACT speedup over I-FAM",
-				check: checkFig16Grows,
-			}},
-		},
-		{id: "§III-A read trust", paperRef: "encrypted-FAM ablation",
-			gen: (*Runner).ReadTrustAblation,
-			expect: []expectation{{
-				id:    "read-trust-never-hurts",
-				claim: "skipping read verification never slows a benchmark down",
-				check: checkReadTrustNeverHurts,
-			}},
-		},
+// Report runs every paper experiment and writes a markdown report to w,
+// followed by the additive sections named in sections (sweep names of
+// Additive registry entries), which are emitted in registry order whatever
+// order they are requested in. An unknown section name is an error before
+// anything is simulated. The output is deterministic for a given Options
+// scale and seed — independent of Parallelism and of when it was
+// generated — so regenerated reports diff cleanly. Cancelling ctx aborts
+// the in-flight simulations at the next event-loop stride and returns
+// ctx.Err(); Report does not return until every worker goroutine has
+// exited.
+func Report(ctx context.Context, w io.Writer, opts Options, sections ...string) error {
+	for _, name := range sections {
+		if e, ok := Lookup(name); !ok || !e.Additive {
+			return fmt.Errorf("unknown report section %q", name)
+		}
 	}
-}
+	var base, additive []Experiment
+	for _, e := range Registry() {
+		switch {
+		case !e.Additive:
+			base = append(base, e)
+		case slices.Contains(sections, e.Sweep):
+			additive = append(additive, e)
+		}
+	}
 
-// Report runs every experiment and writes a markdown report to w. The
-// output is deterministic for a given Options scale and seed — independent
-// of Parallelism and of when it was generated — so regenerated reports
-// diff cleanly. Cancelling ctx aborts the in-flight simulations at the
-// next event-loop stride and returns ctx.Err(); Report does not return
-// until every worker goroutine has exited.
-func Report(ctx context.Context, w io.Writer, opts Options) error {
 	r := New(opts)
 	defer r.WaitIdle()
 	// Warm the cache with the scheme×benchmark default grid through the
@@ -146,105 +48,50 @@ func Report(ctx context.Context, w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "instead carries the paper's qualitative claim and a measured PASS/FAIL.\n\n")
 	fmt.Fprintf(w, "```\n%s```\n\n```\n%s```\n\n", TableI(), TableII())
 
-	for _, nt := range All() {
-		tbl, err := nt.gen(r, ctx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", nt.id, err)
-		}
-		fmt.Fprintf(w, "## %s — %s\n\n```\n%s```\n\n", nt.id, nt.paperRef, tbl.Render())
-		for _, ex := range nt.expect {
-			ok, detail, err := ex.check(ctx, r)
-			if err != nil {
-				return fmt.Errorf("%s check: %w", nt.id, err)
-			}
-			verdict := "PASS"
-			if !ok {
-				verdict = "FAIL"
-			}
-			fmt.Fprintf(w, "- **%s** — %s: %s (%s)\n", verdict, ex.id, ex.claim, detail)
+	for _, e := range base {
+		if err := writeSection(ctx, w, r, e); err != nil {
+			return err
 		}
 		fmt.Fprintf(w, "\n")
 	}
 	fmt.Fprintf(w, "Total distinct simulation runs: %d.\n", r.CachedRuns())
 
-	// The capacity-planning section is opt-in and strictly additive: it is
-	// emitted after the closing runs line (whose count therefore still
-	// covers exactly the paper experiments above), so a report generated
-	// with Capacity on differs from one without only by appended lines.
-	if opts.Capacity {
+	// Additive sections come after the closing runs line (whose count
+	// therefore still covers exactly the paper experiments above), so a
+	// report with them differs from one without only by appended lines.
+	for _, e := range additive {
 		before := r.CachedRuns()
-		tbl, err := r.CapacitySweep(ctx)
-		if err != nil {
-			return fmt.Errorf("capacity sweep: %w", err)
+		fmt.Fprintf(w, "\n")
+		if err := writeSection(ctx, w, r, e); err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "\n## Capacity planning — multi-tenant tail latency (beyond the paper)\n\n")
-		fmt.Fprintf(w, "Tenant 0 on every node runs the noisy workload; the remaining tenants\n")
-		fmt.Fprintf(w, "run the steady one. Columns are nodes/tenants; values are p99 in µs.\n\n")
-		fmt.Fprintf(w, "```\n%s```\n\n", tbl.Render())
-		ok, detail, err := checkCapacityDeACTShieldsSteady(ctx, r)
-		if err != nil {
-			return fmt.Errorf("capacity check: %w", err)
-		}
-		verdict := "PASS"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(w, "- **%s** — capacity-deact-shields-steady: the noisy neighbor never inflates the steady tenants' p99 translation latency materially (>10%%) beyond I-FAM's at any deployment size (%s)\n", verdict, detail)
-		fmt.Fprintf(w, "\nCapacity-planning runs: %d additional simulations.\n", r.CachedRuns()-before)
+		fmt.Fprintf(w, "\n%s: %d additional simulations.\n", e.RunsLabel, r.CachedRuns()-before)
 	}
+	return nil
+}
 
-	// The prefetch-interaction section follows the same strictly-additive
-	// contract: appended after everything else (including the capacity
-	// section when both are on), so enabling it never changes a byte of
-	// the report above it.
-	if opts.Prefetch {
-		before := r.CachedRuns()
-		tbl, err := r.PrefetchSweep(ctx)
-		if err != nil {
-			return fmt.Errorf("prefetch sweep: %w", err)
-		}
-		fmt.Fprintf(w, "\n## Prefetch interaction — PC-keyed stream prefetcher (beyond the paper)\n\n")
-		fmt.Fprintf(w, "Rows are scheme × workload shape (skew benchmarks and the v2 pattern\n")
-		fmt.Fprintf(w, "generators); columns sweep the prefetch degree in 64B blocks; values are\n")
-		fmt.Fprintf(w, "IPC relative to the prefetcher-off baseline of the same row.\n\n")
-		fmt.Fprintf(w, "```\n%s```\n\n", tbl.Render())
-		ok, detail, err := checkPrefetchDetectsStreams(ctx, r)
-		if err != nil {
-			return fmt.Errorf("prefetch check: %w", err)
-		}
-		verdict := "PASS"
-		if !ok {
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(w, "- **%s** — prefetch-detects-streams: the PC-keyed table confirms streams and issues prefetches on the stencil workload, and issues none with the prefetcher off (%s)\n", verdict, detail)
-		fmt.Fprintf(w, "\nPrefetch-interaction runs: %d additional simulations.\n", r.CachedRuns()-before)
+// writeSection renders one experiment: heading, optional prose, table and
+// one PASS/FAIL line per expectation.
+func writeSection(ctx context.Context, w io.Writer, r *Runner, e Experiment) error {
+	tbl, err := e.Run(ctx, r)
+	if err != nil {
+		return fmt.Errorf("%s: %w", e.ID, err)
 	}
-
-	// The MLP section follows the same strictly-additive contract: appended
-	// after everything else (including the capacity and prefetch sections
-	// when on), so enabling it never changes a byte of the report above it.
-	if opts.MLP {
-		before := r.CachedRuns()
-		tbl, err := r.MLPSweep(ctx)
+	fmt.Fprintf(w, "## %s — %s\n\n", e.ID, e.PaperRef)
+	if e.Prose != "" {
+		fmt.Fprintf(w, "%s\n", e.Prose)
+	}
+	fmt.Fprintf(w, "```\n%s```\n\n", tbl.Render())
+	for _, ex := range e.expect {
+		ok, detail, err := ex.check(ctx, r)
 		if err != nil {
-			return fmt.Errorf("mlp sweep: %w", err)
-		}
-		fmt.Fprintf(w, "\n## Memory-level parallelism — OoO scheduling window (beyond the paper)\n\n")
-		fmt.Fprintf(w, "Rows are scheme × workload dependence shape (v2 pattern generators);\n")
-		fmt.Fprintf(w, "columns sweep the OoO scheduling window in ops (with MaxOutstanding\n")
-		fmt.Fprintf(w, "coupled to it); values are IPC relative to the window=1 baseline of the\n")
-		fmt.Fprintf(w, "same row, which is bit-identical to the in-order core.\n\n")
-		fmt.Fprintf(w, "```\n%s```\n\n", tbl.Render())
-		ok, detail, err := checkMLPSeparatesDependence(ctx, r)
-		if err != nil {
-			return fmt.Errorf("mlp check: %w", err)
+			return fmt.Errorf("%s check: %w", e.ID, err)
 		}
 		verdict := "PASS"
 		if !ok {
 			verdict = "FAIL"
 		}
-		fmt.Fprintf(w, "- **%s** — mlp-separates-dependence: widening the window speeds up the independent stencil streams substantially while the degree-1 pointer chase stays pinned to its serialized chain (%s)\n", verdict, detail)
-		fmt.Fprintf(w, "\nMLP runs: %d additional simulations.\n", r.CachedRuns()-before)
+		fmt.Fprintf(w, "- **%s** — %s: %s (%s)\n", verdict, ex.id, ex.claim, detail)
 	}
 	return nil
 }

@@ -63,18 +63,6 @@ type Options struct {
 	// settings — are unchanged; only wall-clock time drops when sweep
 	// points share a warmup prefix (e.g. a MeasureInstructions sweep).
 	ShareWarmup bool
-	// Capacity appends the multi-tenant capacity-planning section
-	// (CapacitySweep) to Report's output. It is additive: every line the
-	// report emits without it is emitted unchanged with it.
-	Capacity bool
-	// Prefetch appends the prefetch-interaction section (PrefetchSweep)
-	// to Report's output. Additive in the same way as Capacity; emitted
-	// after the capacity section when both are on.
-	Prefetch bool
-	// MLP appends the memory-level-parallelism section (MLPSweep) to
-	// Report's output. Additive in the same way as Capacity and Prefetch;
-	// emitted after the prefetch section when both are on.
-	MLP bool
 	// SteadyBenchmark is the workload the steady tenants run in the
 	// capacity sweep ("sp" if empty).
 	SteadyBenchmark string
