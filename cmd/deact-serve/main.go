@@ -57,6 +57,15 @@ import (
 // a full sweep of complete configs — is well under a megabyte.
 const maxRequestBytes = 1 << 20
 
+// Connection bounds against slow or idle clients. A client must finish
+// its request headers within readHeaderTimeout, and a keep-alive
+// connection is closed after idleTimeout without a request. Neither
+// bounds a handler: a /sweep may stream for as long as it simulates.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -77,7 +86,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 	s := newServer(opts)
-	srv := &http.Server{Addr: *addr, Handler: s.mux()}
+	srv := s.httpServer(*addr)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "deact-serve: listening on %s (store: %s)\n", *addr, storeLabel(runnerFlags.StoreDir))
@@ -118,6 +127,17 @@ func newServer(opts experiments.Options) *server {
 	base.MeasureInstructions = opts.Measure
 	base.Seed = opts.Seed
 	return &server{runner: experiments.New(opts), store: opts.Store, base: base}
+}
+
+// httpServer wraps the API in an http.Server listening on addr, bounded
+// against slow clients.
+func (s *server) httpServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.mux(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // mux routes the API.

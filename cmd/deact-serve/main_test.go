@@ -35,6 +35,23 @@ func testServer(t *testing.T, dir string) *httptest.Server {
 	return ts
 }
 
+// TestServeBoundsSlowClients: the served http.Server carries both
+// slow-client bounds, so a client that never finishes its headers or
+// idles on a keep-alive connection cannot hold it forever.
+func TestServeBoundsSlowClients(t *testing.T) {
+	s := newServer(experiments.Options{Cores: 1, Parallelism: 1})
+	srv := s.httpServer("localhost:8371")
+	if srv.Addr != "localhost:8371" || srv.Handler == nil {
+		t.Fatalf("server not wired: addr %q, handler %v", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+}
+
 // line is the decoded shape of a /run response or /sweep NDJSON line; Result
 // stays raw so byte-identity can be asserted.
 type line struct {

@@ -17,12 +17,11 @@
 // a multi-minute report run in sub-second wall time without perturbing
 // event order (results are byte-identical to an uncancelled drain). The
 // construction/run surface is options-form: core.WithPool recycles
-// construction memory, core.WithSnapshot forks a run from a warmup
-// snapshot, core.WithWarmupHook observes the warmup/measure boundary. Run
-// identity is core.Config.Fingerprint(): a canonical hash over every
-// exported field (reflection-walked, so new fields cannot be silently
-// omitted) after normalizing derived fields. experiments.Runner deduplicates on that
-// fingerprint alone — callers Submit(ctx, cfg) and get a Future, or batch
+// construction memory, core.WithTrace and core.WithTraceRecorder replay
+// and record access traces. Run identity is core.Config.Fingerprint(): a
+// canonical hash over every exported field (reflection-walked, so new
+// fields cannot be silently omitted) after normalizing derived fields.
+// experiments.Runner deduplicates on that fingerprint alone — callers Submit(ctx, cfg) and get a Future, or batch
 // with RunAll(ctx, cfgs); identical configs share one simulation and
 // distinct configs can never alias one cache slot the way hand-written
 // string keys could. A deduplicated waiter that cancels unblocks with its
@@ -63,23 +62,6 @@
 // the golden-report job hold this). The package-level Example in
 // example_test.go is the compile-checked Runner tour.
 //
-// Warmup is shared across sweep points. core.System.Snapshot deep-copies
-// all mutable simulation state at the warmup/measure boundary — the one
-// quiescent point where the event queue is empty and every core has
-// retired — and core.System.Restore rewinds a freshly built system to it,
-// guarded by core.Config.WarmupFingerprint (the Fingerprint reflection
-// walk minus MeasureInstructions, the only field that cannot shape warmup
-// state). With experiments.Options.ShareWarmup (cmds: -share-warmup), the
-// Runner groups distinct runs by warmup fingerprint: the first run of each
-// group simulates the shared prefix once and publishes a snapshot from the
-// boundary (while its own measured phase continues), every other run waits
-// before taking a worker slot and forks from the snapshot, and a bounded
-// LRU of snapshots recycles its storage through a dedicated SystemPool.
-// Forked runs are bit-identical to cold runs (the randomized oracle test
-// and a second golden-report CI pass with -share-warmup hold this);
-// BenchmarkSnapshotFork measures the per-point saving — the measured phase
-// alone instead of warmup+measure.
-//
 // Contention is modeled by one batched calendar type (package sim): each
 // memory-device bank, controller port, fabric link direction and STU port
 // is a sim.Server whose in-order arrivals pay a tail compare and whose
@@ -99,11 +81,10 @@
 //   - cmd/deact-sim     — run one benchmark under one scheme (SIGINT
 //     cancels cooperatively)
 //   - cmd/deact-sweep   — run one sensitivity sweep (§V-D, -parallelism N,
-//     -share-warmup, -cpuprofile/-memprofile, live progress on stderr)
+//     -store, -cpuprofile/-memprofile, live progress on stderr)
 //   - cmd/deact-report  — regenerate EXPERIMENTS.md (all tables/figures,
-//     -parallelism N, -share-warmup, -cpuprofile/-memprofile, live
-//     progress; a cancelled run exits nonzero and writes no partial
-//     output)
+//     -parallelism N, -store, -cpuprofile/-memprofile, live progress; a
+//     cancelled run exits nonzero and writes no partial output)
 //   - cmd/benchgate     — CI benchmark-regression gate (median time/op and
 //     allocs/op budgets over `go test -bench` output)
 //   - cmd/doccheck      — docs CI check (extracts fenced Go snippets from
@@ -123,8 +104,9 @@
 // median time/op or any allocs/op growth (cmd/benchgate; benchstat
 // renders the human-readable delta), and a golden-report determinism job
 // that diffs a short-scale cmd/deact-report run against
-// testdata/golden-report-short.md — twice: once cold and once with
-// -share-warmup, so snapshot forking is held byte-identical on every push.
+// testdata/golden-report-short.md three times: cold, with a cold -store
+// and with the same -store warm, so result caching is held byte-identical
+// on every push.
 //
 // README.md is the quickstart (the three cmds, the local smoke tier, the
 // golden-file regeneration recipe); ARCHITECTURE.md maps the paper's

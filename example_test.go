@@ -26,7 +26,6 @@ func Example() {
 		Cores:       2,      // cores per node
 		Seed:        42,     // drives all randomness, end to end
 		Parallelism: 0,      // worker-pool slots; 0 = GOMAXPROCS, 1 = serial
-		ShareWarmup: true,   // fork measured phases from shared warmup snapshots
 		OnRunDone: func(ri experiments.RunInfo) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d", ri.Completed, ri.Submitted)
 		},

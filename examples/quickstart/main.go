@@ -37,12 +37,7 @@ func main() {
 	// The Runner schedules simulations on a worker pool (default:
 	// GOMAXPROCS) and reports progress as each distinct run completes.
 	// Scale lives on the configs below; Options only wires the hook here.
-	// ShareWarmup simulates each distinct warmup prefix once and forks the
-	// measured phases from a snapshot of it — free here (each scheme warms
-	// up differently, so every group has one member), a large wall-clock
-	// win when sweep points differ only in measured length.
 	runner := experiments.New(experiments.Options{
-		ShareWarmup: true,
 		OnRunDone: func(ri experiments.RunInfo) {
 			fmt.Fprintf(os.Stderr, "\rsimulated %d/%d", ri.Completed, ri.Submitted)
 		},

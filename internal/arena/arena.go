@@ -113,28 +113,6 @@ func Release[T any](a *Arena, tag string, s []T) {
 	}
 }
 
-// CopyInto returns a copy of src: into dst's storage when it fits, into a
-// recycled buffer under tag otherwise. It is the capture primitive of the
-// snapshot machinery — repeated captures into a recycled snapshot reuse the
-// snapshot's own arrays and allocate nothing. An empty src keeps dst's
-// storage (a zero-length request would otherwise claim the tag's largest
-// free buffer).
-func CopyInto[T any](a *Arena, tag string, dst, src []T) []T {
-	if len(src) == 0 {
-		if dst == nil {
-			return nil
-		}
-		return dst[:0]
-	}
-	if cap(dst) < len(src) {
-		Release(a, tag, dst)
-		dst = Slice[T](a, tag, len(src))
-	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
-}
-
 // Extend grows s to length n, zeroing the newly exposed elements. It
 // extends in place when capacity allows — the path a recycled buffer's
 // regrowth takes — and appends zeroes otherwise. n below len(s) is a

@@ -18,12 +18,12 @@ package broker
 
 import (
 	"fmt"
+	"math/rand"
 
 	"deact/internal/acm"
 	"deact/internal/addr"
 	"deact/internal/arena"
 	"deact/internal/pagetable"
-	"deact/internal/rng"
 )
 
 // Broker is the centralized FAM manager. A Broker normally owns the whole
@@ -34,7 +34,7 @@ import (
 type Broker struct {
 	layout addr.Layout
 	meta   *acm.Store
-	rng    *rng.Rand
+	rng    *rand.Rand
 
 	// base is the first FAM page of this broker's partition; owner and the
 	// virtual free pool are indexed relative to it. 0 for an unsharded
@@ -84,7 +84,7 @@ func newRange(a *arena.Arena, layout addr.Layout, seed int64, base, count uint64
 	b := &Broker{
 		layout:    layout,
 		meta:      acm.NewStoreInArena(a, layout),
-		rng:       rng.New(seed),
+		rng:       rand.New(rand.NewSource(seed)),
 		base:      base,
 		full:      base == 0 && count == layout.UsableFAMPages(),
 		freeCount: count,

@@ -83,43 +83,3 @@ func (s *Sharded) Recycle(a *arena.Arena) {
 	arena.Release(a, "broker.shards", s.shards)
 	s.shards = nil
 }
-
-// ShardedState is the captured state of every shard, for
-// core.System.Snapshot.
-type ShardedState struct {
-	shards []State
-}
-
-// CaptureState captures every shard into st, reusing st's storage.
-func (s *Sharded) CaptureState(a *arena.Arena, st *ShardedState) {
-	if len(st.shards) != len(s.shards) {
-		for i := range st.shards {
-			st.shards[i].Release(a)
-		}
-		st.shards = make([]State, len(s.shards))
-	}
-	for i, b := range s.shards {
-		b.CaptureState(a, &st.shards[i])
-	}
-}
-
-// RestoreState rewinds every shard to st.
-func (s *Sharded) RestoreState(st *ShardedState) error {
-	if len(st.shards) != len(s.shards) {
-		return fmt.Errorf("broker: restoring %d shard states into %d shards", len(st.shards), len(s.shards))
-	}
-	for i, b := range s.shards {
-		if err := b.RestoreState(&st.shards[i]); err != nil {
-			return fmt.Errorf("broker: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Release returns st's large copies to a for reuse by later captures.
-func (st *ShardedState) Release(a *arena.Arena) {
-	for i := range st.shards {
-		st.shards[i].Release(a)
-	}
-	st.shards = nil
-}

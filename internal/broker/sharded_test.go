@@ -116,43 +116,6 @@ func TestShardRejectsSharedRegions(t *testing.T) {
 	}
 }
 
-// TestShardedCaptureRestoreReplays checks the snapshot contract across
-// shards: restoring rewinds every shard's RNG, pool and ownership so the
-// continuation replays the exact page sequence.
-func TestShardedCaptureRestoreReplays(t *testing.T) {
-	sh, err := NewSharded(layout(), 99, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		if _, err := sh.For(uint16(1 + i%5)).AllocatePage(uint16(1 + i%5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var st ShardedState
-	sh.CaptureState(nil, &st)
-	var want []addr.FPage
-	for i := 0; i < 64; i++ {
-		p, err := sh.For(uint16(1 + i%5)).AllocatePage(uint16(1 + i%5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, p)
-	}
-	if err := sh.RestoreState(&st); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		p, err := sh.For(uint16(1 + i%5)).AllocatePage(uint16(1 + i%5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != want[i] {
-			t.Fatalf("replay diverged at alloc %d: got page %d, want %d", i, p, want[i])
-		}
-	}
-}
-
 // TestShardedShardCountBounds pins normalization and the too-many-shards
 // error.
 func TestShardedShardCountBounds(t *testing.T) {

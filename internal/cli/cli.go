@@ -8,7 +8,7 @@
 //     core does and how wide a node is. Defaults differ per command (a
 //     sweep trades steady-state sharpness for wall time; a single run does
 //     not), so they are parameters, not constants.
-//   - Runner: -benchmarks/-parallelism/-share-warmup/-store — the knobs of
+//   - Runner: -benchmarks/-parallelism/-store — the knobs of
 //     commands built on experiments.Runner. Options assembles an
 //     experiments.Options from both groups, opening the persistent result
 //     store when -store names a directory.
@@ -53,16 +53,14 @@ func ScaleFlags(fs *flag.FlagSet, warmup, measure uint64, cores int) *Scale {
 type Runner struct {
 	Benchmarks  string
 	Parallelism int
-	ShareWarmup bool
 	StoreDir    string
 }
 
-// RunnerFlags registers -benchmarks/-parallelism/-share-warmup/-store.
+// RunnerFlags registers -benchmarks/-parallelism/-store.
 func RunnerFlags(fs *flag.FlagSet) *Runner {
 	r := &Runner{}
 	fs.StringVar(&r.Benchmarks, "benchmarks", "", "comma-separated benchmark subset (default: all 14)")
 	fs.IntVar(&r.Parallelism, "parallelism", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	fs.BoolVar(&r.ShareWarmup, "share-warmup", false, "simulate shared warmup prefixes once and fork the measured phases (byte-identical output)")
 	fs.StringVar(&r.StoreDir, "store", "", "persistent result-store directory: warm entries are served without simulating, cold runs are persisted for the next invocation (empty = no store)")
 	return r
 }
@@ -72,7 +70,7 @@ func RunnerFlags(fs *flag.FlagSet) *Runner {
 // byte-identical with and without a store; only the work changes.
 func (r *Runner) Options(s *Scale) (experiments.Options, error) {
 	opts := experiments.Options{Warmup: s.Warmup, Measure: s.Measure, Cores: s.Cores, Seed: s.Seed,
-		Parallelism: r.Parallelism, ShareWarmup: r.ShareWarmup}
+		Parallelism: r.Parallelism}
 	if r.Benchmarks != "" {
 		opts.Benchmarks = strings.Split(r.Benchmarks, ",")
 	}

@@ -22,7 +22,7 @@ func TestFlagGroupsParse(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	if err := fs.Parse([]string{
 		"-warmup", "1000", "-measure", "2000", "-cores", "3", "-seed", "7",
-		"-benchmarks", "mcf,sp", "-parallelism", "2", "-share-warmup",
+		"-benchmarks", "mcf,sp", "-parallelism", "2",
 		"-store", dir,
 	}); err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestFlagGroupsParse(t *testing.T) {
 	if !reflect.DeepEqual(opts.Benchmarks, []string{"mcf", "sp"}) {
 		t.Fatalf("benchmarks = %v", opts.Benchmarks)
 	}
-	if opts.Parallelism != 2 || !opts.ShareWarmup {
+	if opts.Parallelism != 2 {
 		t.Fatalf("runner flags not threaded into Options: %+v", opts)
 	}
 	if opts.Store == nil {

@@ -66,40 +66,3 @@ func BenchmarkCoreRunOoO(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSnapshotFork quantifies warmup forking: "cold" simulates the
-// full warmup+measure run, "forked" restores the shared warmup snapshot
-// and simulates only the measured phase. With a warmup 4× the measured
-// length (the shape of a MeasureInstructions sweep sharing one prefix),
-// forked ns/op is the per-sweep-point cost after the one-time warmup —
-// the wall-clock reduction the Runner's ShareWarmup mode delivers.
-func BenchmarkSnapshotFork(b *testing.B) {
-	cfg := benchRunConfig(DeACTN)
-	cfg.WarmupInstructions = 40_000
-	cfg.MeasureInstructions = 10_000
-	ctx := context.Background()
-
-	var snap *Snapshot
-	if _, err := Run(ctx, cfg, WithWarmupHook(func(s *System) { snap = s.Snapshot() })); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		pool := NewSystemPool()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(ctx, cfg, WithPool(pool)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("forked", func(b *testing.B) {
-		pool := NewSystemPool()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(ctx, cfg, WithPool(pool), WithSnapshot(snap)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

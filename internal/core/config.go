@@ -180,7 +180,7 @@ type Config struct {
 
 	// TraceID pins this run to a recorded access trace: it must equal the
 	// trace.Trace ID supplied via core.WithTrace, and it gives replay runs
-	// their own fingerprint (cache/dedup/snapshot identity) per trace.
+	// their own fingerprint (cache/dedup identity) per trace.
 	// Empty for synthesized runs.
 	TraceID string
 }

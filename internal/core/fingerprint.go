@@ -19,25 +19,7 @@ import (
 // hand-written string key could.
 func (c Config) Fingerprint() string {
 	h := sha256.New()
-	writeCanonical(h, "Config", reflect.ValueOf(c.normalized()), nil)
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
-// warmupSkip lists the exported fields that cannot influence the system's
-// state at the warmup/measure boundary: today only the measured-phase
-// length. Every other field — geometry, latencies, seed, warmup length —
-// shapes construction or the warmup simulation itself.
-var warmupSkip = map[string]bool{"Config.MeasureInstructions": true}
-
-// WarmupFingerprint is Fingerprint over only the warmup-relevant fields:
-// two configs with equal WarmupFingerprints build identical systems and
-// simulate identical warmup phases, differing at most in how long the
-// measured phase runs afterwards. The experiments Runner groups sweep
-// points by this value so a shared warmup prefix is simulated once and
-// forked (via Snapshot/Restore) into each point's measured phase.
-func (c Config) WarmupFingerprint() string {
-	h := sha256.New()
-	writeCanonical(h, "Config", reflect.ValueOf(c.normalized()), warmupSkip)
+	writeCanonical(h, "Config", reflect.ValueOf(c.normalized()))
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
@@ -71,13 +53,7 @@ func (c Config) normalized() Config {
 // hand-maintained field list could. Unsupported field kinds (slices, maps,
 // floats — none exist in Config today) panic so the mistake is caught by
 // the first Fingerprint call in tests rather than by silent aliasing.
-// Fields whose full path is in skip are left out entirely (nil skips
-// nothing); a new field is therefore included in every fingerprint unless
-// deliberately added to a skip set.
-func writeCanonical(w io.Writer, path string, v reflect.Value, skip map[string]bool) {
-	if skip[path] {
-		return
-	}
+func writeCanonical(w io.Writer, path string, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Struct:
 		t := v.Type()
@@ -86,7 +62,7 @@ func writeCanonical(w io.Writer, path string, v reflect.Value, skip map[string]b
 			if !f.IsExported() {
 				panic(fmt.Sprintf("core: Fingerprint: unexported field %s.%s cannot carry run identity", path, f.Name))
 			}
-			writeCanonical(w, path+"."+f.Name, v.Field(i), skip)
+			writeCanonical(w, path+"."+f.Name, v.Field(i))
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		fmt.Fprintf(w, "%s=%d;", path, v.Int())

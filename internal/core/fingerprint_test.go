@@ -57,6 +57,40 @@ func perturb(t *testing.T, cfg Config, lf leafField) Config {
 	return cfg
 }
 
+// TestFingerprintPinned pins two fingerprints to fixed hex values.
+// Fingerprints key every resultstore entry, so a refactor of the canonical
+// encoding that changed them would silently turn every stored result into
+// a miss. An intentional change updates these values together with a
+// ModelVersion bump.
+func TestFingerprintPinned(t *testing.T) {
+	custom := DefaultConfig()
+	custom.Scheme = DeACTN
+	custom.Benchmark = "canl"
+	custom.Seed = 7
+	custom.Nodes = 2
+	custom.CoresPerNode = 1
+	custom.MeasureInstructions = 12_345
+	custom.CoreModel = CoreOoO
+	custom.WindowSize = 16
+	custom.Tenants = 2
+	custom.Pattern = "stencil"
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"default", DefaultConfig(), "e6833ee8e2c946c83396f9e97a861bd7"},
+		{"custom", custom, "9fbfa1a650923d4ce76334bb5116a911"},
+	} {
+		if err := c.cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := c.cfg.Fingerprint(); got != c.want {
+			t.Errorf("%s config fingerprint = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 func TestFingerprintEqualConfigsHashEqual(t *testing.T) {
 	a, b := DefaultConfig(), DefaultConfig()
 	if a.Fingerprint() != b.Fingerprint() {

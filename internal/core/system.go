@@ -48,17 +48,14 @@ func (p *SystemPool) arenaOf() *arena.Arena {
 }
 
 // RunOption configures how a System is built and run. Options compose:
-// core.Run(ctx, cfg, WithPool(pool), WithSnapshot(snap)) builds a pooled
-// system and forks it from a warmup snapshot instead of simulating the
-// warmup phase again.
+// core.Run(ctx, cfg, WithPool(pool), WithTraceRecorder(rec)) builds a
+// pooled system and records the Op streams it consumes.
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	pool        *SystemPool
-	snap        *Snapshot
-	afterWarmup func(*System)
-	trace       *trace.Trace
-	recorder    *trace.Recorder
+	pool     *SystemPool
+	trace    *trace.Trace
+	recorder *trace.Recorder
 }
 
 // WithPool draws the system's large backing arrays from pool (nil allocates
@@ -68,30 +65,10 @@ func WithPool(pool *SystemPool) RunOption {
 	return func(o *runOptions) { o.pool = pool }
 }
 
-// WithSnapshot forks the run from snap instead of simulating the warmup
-// phase: Run restores the system to snap's warmup/measure boundary and
-// proceeds directly to measurement. The snapshot must come from a config
-// with the same WarmupFingerprint; the forked run's Result is bit-identical
-// to a cold run's. The snapshot is read-only here and may fork any number
-// of runs, concurrently or not.
-func WithSnapshot(snap *Snapshot) RunOption {
-	return func(o *runOptions) { o.snap = snap }
-}
-
-// WithWarmupHook calls fn at the warmup/measure boundary, after the warmup
-// phase has fully drained and before measurement starts — the one point
-// where the system is quiescent and Snapshot is legal. The experiments
-// Runner uses it to capture the shared warmup prefix once per sweep group.
-func WithWarmupHook(fn func(*System)) RunOption {
-	return func(o *runOptions) { o.afterWarmup = fn }
-}
-
 // WithTrace replays t instead of synthesizing workloads: core i consumes
 // trace stream i verbatim (tenant tags re-stamped from cfg). The config
 // must carry cfg.TraceID == t.ID() — replay runs fingerprint per trace —
-// and the trace must have exactly Nodes×CoresPerNode streams. Replay
-// sources are snapshot/fork-compatible, so WithSnapshot and the shared
-// warmup path compose with replay.
+// and the trace must have exactly Nodes×CoresPerNode streams.
 func WithTrace(t *trace.Trace) RunOption {
 	return func(o *runOptions) { o.trace = t }
 }
@@ -99,7 +76,7 @@ func WithTrace(t *trace.Trace) RunOption {
 // WithTraceRecorder taps every core's workload source so rec captures the
 // exact Op stream the run consumed (stream i = global core i). Recording
 // changes nothing about the run itself; encode or save rec afterwards. A
-// recording run cannot be snapshotted or replayed at the same time.
+// recording run cannot replay a trace at the same time.
 func WithTraceRecorder(rec *trace.Recorder) RunOption {
 	return func(o *runOptions) { o.recorder = rec }
 }
@@ -115,9 +92,6 @@ type System struct {
 	fam    *memdev.Device
 	nodes  []*node.Node
 	cores  [][]*cpu.Core
-
-	restoreFrom *Snapshot
-	afterWarmup func(*System)
 }
 
 // NewSystem builds a system from cfg, applying any options.
@@ -165,8 +139,7 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 			o.recorder.Streams(), totalCores)
 	}
 
-	s := &System{cfg: cfg, engine: sim.NewEngine(),
-		restoreFrom: o.snap, afterWarmup: o.afterWarmup}
+	s := &System{cfg: cfg, engine: sim.NewEngine()}
 	s.brk, err = broker.NewShardedInArena(a, cfg.Layout, cfg.Seed, cfg.brokerShards())
 	if err != nil {
 		return nil, err
@@ -331,21 +304,11 @@ func (s *System) runPhase(ctx context.Context) error {
 // Run executes the warmup phase (if configured) and then the measured
 // phase, returning steady-state metrics. Cancelling ctx aborts the
 // simulation at the next stride boundary and returns ctx.Err().
-//
-// A system built WithSnapshot skips the warmup simulation: it restores the
-// snapshot's warmup/measure boundary and runs only the measured phase. A
-// system built WithWarmupHook has the hook invoked at that same boundary.
 func (s *System) Run(ctx context.Context) (Result, error) {
 	// Phase 1: warmup. Cores are built with the total budget; we trim it
-	// to the warmup length, run, then extend for measurement. A snapshot
-	// fork replaces the whole phase with a state restore.
+	// to the warmup length, run, then extend for measurement.
 	warm := s.cfg.WarmupInstructions
-	switch {
-	case s.restoreFrom != nil:
-		if err := s.Restore(s.restoreFrom); err != nil {
-			return Result{}, err
-		}
-	case warm > 0:
+	if warm > 0 {
 		for _, row := range s.cores {
 			for _, c := range row {
 				c.SetBudget(warm)
@@ -359,9 +322,6 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 		if err := s.runPhase(ctx); err != nil {
 			return Result{}, err
 		}
-	}
-	if s.afterWarmup != nil {
-		s.afterWarmup(s)
 	}
 	before := s.readCounters()
 
@@ -396,8 +356,8 @@ func (s *System) Recycle(pool *SystemPool) {
 // Run builds and runs a system in one call — the unit of work the
 // experiments Runner schedules. ctx cancellation is observed cooperatively
 // inside the event loop (see System.Run). Options select pooled
-// construction (WithPool), warmup forking (WithSnapshot) and the
-// warmup-boundary hook (WithWarmupHook).
+// construction (WithPool) and trace replay or recording (WithTrace,
+// WithTraceRecorder).
 func Run(ctx context.Context, cfg Config, opts ...RunOption) (Result, error) {
 	var o runOptions
 	for _, opt := range opts {

@@ -63,33 +63,6 @@ func TestReplayRecordingIsDrawIdentical(t *testing.T) {
 	}
 }
 
-// TestReplaySnapshotFork: a replayed run supports warmup snapshot forking
-// like a generated one — fork equals cold, bit for bit.
-func TestReplaySnapshotFork(t *testing.T) {
-	cfg := quickConfig(DeACTN, "sp")
-	cfg.WarmupInstructions = 5_000
-	cfg.MeasureInstructions = 5_000
-	_, tr := recordRun(t, cfg)
-
-	cfg.TraceID = tr.ID()
-	var snap *Snapshot
-	cold, err := Run(context.Background(), cfg, WithTrace(tr),
-		WithWarmupHook(func(s *System) { snap = s.Snapshot() }))
-	if err != nil {
-		t.Fatalf("cold replay: %v", err)
-	}
-	if snap == nil {
-		t.Fatal("warmup hook never fired")
-	}
-	forked, err := Run(context.Background(), cfg, WithTrace(tr), WithSnapshot(snap))
-	if err != nil {
-		t.Fatalf("forked replay: %v", err)
-	}
-	if !reflect.DeepEqual(cold, forked) {
-		t.Fatalf("forked replay diverged from cold:\ncold: %+v\nfork: %+v", cold, forked)
-	}
-}
-
 // TestReplayGuards: the run/trace pairing is validated up front — both
 // options at once, a TraceID without a trace, a trace without a TraceID, a
 // mismatched ID and a core-count mismatch all fail before simulating.

@@ -79,10 +79,19 @@ func (s *scriptSource) Next() workload.Op {
 	s.i++
 	return op
 }
-func (s *scriptSource) SetTenant(uint8)                      {}
-func (s *scriptSource) Tenant() uint8                        { return 0 }
-func (s *scriptSource) State() workload.GeneratorState       { return workload.GeneratorState{} }
-func (s *scriptSource) RestoreState(workload.GeneratorState) {}
+func (s *scriptSource) SetTenant(uint8) {}
+
+// tapSource records every op its wrapped source produces.
+type tapSource struct {
+	workload.Source
+	ops []workload.Op
+}
+
+func (s *tapSource) Next() workload.Op {
+	op := s.Source.Next()
+	s.ops = append(s.ops, op)
+	return op
+}
 
 // TestOoORunAheadBoundedByWindow pins the window semantics exactly: after an
 // incomplete dependent load, the core issues precisely WindowSize-1 further
@@ -167,34 +176,51 @@ func TestOoOSchedulerLatencySerializes(t *testing.T) {
 	}
 }
 
-// TestOoORetireDrainsScheduler: a retired OoO core is quiescent — capture,
-// restore and resume must work even when the final op left run-ahead state
-// behind, because retire drains it.
+// TestOoORetireDrainsScheduler: retirement drains the OoO scheduler, so a
+// core resumed with SetBudget + Start (the warmup → measure transition)
+// runs its second phase exactly like a fresh core fed the same ops: the
+// same counts and, under an access latency that depends only on issue
+// time, the same duration. On a pure chase with a slow wakeup stage, a
+// chain register carried across retirement would delay the first resumed
+// load.
 func TestOoORetireDrainsScheduler(t *testing.T) {
-	e := sim.NewEngine()
 	acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 		return now + sim.NS(50), nil
 	}
-	core, err := New(ooocfg(1000, 8, 2), testGen(t, 0.4), acc)
+	src := &tapSource{Source: testGen(t, 1.0)}
+	resumed, err := New(ooocfg(1000, 8, 8), src, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Start(e)
+	e := sim.NewEngine()
+	resumed.Start(e)
 	e.Run(0)
-	if !core.Done() {
+	if !resumed.Done() {
 		t.Fatal("core did not retire")
 	}
-	var st State
-	core.CaptureState(&st) // must not panic: retire drained the scheduler
-	first := core.FinishedAt()
-	core.RestoreState(&st)
-	core.SetBudget(2000)
-	core.Start(e)
+	first := resumed.FinishedAt()
+	instrs, memOps, blocked := resumed.Instructions(), resumed.MemOps(), resumed.BlockedOps()
+	warmOps := len(src.ops)
+	resumed.SetBudget(2000)
+	resumed.Start(e)
 	e.Run(0)
-	if !core.Done() || core.Instructions() < 2000 {
-		t.Fatalf("resume incomplete: %d instructions", core.Instructions())
+	if !resumed.Done() || resumed.Instructions() < 2000 {
+		t.Fatalf("resume incomplete: %d instructions", resumed.Instructions())
 	}
-	if core.FinishedAt() <= first {
-		t.Fatal("time did not advance after restore")
+
+	fresh, err := New(ooocfg(2000-instrs, 8, 8), &scriptSource{ops: src.ops[warmOps:]}, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := sim.NewEngine()
+	fresh.Start(fe)
+	fe.Run(0)
+	if fresh.Instructions() != resumed.Instructions()-instrs ||
+		fresh.MemOps() != resumed.MemOps()-memOps ||
+		fresh.BlockedOps() != resumed.BlockedOps()-blocked ||
+		fresh.FinishedAt() != resumed.FinishedAt()-first {
+		t.Fatalf("resumed phase %d/%d/%d in %v, fresh core %d/%d/%d in %v",
+			resumed.Instructions()-instrs, resumed.MemOps()-memOps, resumed.BlockedOps()-blocked, resumed.FinishedAt()-first,
+			fresh.Instructions(), fresh.MemOps(), fresh.BlockedOps(), fresh.FinishedAt())
 	}
 }

@@ -54,15 +54,6 @@ type Options struct {
 	// runner-wide completed/submitted counters of that moment. Calls are
 	// serialized; the hook must not call back into the Runner.
 	OnRunDone func(RunInfo)
-	// ShareWarmup groups distinct runs by core.Config.WarmupFingerprint():
-	// the first run of each group simulates the shared warmup prefix once
-	// and snapshots the warmup/measure boundary; every other run in the
-	// group forks its measured phase from that snapshot instead of
-	// re-simulating the warmup. Forked runs are bit-identical to cold runs,
-	// so results — and the byte-identity invariant across Parallelism
-	// settings — are unchanged; only wall-clock time drops when sweep
-	// points share a warmup prefix (e.g. a MeasureInstructions sweep).
-	ShareWarmup bool
 	// SteadyBenchmark is the workload the steady tenants run in the
 	// capacity sweep ("sp" if empty).
 	SteadyBenchmark string
@@ -166,39 +157,6 @@ type Runner struct {
 	completed int
 
 	cbMu sync.Mutex // serializes OnRunDone callbacks
-
-	// Warmup-sharing state (Options.ShareWarmup): groups keyed by
-	// WarmupFingerprint, plus a bounded cache of published snapshots whose
-	// storage recycles through a dedicated pool. warmMu guards all of it,
-	// including snapPool and freeSnaps — snapshot capture and release
-	// happen under it, so the pool is never shared unlocked.
-	warmMu    sync.Mutex
-	warm      map[string]*warmGroup
-	warmClock uint64
-	snapPool  *core.SystemPool
-	freeSnaps []*core.Snapshot
-}
-
-// maxWarmSnapshots bounds how many published warmup snapshots stay cached:
-// beyond it, the least recently used unreferenced group is released back to
-// the snapshot pool. Groups still referenced by in-flight runs are never
-// evicted, so the bound is soft under extreme concurrency.
-const maxWarmSnapshots = 8
-
-// warmGroup is one warmup-fingerprint group. The first run to attach is the
-// leader: it simulates the warmup and publishes a snapshot at the
-// warmup/measure boundary (closing ready), while its own measured phase
-// continues. Followers wait on ready — before acquiring a worker slot, so a
-// parked follower can never starve its leader out of the pool — and fork
-// from snap. A nil snap after ready means the leader failed before the
-// boundary; followers fall back to cold runs.
-type warmGroup struct {
-	ready chan struct{}
-	snap  *core.Snapshot
-
-	// Guarded by Runner.warmMu.
-	refs    int    // attached in-flight runs; >0 blocks eviction
-	lastUse uint64 // warmClock at last attach, for LRU eviction
 }
 
 // New builds a runner.
@@ -214,10 +172,6 @@ func New(opts Options) *Runner {
 		opts: opts,
 		sem:  make(chan *core.SystemPool, par),
 		runs: map[string]*runEntry{},
-		warm: map[string]*warmGroup{},
-	}
-	if opts.ShareWarmup {
-		r.snapPool = core.NewSystemPool()
 	}
 	for i := 0; i < par; i++ {
 		r.sem <- nil // empty slot; its pool is created on first acquisition
@@ -327,8 +281,8 @@ func (r *Runner) execute(ectx context.Context, e *runEntry) {
 // neither leak a pool slot nor leave waiters blocked forever.
 //
 // With a Store configured, the persisted result — when present — is
-// returned before any of that machinery engages: no warmup group, no
-// worker slot, no simulation. cached reports that path.
+// returned before any of that machinery engages: no worker slot, no
+// simulation. cached reports that path.
 func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result, cached bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -338,39 +292,6 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 	if r.opts.Store != nil {
 		if hit, ok := r.opts.Store.Get(cfg); ok {
 			return hit, true, nil
-		}
-	}
-	var opts []core.RunOption
-	if r.opts.ShareWarmup && cfg.WarmupInstructions > 0 {
-		key := cfg.WarmupFingerprint()
-		g, lead := r.attachWarmGroup(key)
-		defer r.detachWarmGroup(key, g)
-		if lead {
-			published := false
-			opts = append(opts, core.WithWarmupHook(func(s *core.System) {
-				r.publishSnapshot(g, s)
-				published = true
-			}))
-			// If the leader never reaches the boundary (construction error,
-			// warmup failure, cancellation, panic), publish the failure so
-			// waiting followers fall back to cold runs instead of parking.
-			defer func() {
-				if !published {
-					r.publishSnapshot(g, nil)
-				}
-			}()
-		} else {
-			// Wait for the leader BEFORE acquiring a worker slot: a parked
-			// follower holding a slot could starve the leader out of the
-			// pool entirely at low Parallelism.
-			select {
-			case <-g.ready:
-			case <-ectx.Done():
-				return core.Result{}, false, ectx.Err()
-			}
-			if g.snap != nil {
-				opts = append(opts, core.WithSnapshot(g.snap))
-			}
 		}
 	}
 	var pool *core.SystemPool
@@ -383,7 +304,7 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 		pool = core.NewSystemPool()
 	}
 	defer func() { r.sem <- pool }() // release the worker slot
-	res, err = coreRun(ectx, cfg, append(opts, core.WithPool(pool))...)
+	res, err = coreRun(ectx, cfg, core.WithPool(pool))
 	if err != nil && !isCancellation(err) {
 		err = fmt.Errorf("experiments: %s under %v [cfg %s]: %w", cfg.Benchmark, cfg.Scheme, cfg.Fingerprint()[:8], err)
 	}
@@ -393,91 +314,6 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 		_ = r.opts.Store.Put(cfg, res)
 	}
 	return res, false, err
-}
-
-// attachWarmGroup joins (or founds) the warmup group for key. The founder
-// is the leader; lastUse feeds LRU eviction.
-func (r *Runner) attachWarmGroup(key string) (g *warmGroup, lead bool) {
-	r.warmMu.Lock()
-	defer r.warmMu.Unlock()
-	g = r.warm[key]
-	if g == nil {
-		g = &warmGroup{ready: make(chan struct{})}
-		r.warm[key] = g
-		lead = true
-	}
-	g.refs++
-	r.warmClock++
-	g.lastUse = r.warmClock
-	return g, lead
-}
-
-// detachWarmGroup drops one reference. A fully detached group whose leader
-// failed is removed so a later submission can retry the warmup; a fully
-// detached group with a snapshot becomes eligible for LRU eviction.
-func (r *Runner) detachWarmGroup(key string, g *warmGroup) {
-	r.warmMu.Lock()
-	defer r.warmMu.Unlock()
-	g.refs--
-	if g.refs != 0 {
-		return
-	}
-	select {
-	case <-g.ready:
-		if g.snap == nil && r.warm[key] == g {
-			delete(r.warm, key)
-		}
-	default:
-		// A cancelled follower detached before the leader published; the
-		// leader holds its own reference, so the group stays.
-	}
-	r.evictWarmLocked()
-}
-
-// publishSnapshot captures s (nil: leader failure) into the group and
-// unblocks its followers. Capture draws storage from the dedicated snapshot
-// pool under warmMu; the published snapshot is read-only from here on, so
-// followers fork from it without holding any lock.
-func (r *Runner) publishSnapshot(g *warmGroup, s *core.System) {
-	if s != nil {
-		r.warmMu.Lock()
-		sn := &core.Snapshot{}
-		if n := len(r.freeSnaps); n > 0 {
-			sn = r.freeSnaps[n-1]
-			r.freeSnaps = r.freeSnaps[:n-1]
-		}
-		s.SnapshotInto(sn, r.snapPool)
-		g.snap = sn
-		r.evictWarmLocked()
-		r.warmMu.Unlock()
-	}
-	close(g.ready)
-}
-
-// evictWarmLocked enforces maxWarmSnapshots: while more groups than the
-// bound hold published snapshots, the least recently used unreferenced one
-// is released back to the snapshot pool. Callers hold warmMu.
-func (r *Runner) evictWarmLocked() {
-	for {
-		live := 0
-		var victim *warmGroup
-		var victimKey string
-		for k, g := range r.warm {
-			if g.snap == nil {
-				continue
-			}
-			live++
-			if g.refs == 0 && (victim == nil || g.lastUse < victim.lastUse) {
-				victim, victimKey = g, k
-			}
-		}
-		if live <= maxWarmSnapshots || victim == nil {
-			return
-		}
-		victim.snap.Release(r.snapPool)
-		r.freeSnaps = append(r.freeSnaps, victim.snap)
-		delete(r.warm, victimKey)
-	}
 }
 
 // finish publishes the entry's result. Cancelled entries are evicted from

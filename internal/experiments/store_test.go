@@ -128,15 +128,13 @@ func TestRunnerColdStorePersists(t *testing.T) {
 	}
 }
 
-// TestRunnerStoreWithShareWarmup: the store hit path must bypass the
-// warmup-sharing machinery without wedging groups — a mixed warm/cold
-// sweep (one config's entry deleted) still completes and heals the gap.
-func TestRunnerStoreWithShareWarmup(t *testing.T) {
+// TestRunnerStoreMixedWarmCold: a sweep mixing stored and unstored
+// configs answers the stored ones from disk unchanged, simulates the rest
+// and persists them.
+func TestRunnerStoreMixedWarmCold(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	opts := storeOptions(t, dir)
-	opts.ShareWarmup = true
-	cold := New(opts)
+	cold := New(storeOptions(t, dir))
 	cfgs := storeSweepConfigs(cold)
 	want, err := cold.RunAll(ctx, cfgs)
 	if err != nil {
@@ -145,11 +143,8 @@ func TestRunnerStoreWithShareWarmup(t *testing.T) {
 	cold.WaitIdle()
 
 	// Mixed pass: the cold pass's configs all hit; one config the cold
-	// pass never ran must simulate (as a warmup-group leader with no
-	// followers) alongside them. Hits bypass attachWarmGroup entirely, so
-	// no group can wedge waiting for a leader that was served from disk.
+	// pass never ran must simulate alongside them.
 	reopened := storeOptions(t, dir)
-	reopened.ShareWarmup = true
 	fresh := cold.config(core.DeACTW, "mcf", nil)
 	mixed := append(append([]core.Config{}, cfgs...), fresh)
 	mixedRunner := New(reopened)

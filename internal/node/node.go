@@ -174,9 +174,8 @@ func (c Config) Validate() error {
 
 // MaxTenants is the maximum number of distinct tenants a run can tag
 // traffic with. It bounds the fixed per-tenant histogram array in Stats:
-// fixed arrays (not slices) keep Stats a plain value, so the existing
-// value-copy capture in node.State and core.Snapshot remains a deep copy
-// and recording stays allocation-free.
+// fixed arrays (not slices) keep Stats a plain value, so reading it is a
+// deep copy and recording stays allocation-free.
 const MaxTenants = 8
 
 // TenantLatency is one tenant's latency distributions on a node, split the

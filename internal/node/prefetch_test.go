@@ -154,41 +154,6 @@ func TestPrefetchStopsAtPageBoundary(t *testing.T) {
 	}
 }
 
-// TestPrefetchStateRoundTrip: the delta table is part of node snapshot
-// state — capture, mutate, restore brings back the captured streams.
-func TestPrefetchStateRoundTrip(t *testing.T) {
-	cfg := testConfig(1, DeACTN)
-	cfg.Prefetch = PrefetchConfig{Streams: 16, Degree: 2, Threshold: 2}
-	r := newRig(t, DeACTN)
-	n, err := New(cfg, r.brk, r.n.fab, r.fam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		va := addr.VAddr(0x10_0000_0000 + uint64(i)*addr.BlockSize)
-		if _, err := n.Access(0, 0, pfOp(va, 0x40_0010)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var st State
-	n.CaptureState(nil, &st)
-	want := append([]pfEntry(nil), n.pf.tbl...)
-
-	// Diverge: train a different PC, then restore.
-	for i := 0; i < 8; i++ {
-		va := addr.VAddr(0x10_0004_0000 + uint64(i)*2*addr.BlockSize)
-		if _, err := n.Access(0, 0, pfOp(va, 0x40_0020)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.RestoreState(&st)
-	for i, e := range n.pf.tbl {
-		if e != want[i] {
-			t.Fatalf("entry %d after restore: %+v, want %+v", i, e, want[i])
-		}
-	}
-}
-
 // BenchmarkPrefetcher measures the per-access training cost; ReportAllocs
 // plus the CI -benchmem smoke pin it at 0 allocs/op.
 func BenchmarkPrefetcher(b *testing.B) {

@@ -23,8 +23,7 @@ const HistBuckets = 48
 //     BenchmarkCoreRun's allocs/op gate must not move.
 //   - The zero value is ready to use, and the struct contains only
 //     fixed-size arrays and integers, so a plain value copy (as
-//     node.State/core.Snapshot do for the whole Stats block) is a deep
-//     copy — snapshot forking stays bit-identical for free.
+//     node.Stats reads do for the whole Stats block) is a deep copy.
 //   - Counts are mergeable (Merge) and subtractable (Sub), because the
 //     measured phase is computed as end-of-run minus end-of-warmup, the
 //     same way every scalar counter in node.Stats is diffed.
@@ -201,15 +200,3 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	*h = d
 	return nil
 }
-
-// HistogramState is the captured state of a Histogram. Histograms are plain
-// values, so capture and restore are value copies; the type exists so
-// snapshot code can name the state it stores, symmetric with the other
-// CaptureState/RestoreState pairs in the tree.
-type HistogramState = Histogram
-
-// CaptureState returns a deep copy of the histogram's state.
-func (h *Histogram) CaptureState() HistogramState { return *h }
-
-// RestoreState rewinds the histogram to a previously captured state.
-func (h *Histogram) RestoreState(st HistogramState) { *h = st }

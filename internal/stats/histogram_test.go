@@ -112,44 +112,21 @@ func TestHistogramMergeAssociative(t *testing.T) {
 }
 
 // TestHistogramSubInverts checks that Sub recovers exactly the samples
-// recorded after a capture — the warmup-exclusion diff the runner does.
+// recorded after a value copy — the warmup-exclusion diff the runner does.
 func TestHistogramSubInverts(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	var h, wantTail Histogram
 	for i := 0; i < 500; i++ {
 		h.Record(uint64(r.Intn(1 << 20)))
 	}
-	warm := h.CaptureState()
+	warm := h
 	for i := 0; i < 800; i++ {
 		v := uint64(r.Intn(1 << 30))
 		h.Record(v)
 		wantTail.Record(v)
 	}
 	if got := h.Sub(warm); got != wantTail {
-		t.Fatalf("Sub(warmup capture) != measured-only histogram:\ngot  %+v\nwant %+v", got, wantTail)
-	}
-}
-
-// TestHistogramSnapshotRoundTrip checks capture → mutate → restore is
-// bit-exact, the property core.Snapshot forking depends on.
-func TestHistogramSnapshotRoundTrip(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 300; i++ {
-		h.Record(uint64(i * i))
-	}
-	st := h.CaptureState()
-	orig := h
-	for i := 0; i < 100; i++ {
-		h.Record(uint64(i))
-	}
-	h.RestoreState(st)
-	if h != orig {
-		t.Fatalf("restore not bit-exact:\ngot  %+v\nwant %+v", h, orig)
-	}
-	// The captured state must be independent of the live histogram.
-	h.Record(1)
-	if st == h.CaptureState() {
-		t.Fatal("captured state aliases the live histogram")
+		t.Fatalf("Sub(warmup copy) != measured-only histogram:\ngot  %+v\nwant %+v", got, wantTail)
 	}
 }
 

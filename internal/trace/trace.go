@@ -3,8 +3,7 @@
 // instruction streams first-class benchmarks: a Recorder taps the
 // workload sources of a live run and captures the exact Op stream each
 // core consumed; a Trace replays those streams as drop-in
-// workload.Source implementations that are bit-identical across replays
-// and snapshot/fork-compatible via their recorded stream positions.
+// workload.Source implementations that are bit-identical across replays.
 //
 // # Format
 //
@@ -67,8 +66,7 @@ const (
 // Recorder captures the per-core Op streams of one run. Build it with the
 // run's core count, wrap each core's source with Tap, run, then Encode or
 // Save the trace. A Recorder serves exactly one run at a time: taps are
-// not safe for use from concurrent runs, and tapped sources refuse
-// snapshot capture (recording a forked run would interleave streams).
+// not safe for use from concurrent runs.
 type Recorder struct {
 	bench   string
 	streams []streamEnc
@@ -94,7 +92,7 @@ func (r *Recorder) Streams() int { return len(r.streams) }
 func (r *Recorder) Ops(i int) uint64 { return r.streams[i].n }
 
 // Tap wraps src so every op it produces is appended to stream i. The tap
-// delegates Next/SetTenant/Tenant to src unchanged — a recording run is
+// delegates Next/SetTenant to src unchanged — a recording run is
 // draw-identical to an unrecorded one.
 func (r *Recorder) Tap(i int, src workload.Source) workload.Source {
 	return &tap{src: src, enc: &r.streams[i]}
@@ -112,19 +110,6 @@ func (t *tap) Next() workload.Op {
 }
 
 func (t *tap) SetTenant(tn uint8) { t.src.SetTenant(tn) }
-func (t *tap) Tenant() uint8      { return t.src.Tenant() }
-
-// State and RestoreState panic: a recording run must consume its streams
-// linearly, so it cannot be snapshotted or forked. Record cold, replay
-// forked.
-func (t *tap) State() workload.GeneratorState {
-	panic("trace: recording sources do not support snapshot/restore")
-}
-
-func (t *tap) RestoreState(workload.GeneratorState) {
-	panic("trace: recording sources do not support snapshot/restore")
-}
-
 func (e *streamEnc) append(op workload.Op) {
 	flags := byte(0)
 	if op.Write {
@@ -300,8 +285,7 @@ func validateStream(data []byte, ops uint64) error {
 
 // ID is the trace's content identity: the first 32 hex characters of the
 // SHA-256 of the encoded bytes. core.Config.TraceID carries it so replay
-// runs fingerprint (and therefore cache, dedup and snapshot-group)
-// distinctly per trace.
+// runs fingerprint (and therefore cache and dedup) distinctly per trace.
 func (t *Trace) ID() string { return t.id }
 
 // Benchmark is the benchmark name recorded in the trace metadata.
@@ -325,7 +309,6 @@ func (t *Trace) Source(i int) *Replay {
 type Replay struct {
 	data   []byte
 	pos    int
-	n      uint64 // ops produced
 	prev   uint64 // last address emitted (delta context)
 	prevPC uint64
 	tenant uint8
@@ -354,7 +337,6 @@ func (r *Replay) Next() workload.Op {
 	d, n := binary.Varint(r.data[r.pos:])
 	r.prev += uint64(d)
 	r.pos += n
-	r.n++
 	return workload.Op{
 		Compute:  compute,
 		Addr:     addr.VAddr(r.prev),
@@ -368,31 +350,6 @@ func (r *Replay) Next() workload.Op {
 // SetTenant stamps t onto every replayed op; tenancy is run
 // configuration, not trace content.
 func (r *Replay) SetTenant(t uint8) { r.tenant = t }
-
-// Tenant returns the stamped tenant ID.
-func (r *Replay) Tenant() uint8 { return r.tenant }
-
-// State captures the replay position for core.System.Snapshot: Cursor is
-// the byte offset, Ops the op count, Aux/Aux2 the address and PC delta
-// context. The RNG field stays zero — replay draws nothing.
-func (r *Replay) State() workload.GeneratorState {
-	return workload.GeneratorState{
-		Cursor: uint64(r.pos),
-		Ops:    r.n,
-		Aux:    r.prev,
-		Aux2:   r.prevPC,
-	}
-}
-
-// RestoreState rewinds the replay to st. Any Replay over the same stream
-// may restore a state captured from another — forked measure phases all
-// resume from the recorded position bit-identically.
-func (r *Replay) RestoreState(st workload.GeneratorState) {
-	r.pos = int(st.Cursor)
-	r.n = st.Ops
-	r.prev = st.Aux
-	r.prevPC = st.Aux2
-}
 
 // Equal reports whether two traces have identical content.
 func (t *Trace) Equal(o *Trace) bool {

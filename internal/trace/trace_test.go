@@ -97,57 +97,6 @@ func TestReplayWrap(t *testing.T) {
 	}
 }
 
-// TestReplayStateRestore: a state captured mid-replay restores into a fresh
-// cursor over the same stream and continues identically — the snapshot/fork
-// contract.
-func TestReplayStateRestore(t *testing.T) {
-	rec, _ := recordOps(t, "dc", 1000)
-	tr, err := Decode(rec.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := tr.Source(0)
-	orig.SetTenant(7)
-	for i := 0; i < 437; i++ {
-		orig.Next()
-	}
-	st := orig.State()
-	if st.RNG.Draws != 0 {
-		t.Fatalf("replay state consumed %d RNG draws, want 0", st.RNG.Draws)
-	}
-	fork := tr.Source(0)
-	fork.SetTenant(7)
-	fork.RestoreState(st)
-	for i := 0; i < 800; i++ { // crosses the wrap point
-		want, got := orig.Next(), fork.Next()
-		if want != got {
-			t.Fatalf("op %d after restore: %+v, want %+v", i, got, want)
-		}
-	}
-}
-
-// TestTapRefusesSnapshot: recording sources panic on State/RestoreState —
-// a recording run cannot be forked.
-func TestTapRefusesSnapshot(t *testing.T) {
-	rec, _ := recordOps(t, "mcf", 1)
-	p, _ := workload.Get("mcf")
-	src, _ := workload.NewSource(p, 1)
-	_ = rec // silence; fresh recorder below keeps streams consistent
-	tapped := NewRecorder("mcf", 1).Tap(0, src)
-	assertPanics(t, "State", func() { tapped.State() })
-	assertPanics(t, "RestoreState", func() { tapped.RestoreState(workload.GeneratorState{}) })
-}
-
-func assertPanics(t *testing.T, name string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s on a recording tap did not panic", name)
-		}
-	}()
-	f()
-}
-
 // TestDecodeRejectsCorruption: truncation anywhere, trailing bytes, bad
 // magic and version are all detected up front.
 func TestDecodeRejectsCorruption(t *testing.T) {

@@ -19,11 +19,11 @@ package translator
 
 import (
 	"fmt"
+	"math/rand"
 
 	"deact/internal/addr"
 	"deact/internal/arena"
 	"deact/internal/memdev"
-	"deact/internal/rng"
 	"deact/internal/sim"
 )
 
@@ -77,7 +77,7 @@ type entry struct {
 type Translator struct {
 	cfg  Config
 	dram *memdev.Device
-	rng  *rng.Rand
+	rng  *rand.Rand
 
 	sets  uint64
 	lines []entry // flat [sets × EntriesPerLine], one backing allocation
@@ -107,7 +107,7 @@ func NewInArena(a *arena.Arena, cfg Config, dram *memdev.Device, seed int64) (*T
 	t := &Translator{
 		cfg:   cfg,
 		dram:  dram,
-		rng:   rng.New(seed),
+		rng:   rand.New(rand.NewSource(seed)),
 		sets:  sets,
 		lines: arena.Slice[entry](a, "translator.lines", int(sets*EntriesPerLine)),
 		slots: arena.Slice[sim.Time](a, "translator.slots", cfg.Outstanding),

@@ -4,26 +4,24 @@
 // strided stencil) on top of a catalog profile's footprint, memory
 // intensity and write mix — the workload axis the paper's synthetic
 // calibration could not explore. All three share the Generator's
-// contracts: deterministic per seed, zero allocations in Next, every RNG
-// draw accounted so GeneratorState capture/restore is exact.
+// contracts: deterministic per seed and zero allocations in Next.
 package workload
 
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 
 	"deact/internal/addr"
-	"deact/internal/rng"
 )
 
 // patternBase carries the pieces every pattern generator shares: profile,
 // RNG, tenant stamping and the derived block counts.
 type patternBase struct {
 	p        Profile
-	rng      *rng.Rand
+	rng      *rand.Rand
 	fpBlocks uint64
 	meanGap  int
-	ops      uint64
 	tenant   uint8
 }
 
@@ -36,7 +34,7 @@ func newPatternBase(p Profile, seed int64) (patternBase, error) {
 	}
 	return patternBase{
 		p:        p,
-		rng:      rng.New(seed),
+		rng:      rand.New(rand.NewSource(seed)),
 		fpBlocks: p.FootprintPages * blocksPerPage,
 		meanGap:  1000/p.MemPer1000 - 1,
 	}, nil
@@ -52,7 +50,6 @@ func (b *patternBase) gap() int {
 }
 
 func (b *patternBase) SetTenant(t uint8) { b.tenant = t }
-func (b *patternBase) Tenant() uint8     { return b.tenant }
 
 func (b *patternBase) op(block uint64, write, blocking bool, pc uint64, compute int) Op {
 	return Op{
@@ -82,7 +79,7 @@ func reduce(x, n uint64) uint64 {
 // ("fat" list nodes). The degree dials memory-level parallelism: degree 1
 // is a pure dependent chain (nothing to overlap, the worst case for FAM
 // translation latency), larger degrees give the core overlap work per
-// step. State: Aux is the chain value, Cursor the remaining payload count.
+// step.
 type pointerChase struct {
 	patternBase
 	degree  int
@@ -108,7 +105,6 @@ func newPointerChase(p Profile, seed int64) (*pointerChase, error) {
 }
 
 func (g *pointerChase) Next() Op {
-	g.ops++
 	compute := g.gap()
 	write := g.rng.Float64() < g.p.WriteProb
 	if g.payload > 0 {
@@ -124,31 +120,19 @@ func (g *pointerChase) Next() Op {
 	return g.op(reduce(g.cur, g.fpBlocks), write, true, pcChasePtr, compute)
 }
 
-func (g *pointerChase) State() GeneratorState {
-	return GeneratorState{RNG: g.rng.State(), Cursor: g.payload, Ops: g.ops, Aux: g.cur}
-}
-
-func (g *pointerChase) RestoreState(st GeneratorState) {
-	g.rng.Restore(st.RNG)
-	g.payload = st.Cursor
-	g.ops = st.Ops
-	g.cur = st.Aux
-}
-
 // graphFrontier models frontier expansion over a CSR-like layout: the low
 // eighth of the footprint holds the vertex array, scanned sequentially
 // with a blocking fetch per vertex; each vertex then visits a burst of
 // edge-region blocks (uniform in [1, 2·degree-1], mean ≈ degree) chosen
 // with a quadratic skew toward low vertex IDs, the hub structure of
-// power-law graphs. State: Cursor is the vertex index, Aux the remaining
-// edge visits for the current vertex.
+// power-law graphs.
 type graphFrontier struct {
 	patternBase
 	degree       int
 	vertexBlocks uint64
 	edgeBlocks   uint64
-	vertex       uint64
-	rem          uint64
+	vertex       uint64 // vertex index of the sequential scan
+	rem          uint64 // edge visits remaining for the current vertex
 }
 
 func newGraphFrontier(p Profile, seed int64) (*graphFrontier, error) {
@@ -172,7 +156,6 @@ func newGraphFrontier(p Profile, seed int64) (*graphFrontier, error) {
 }
 
 func (g *graphFrontier) Next() Op {
-	g.ops++
 	compute := g.gap()
 	if g.rem == 0 {
 		// Next vertex: sequential scan of the vertex array, blocking
@@ -195,31 +178,19 @@ func (g *graphFrontier) Next() Op {
 	return g.op(g.vertexBlocks+eb, write, false, pcEdge, compute)
 }
 
-func (g *graphFrontier) State() GeneratorState {
-	return GeneratorState{RNG: g.rng.State(), Cursor: g.vertex, Ops: g.ops, Aux: g.rem}
-}
-
-func (g *graphFrontier) RestoreState(st GeneratorState) {
-	g.rng.Restore(st.RNG)
-	g.vertex = st.Cursor
-	g.ops = st.Ops
-	g.rem = st.Aux
-}
-
 // stencil interleaves degree strided streams at fixed offsets across the
 // footprint — the classic structured-grid sweep (read degree-1 input
 // planes, write one output plane). Fully deterministic addresses, never
 // blocking, one jitter draw per op; each stream has its own PC, so this
 // is the pattern a PC-keyed stream prefetcher should cover almost
-// completely. State: Cursor is the sweep base position, Aux the
-// round-robin stream index.
+// completely.
 type stencil struct {
 	patternBase
 	streams uint64
 	rowOff  uint64 // block offset between consecutive streams
 	stride  uint64
-	base    uint64
-	sidx    uint64
+	base    uint64 // sweep base position
+	sidx    uint64 // round-robin stream index
 }
 
 func newStencil(p Profile, seed int64) (*stencil, error) {
@@ -243,7 +214,6 @@ func newStencil(p Profile, seed int64) (*stencil, error) {
 }
 
 func (g *stencil) Next() Op {
-	g.ops++
 	compute := g.gap()
 	s := g.sidx
 	block := (g.base + s*g.rowOff) % g.fpBlocks
@@ -254,15 +224,4 @@ func (g *stencil) Next() Op {
 	}
 	// The last stream is the output plane: deterministic writes, no draw.
 	return g.op(block, s == g.streams-1, false, pcStencilBase+16*s, compute)
-}
-
-func (g *stencil) State() GeneratorState {
-	return GeneratorState{RNG: g.rng.State(), Cursor: g.base, Ops: g.ops, Aux: g.sidx}
-}
-
-func (g *stencil) RestoreState(st GeneratorState) {
-	g.rng.Restore(st.RNG)
-	g.base = st.Cursor
-	g.ops = st.Ops
-	g.sidx = st.Aux
 }

@@ -110,34 +110,6 @@ func TestPatternDeterminism(t *testing.T) {
 	}
 }
 
-// TestPatternStateRestore: capturing State mid-stream and restoring it into
-// a freshly constructed source reproduces exactly the ops the original
-// produces — the contract core.System.Snapshot forking depends on.
-func TestPatternStateRestore(t *testing.T) {
-	for _, pattern := range []string{PatternSkew, PatternPointerChase, PatternGraphFrontier, PatternStencil} {
-		p := patternProfile(pattern, 3)
-		orig, err := NewSource(p, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig.SetTenant(5)
-		for i := 0; i < 1234; i++ {
-			orig.Next()
-		}
-		st := orig.State()
-
-		fresh, _ := NewSource(p, 99)
-		fresh.SetTenant(5)
-		fresh.RestoreState(st)
-		for i := 0; i < 777; i++ {
-			want, got := orig.Next(), fresh.Next()
-			if want != got {
-				t.Fatalf("%s op %d after restore: %+v, want %+v", pattern, i, got, want)
-			}
-		}
-	}
-}
-
 // TestPatternNextAllocs: steady-state generation allocates nothing, the
 // same bar the skew Generator meets.
 func TestPatternNextAllocs(t *testing.T) {

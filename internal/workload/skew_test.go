@@ -65,34 +65,3 @@ func TestSkewTableUniformIsNil(t *testing.T) {
 		t.Fatalf("oversized footprint built a table")
 	}
 }
-
-// TestGeneratorStateRoundTrip checks that restoring a captured generator
-// state reproduces the native stream exactly.
-func TestGeneratorStateRoundTrip(t *testing.T) {
-	p, err := Get("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGenerator(p, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5_000; i++ {
-		g.Next()
-	}
-	st := g.State()
-	var want []Op
-	for i := 0; i < 2_000; i++ {
-		want = append(want, g.Next())
-	}
-	fresh, err := NewGenerator(p, 999) // different seed: Restore must override it
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.RestoreState(st)
-	for i, w := range want {
-		if got := fresh.Next(); got != w {
-			t.Fatalf("op %d: got %+v want %+v", i, got, w)
-		}
-	}
-}

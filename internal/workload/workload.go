@@ -25,11 +25,11 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 
 	"deact/internal/addr"
-	"deact/internal/rng"
 )
 
 // Op is one generated instruction window: Compute non-memory instructions
@@ -64,16 +64,10 @@ type Op struct {
 // Generator, the pattern generators of this package, and trace.Replay all
 // implement it. Next must be deterministic given the source's construction
 // parameters and allocation-free in steady state. SetTenant is
-// configuration, not stream state (see Generator.SetTenant). State and
-// RestoreState capture and rewind the stream position for
-// core.System.Snapshot; a source restored into st must reproduce exactly
-// the ops a source that reached st natively would produce.
+// configuration, not stream state (see Generator.SetTenant).
 type Source interface {
 	Next() Op
 	SetTenant(t uint8)
-	Tenant() uint8
-	State() GeneratorState
-	RestoreState(st GeneratorState)
 }
 
 // Profile characterizes one benchmark.
@@ -196,10 +190,9 @@ const blocksPerPage = addr.PageSize / addr.BlockSize
 // Generator produces the reference stream for one core.
 type Generator struct {
 	p      Profile
-	rng    *rng.Rand
+	rng    *rand.Rand
 	cursor uint64 // sequential scan position in blocks
-	ops    uint64
-	tenant uint8 // stamped onto every Op; set once at construction time
+	tenant uint8  // stamped onto every Op; set once at construction time
 
 	// Derived counts, precomputed so Next stays off the division/multiply
 	// path: the working set and hot region in 64B blocks, and the mean
@@ -227,7 +220,7 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 	}
 	return &Generator{
 		p:         p,
-		rng:       rng.New(seed),
+		rng:       rand.New(rand.NewSource(seed)),
 		fpBlocks:  p.FootprintPages * blocksPerPage,
 		hotBlocks: p.HotPages * blocksPerPage,
 		meanGap:   1000/p.MemPer1000 - 1,
@@ -240,13 +233,8 @@ func (g *Generator) Profile() Profile { return g.p }
 
 // SetTenant sets the tenant ID stamped onto every generated Op. It is
 // configuration, not stream state: it consumes no RNG draws, so a tagged
-// generator produces the identical reference stream as an untagged one,
-// and it is not part of GeneratorState (a restored generator keeps the
-// tenant it was constructed with).
+// generator produces the identical reference stream as an untagged one.
 func (g *Generator) SetTenant(t uint8) { g.tenant = t }
-
-// Tenant returns the tenant ID this generator stamps onto its ops.
-func (g *Generator) Tenant() uint8 { return g.tenant }
 
 // uint64n returns a uniform value in [0, n) without modulo bias. Powers of
 // two take one masked draw; other bounds reject the (at most n-1 values
@@ -256,7 +244,7 @@ func (g *Generator) uint64n(n uint64) uint64 { return uint64n(g.rng, n) }
 // uint64n is the shared unbiased bounded draw used by every generator in
 // this package; the algorithm (and therefore the draw sequence) is the
 // pre-v2 Generator.uint64n unchanged.
-func uint64n(r *rng.Rand, n uint64) uint64 {
+func uint64n(r *rand.Rand, n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
@@ -305,7 +293,6 @@ const (
 
 // Next produces the next instruction window.
 func (g *Generator) Next() Op {
-	g.ops++
 	// Compute gap: mean 1000/MemPer1000 - 1, geometric-ish jitter.
 	compute := g.meanGap
 	if compute > 0 {
@@ -340,34 +327,6 @@ func (g *Generator) Next() Op {
 		Tenant:   g.tenant,
 		PC:       pc,
 	}
-}
-
-// GeneratorState is the mutable state of a Source at a point in its
-// stream, captured for core.System.Snapshot. Everything else in a source
-// (profile, derived counts, the shared skew table, trace bytes) is
-// immutable after construction. The skew Generator uses RNG+Cursor+Ops;
-// the pattern generators and trace replay additionally store up to two
-// source-specific scalars in Aux/Aux2 (chain value, stream index,
-// delta-decoder context, …) and leave unused fields zero.
-type GeneratorState struct {
-	RNG    rng.State
-	Cursor uint64
-	Ops    uint64
-	Aux    uint64
-	Aux2   uint64
-}
-
-// State captures the generator's stream position.
-func (g *Generator) State() GeneratorState {
-	return GeneratorState{RNG: g.rng.State(), Cursor: g.cursor, Ops: g.ops}
-}
-
-// RestoreState rewinds the generator to st. The generator then reproduces
-// exactly the ops a generator that reached st natively would produce.
-func (g *Generator) RestoreState(st GeneratorState) {
-	g.rng.Restore(st.RNG)
-	g.cursor = st.Cursor
-	g.ops = st.Ops
 }
 
 // NewSource builds the reference-stream source for profile p, dispatching
