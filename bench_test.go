@@ -22,7 +22,6 @@ import (
 	"deact/internal/cache"
 	"deact/internal/experiments"
 	"deact/internal/stats"
-	"deact/internal/tlb"
 	"deact/internal/workload"
 )
 
@@ -117,20 +116,6 @@ func BenchmarkCacheHierarchyAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(0, uint64(i*64)%(1<<22), i%4 == 0)
-	}
-}
-
-func BenchmarkTLBLookup(b *testing.B) {
-	m, err := tlb.NewMMU("bench", tlb.MMUConfig{L1Entries: 32, L1Ways: 4, L2Entries: 256, L2Ways: 8, PTWEntries: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := uint64(0); i < 512; i++ {
-		m.Insert(i, i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Lookup(uint64(i) % 512)
 	}
 }
 

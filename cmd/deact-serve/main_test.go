@@ -294,6 +294,38 @@ func TestServeResultLookup(t *testing.T) {
 	}
 }
 
+// TestServeRejectsBadGeometry: cache, TLB and STU shapes the simulator
+// cannot build are client errors caught by validation, so /run answers 400
+// instead of failing the simulation with a 500, and a sweep holding one
+// fails whole before any point starts.
+func TestServeRejectsBadGeometry(t *testing.T) {
+	ts := testServer(t, t.TempDir())
+	for _, body := range []string{
+		`{"STUEntries":12,"STUWays":8}`,
+		`{"STUEntries":768}`,
+		`{"Hierarchy":{"L1Ways":3}}`,
+		`{"MMU":{"L1Entries":24}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /run %s = %d, want 400", body, resp.StatusCode)
+		}
+		sweep := `{"Configs":[{"Benchmark":"mcf"},` + body + `]}`
+		resp, err = http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(sweep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /sweep with %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+}
+
 // TestServeRejectsBadRequests pins the strict decode contract at the HTTP
 // boundary: misspelled fields, bad scheme names, invalid configs and wrong
 // methods are client errors, not simulations of the wrong system.

@@ -40,7 +40,7 @@ func main() {
 		schemeFlag = flag.String("scheme", "deact-n", "virtual-memory scheme: e-fam, i-fam, deact-w, deact-n")
 		bench      = flag.String("bench", "mcf", "benchmark name ("+strings.Join(workload.Names(), ", ")+")")
 		nodes      = flag.Int("nodes", 1, "compute nodes sharing the fabric")
-		stuSize    = flag.Int("stu", 1024, "STU cache size in entries, not bytes (Figure 13 sweeps 256-8192)")
+		stuSize    = flag.Int("stu", 1024, "STU cache size in entries, not bytes; entries/8 ways must be a power of two (Figure 13 sweeps 256-8192)")
 		fabricNS   = flag.Uint64("fabric-ns", 500, "fabric one-way propagation latency in nanoseconds, not cycles (Figure 15 sweeps 100-6000)")
 		verbose    = flag.Bool("v", false, "print per-node counters")
 		traceOut   = flag.String("trace-out", "", "record the run's access streams to this trace file")

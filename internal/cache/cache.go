@@ -93,12 +93,9 @@ func NewInArena(a *arena.Arena, name string, sizeBytes uint64, ways int) (*Cache
 // representation even at rank-word-capable associativities — the
 // equivalence property test uses it to pit the two against each other.
 func newCache(a *arena.Arena, name string, sizeBytes uint64, ways int, forceStamps bool) (*Cache, error) {
-	if ways <= 0 || ways > 1<<16 {
-		return nil, fmt.Errorf("cache %s: ways %d out of range", name, ways)
-	}
-	sets := sizeBytes / (addr.BlockSize * uint64(ways))
-	if sets == 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: %d bytes / %d ways yields non-power-of-two set count %d", name, sizeBytes, ways, sets)
+	sets, err := geometry(name, sizeBytes, ways)
+	if err != nil {
+		return nil, err
 	}
 	n := sets * uint64(ways)
 	c := &Cache{
@@ -124,6 +121,20 @@ func newCache(a *arena.Arena, name string, sizeBytes uint64, ways int, forceStam
 		c.used = arena.Slice[uint64](a, "cache.used", int(n))
 	}
 	return c, nil
+}
+
+// geometry is the shape rule every cache obeys, also applied by
+// HierarchyConfig.Validate: at most 65536 ways and a non-zero power-of-two
+// set count. It returns the set count.
+func geometry(name string, sizeBytes uint64, ways int) (uint64, error) {
+	if ways <= 0 || ways > 1<<16 {
+		return 0, fmt.Errorf("cache %s: ways %d out of range", name, ways)
+	}
+	sets := sizeBytes / (addr.BlockSize * uint64(ways))
+	if sets == 0 || sets&(sets-1) != 0 {
+		return 0, fmt.Errorf("cache %s: %d bytes / %d ways yields non-power-of-two set count %d", name, sizeBytes, ways, sets)
+	}
+	return sets, nil
 }
 
 // MustNew is New for statically known-good configurations.

@@ -45,6 +45,22 @@ type HierarchyConfig struct {
 	L3Ways int
 }
 
+// Validate checks the core count and every level's geometry with the rule
+// New applies.
+func (c HierarchyConfig) Validate() error {
+	if c.Cores <= 0 {
+		return fmt.Errorf("cache: cores must be positive")
+	}
+	if _, err := geometry("l1", c.L1Size, c.L1Ways); err != nil {
+		return err
+	}
+	if _, err := geometry("l2", c.L2Size, c.L2Ways); err != nil {
+		return err
+	}
+	_, err := geometry("l3", c.L3Size, c.L3Ways)
+	return err
+}
+
 // Hierarchy is an inclusive three-level cache hierarchy: private L1 and L2
 // per core, one shared L3. Inclusivity is enforced by back-invalidating L1
 // and L2 when the L3 evicts a block.
@@ -62,8 +78,8 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 // NewHierarchyInArena is NewHierarchy drawing every cache's line arrays
 // from a (nil allocates normally). Recycle returns them.
 func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error) {
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("cache: cores must be positive")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	h := &Hierarchy{}
 	for i := 0; i < cfg.Cores; i++ {

@@ -267,8 +267,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: IssueWidth must be positive", ErrInvalidConfig)
 	case c.MaxOutstanding <= 0:
 		return fmt.Errorf("%w: MaxOutstanding must be positive", ErrInvalidConfig)
-	case c.STUEntries <= 0 || c.STUWays <= 0:
-		return fmt.Errorf("%w: STU geometry invalid", ErrInvalidConfig)
 	}
 	switch {
 	case c.CoreModel != "" && c.CoreModel != CoreInOrder && c.CoreModel != CoreOoO:
@@ -316,6 +314,15 @@ func (c Config) Validate() error {
 	}
 	if err := c.Layout.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	}
+	// The geometry rules NewSystem's constructors enforce, through the same
+	// functions they call. Every scheme's STU geometry is checked, E-FAM's
+	// included, so a config's validity does not depend on its scheme.
+	nc := c.nodeConfig(0)
+	for _, err := range [...]error{nc.Hierarchy.Validate(), nc.MMU.Validate(), nc.STU.Validate()} {
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -61,6 +62,47 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		m(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestValidateCatchesGeometry: every cache, TLB and STU shape NewSystem
+// would reject fails Validate with ErrInvalidConfig first, under every
+// scheme, and the legal shapes next to them build.
+func TestValidateCatchesGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		valid  bool
+	}{
+		{"stu 12x8", func(c *Config) { c.STUEntries, c.STUWays = 12, 8 }, false},
+		{"stu 768x8", func(c *Config) { c.STUEntries = 768 }, false},
+		{"stu zero ways", func(c *Config) { c.STUWays = 0 }, false},
+		{"stu pairs", func(c *Config) { c.PairsPerWay = 4 }, false},
+		{"l1 3-way", func(c *Config) { c.Hierarchy.L1Ways = 3 }, false},
+		{"l3 size", func(c *Config) { c.Hierarchy.L3Size = 96 << 10 }, false},
+		{"l1 tlb 24", func(c *Config) { c.MMU.L1Entries = 24 }, false},
+		{"l2 tlb ways", func(c *Config) { c.MMU.L2Ways = 0 }, false},
+		{"stu 2048x16", func(c *Config) { c.STUEntries, c.STUWays = 2048, 16 }, true},
+		{"l1 4-way", func(c *Config) { c.Hierarchy.L1Ways = 4 }, true},
+		{"l1 tlb 64", func(c *Config) { c.MMU.L1Entries = 64 }, true},
+	} {
+		for _, scheme := range Schemes() {
+			cfg := DefaultConfig()
+			cfg.Scheme = scheme
+			tc.mutate(&cfg)
+			err := cfg.Validate()
+			if tc.valid {
+				if err != nil {
+					t.Errorf("%s/%v: Validate rejected a legal shape: %v", tc.name, scheme, err)
+				} else if _, err := NewSystem(cfg); err != nil {
+					t.Errorf("%s/%v: Validate passed but NewSystem failed: %v", tc.name, scheme, err)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s/%v: Validate = %v, want ErrInvalidConfig", tc.name, scheme, err)
+			}
 		}
 	}
 }

@@ -268,9 +268,10 @@ type Node struct {
 	// allocated prefix instead of the whole zone.
 	direct []addr.FPage
 
-	// walkBuf is the scratch buffer for page-table walk steps; translate
-	// reuses it so TLB misses do not allocate.
-	walkBuf []pagetable.WalkStep
+	// walker walks the node page table on TLB misses; walkPorts[i]
+	// charges core i's walks.
+	walker    tlb.Walker
+	walkPorts []walkPort
 
 	stats Stats
 }
@@ -309,12 +310,14 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	if err != nil {
 		return nil, err
 	}
+	n.walkPorts = make([]walkPort, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		m, err := tlb.NewMMU(fmt.Sprintf("node%d.core%d", cfg.ID, i), cfg.MMU)
+		m, err := tlb.NewMMU(cfg.MMU)
 		if err != nil {
 			return nil, err
 		}
 		n.mmus = append(n.mmus, m)
+		n.walkPorts[i] = walkPort{n: n, core: i}
 	}
 
 	// The OS allocator: DeACT reserves the top of DRAM for the FAM
@@ -342,6 +345,7 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	if err != nil {
 		return nil, err
 	}
+	n.walker.Table = n.pt
 
 	if cfg.Scheme != EFAM {
 		tbl, err := brk.NodeTable(cfg.ID)
@@ -464,54 +468,35 @@ func (n *Node) translate(now sim.Time, coreID int, vp addr.VPage) (addr.NPPage, 
 	}
 
 	n.stats.NodePTWalks++
-	start := m.PTW.BestStartLevel(uint64(vp))
-	steps, val, ok := n.pt.WalkAppend(uint64(vp), start, n.walkBuf[:0])
-	t := now
-	var err error
-	for _, s := range steps {
-		// Page-table entries are ordinary cached memory (PTW data washes
-		// through the data caches as on real hardware).
-		t, err = n.memAccess(t, coreID, addr.NPAddr(s.EntryAddr), false, true)
-		if err != nil {
-			n.walkBuf = steps[:0]
-			return 0, t, err
-		}
+	v, t, err := n.walker.Walk(now, uint64(vp), m.PTW, &n.walkPorts[coreID])
+	switch err {
+	case nil:
+	case tlb.ErrFaultUnmapped:
+		return 0, t, fmt.Errorf("node %d: PTE missing after OS fault for vpage %#x", n.cfg.ID, vp)
+	case tlb.ErrFaultMismatch:
+		return 0, t, fmt.Errorf("node %d: OS fault installed inconsistent mapping", n.cfg.ID)
+	default:
+		return 0, t, err
 	}
-	if !ok {
-		// OS first touch: allocate an NP page (20/80 policy), back it with
-		// FAM if needed, install the PTE, then finish the walk. The retried
-		// walk appends in place of the faulting step, reusing the buffer.
-		npp, ferr := n.osFault(vp)
-		if ferr != nil {
-			n.walkBuf = steps[:0]
-			return 0, t, ferr
-		}
-		retryFrom := steps[len(steps)-1].Level
-		head := len(steps) - 1
-		var val2 uint64
-		var ok2 bool
-		steps, val2, ok2 = n.pt.WalkAppend(uint64(vp), retryFrom, steps[:head])
-		if !ok2 {
-			n.walkBuf = steps[:0]
-			return 0, t, fmt.Errorf("node %d: PTE missing after OS fault for vpage %#x", n.cfg.ID, vp)
-		}
-		for _, s := range steps[head:] {
-			t, err = n.memAccess(t, coreID, addr.NPAddr(s.EntryAddr), false, true)
-			if err != nil {
-				n.walkBuf = steps[:0]
-				return 0, t, err
-			}
-		}
-		if addr.NPPage(val2) != npp {
-			n.walkBuf = steps[:0]
-			return 0, t, fmt.Errorf("node %d: OS fault installed inconsistent mapping", n.cfg.ID)
-		}
-		val = val2
-	}
-	m.PTW.FillFromWalk(uint64(vp), steps)
-	m.Insert(uint64(vp), val)
-	n.walkBuf = steps[:0]
-	return addr.NPPage(val), t, nil
+	m.Insert(uint64(vp), v)
+	return addr.NPPage(v), t, nil
+}
+
+// walkPort charges one core's node page-table walks: entries are ordinary
+// cached memory (PTW data washes through the data caches as on real
+// hardware), and an unmapped page is the OS's first touch.
+type walkPort struct {
+	n    *Node
+	core int
+}
+
+func (p *walkPort) ReadEntry(now sim.Time, entryAddr uint64) (sim.Time, error) {
+	return p.n.memAccess(now, p.core, addr.NPAddr(entryAddr), false, true)
+}
+
+func (p *walkPort) Fault(vp uint64) (uint64, error) {
+	np, err := p.n.osFault(addr.VPage(vp))
+	return uint64(np), err
 }
 
 // osFault performs the OS' first-touch allocation for vp.

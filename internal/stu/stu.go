@@ -14,6 +14,12 @@
 //     each an independent {FAM page tag, ACM} pair, doubling (or tripling,
 //     for narrow ACM) reach for randomly placed pages (Figure 8c).
 //
+// The STU cache is a tlb.TLB in every organization: I-FAM maps node pages
+// to FAM pages, while DeACT-W and DeACT-N only record which ACM tags are
+// resident (the policy decision always reads the authoritative acm.Store).
+// FAM-table walks reuse the node MMU's tlb.Walker and PTW cache; the STU's
+// walk port charges each step as a FAM read and faults to the broker.
+//
 // The STU sits on the per-FAM-access hot path of every scheme but E-FAM:
 // lookups, ACM checks and FAM-table walks are array-backed and
 // allocation-free in steady state, the port is a sim.Server calendar
@@ -81,11 +87,14 @@ type Config struct {
 	TrustReads bool
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The cache indexes sets by mask, so
+// the set count Entries/Ways must be a power of two.
 func (c Config) Validate() error {
 	switch {
 	case c.Entries <= 0 || c.Ways <= 0 || c.Entries%c.Ways != 0:
 		return fmt.Errorf("stu: bad cache geometry entries=%d ways=%d", c.Entries, c.Ways)
+	case (c.Entries/c.Ways)&(c.Entries/c.Ways-1) != 0:
+		return fmt.Errorf("stu: set count %d (entries=%d ways=%d) not a power of two", c.Entries/c.Ways, c.Entries, c.Ways)
 	case c.ACMBits != 8 && c.ACMBits != 16 && c.ACMBits != 32:
 		return fmt.Errorf("stu: ACMBits %d must be 8, 16 or 32", c.ACMBits)
 	case c.PairsPerWay < 0 || c.PairsPerWay > 3:
@@ -124,12 +133,6 @@ func (c Config) pairsPerWay() int {
 // the FAM (Figures 4 and 11).
 type FAMAccessFunc func(now sim.Time, a addr.FAddr, write bool) sim.Time
 
-// ifamEntry is the coupled translation+ACM payload of Figure 8a.
-type ifamEntry struct {
-	fam addr.FPage
-	e   acm.Entry
-}
-
 // Stats aggregates STU activity.
 type Stats struct {
 	TranslationHits   uint64 // I-FAM STU cache hits (Figure 10)
@@ -151,18 +154,16 @@ type STU struct {
 	nodeID  uint16
 	layout  addr.Layout
 	meta    *acm.Store
-	table   *pagetable.Table
 	famRead FAMAccessFunc
 	fault   func(np addr.NPPage) (addr.FPage, error) // broker allocation callback
 
 	port sim.Server
 
-	ifam   *assoc[ifamEntry] // OrgIFAM
-	wcache *assoc[struct{}]  // OrgDeACTW: key = ACM group of contiguous pages
-	ncache *assoc[acm.Entry] // OrgDeACTN: key = FAM page (44-bit tag modeled exactly)
+	// cache is the STU cache. I-FAM keys it by node page and stores the
+	// FAM page; DeACT-W and DeACT-N key it by acmTag and store nothing.
+	cache  *tlb.TLB
 	ptw    *tlb.PTWCache
-
-	walkBuf []pagetable.WalkStep // scratch reused across FAM-table walks
+	walker tlb.Walker // over the node's FAM page table
 
 	stats Stats
 }
@@ -182,27 +183,30 @@ func New(cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
 	if meta == nil || table == nil || fam == nil {
 		return nil, fmt.Errorf("stu: meta, table and fam are required")
 	}
-	s := &STU{
+	entries, ways := cfg.Entries, cfg.Ways
+	switch cfg.Org {
+	case OrgIFAM, OrgDeACTW:
+	case OrgDeACTN:
+		// Each way splits into independent (tag, ACM) sub-ways.
+		entries, ways = entries*cfg.pairsPerWay(), ways*cfg.pairsPerWay()
+	default:
+		return nil, fmt.Errorf("stu: unknown organization %v", cfg.Org)
+	}
+	cache, err := tlb.New("stu", entries, ways)
+	if err != nil {
+		return nil, err
+	}
+	return &STU{
 		cfg:     cfg,
 		nodeID:  nodeID,
 		layout:  layout,
 		meta:    meta,
-		table:   table,
 		famRead: fam,
 		fault:   fault,
+		cache:   cache,
 		ptw:     tlb.NewPTWCache(cfg.PTWCacheEntries),
-	}
-	switch cfg.Org {
-	case OrgIFAM:
-		s.ifam = newAssoc[ifamEntry](cfg.Entries, cfg.Ways)
-	case OrgDeACTW:
-		s.wcache = newAssoc[struct{}](cfg.Entries, cfg.Ways)
-	case OrgDeACTN:
-		s.ncache = newAssoc[acm.Entry](cfg.Entries*cfg.pairsPerWay(), cfg.Ways*cfg.pairsPerWay())
-	default:
-		return nil, fmt.Errorf("stu: unknown organization %v", cfg.Org)
-	}
-	return s, nil
+		walker:  tlb.Walker{Table: table},
+	}, nil
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -215,10 +219,16 @@ func (s *STU) Bind(c sim.Clock) { s.port.Bind(c) }
 // NodeID returns the node this STU guards.
 func (s *STU) NodeID() uint16 { return s.nodeID }
 
-// n44 truncates a FAM page number to the 44-bit tag DeACT-N stores
-// (Figure 8c); with ≤44-bit page numbers this is exact, matching the
-// paper's observation that 44 bits cover any realistic node.
-func n44(p addr.FPage) uint64 { return uint64(p) & ((1 << 44) - 1) }
+// acmTag is the DeACT cache key covering fp's ACM: DeACT-W's group of
+// pagesPerWay contiguous pages, or DeACT-N's truncated 44-bit FAM page tag
+// (Figure 8c; exact for ≤44-bit page numbers, matching the paper's
+// observation that 44 bits cover any realistic node).
+func (s *STU) acmTag(fp addr.FPage) uint64 {
+	if s.cfg.Org == OrgDeACTW {
+		return uint64(fp) / s.cfg.pagesPerWay()
+	}
+	return uint64(fp) & ((1 << 44) - 1)
+}
 
 // verify runs the access-control decision for fam page fp, charging ACM
 // cache lookups and FAM metadata traffic as needed. Returns the completion
@@ -233,7 +243,7 @@ func (s *STU) verify(now sim.Time, fp addr.FPage, want acm.Perm) (sim.Time, acm.
 		return t, acm.Decision{Allowed: true}
 	}
 
-	if _, cached := s.lookupACM(fp); cached {
+	if _, cached := s.cache.Lookup(s.acmTag(fp)); cached {
 		s.stats.ACMHits++
 	} else {
 		s.stats.ACMMisses++
@@ -241,12 +251,17 @@ func (s *STU) verify(now sim.Time, fp addr.FPage, want acm.Perm) (sim.Time, acm.
 		// the coverage the organization provides.
 		t = s.famRead(t, s.layout.ACMBlockAddr(fp), false)
 		s.stats.ACMFetches++
-		s.fillACM(fp)
+		s.cache.Insert(s.acmTag(fp), 0)
 	}
 
-	// The policy decision uses the authoritative store — the cache models
-	// where the bits came from (timing), and the broker invalidates cached
-	// copies on revocation/migration. A shared page needs its bitmap.
+	return s.decide(t, fp, want)
+}
+
+// decide makes the policy decision once the ACM bits are on chip. It reads
+// the authoritative store — the cache models where the bits came from
+// (timing), and the broker invalidates cached copies on
+// revocation/migration. A shared page also needs its bitmap block.
+func (s *STU) decide(t sim.Time, fp addr.FPage, want acm.Perm) (sim.Time, acm.Decision) {
 	d := s.meta.Check(fp, s.nodeID, want)
 	if d.BitmapFetch {
 		t = s.famRead(t, s.layout.BitmapBlockAddr(fp.Huge(), s.nodeID), false)
@@ -258,38 +273,10 @@ func (s *STU) verify(now sim.Time, fp addr.FPage, want acm.Perm) (sim.Time, acm.
 	return t, d
 }
 
-// lookupACM consults the organization-specific ACM cache.
-func (s *STU) lookupACM(fp addr.FPage) (acm.Entry, bool) {
-	switch s.cfg.Org {
-	case OrgIFAM:
-		// I-FAM couples ACM with the translation entry; verification of a
-		// page is a hit iff the translation entry is resident. The caller
-		// handles that path; reaching here means a direct ACM probe, which
-		// I-FAM serves from the same structure keyed by FAM page via scan.
-		// To keep I-FAM faithful we never call verify() for it.
-		return acm.Entry{}, false
-	case OrgDeACTW:
-		group := uint64(fp) / s.cfg.pagesPerWay()
-		_, ok := s.wcache.lookup(group)
-		return s.meta.Entry(fp), ok
-	default:
-		return s.ncache.lookup(n44(fp))
-	}
-}
-
-// fillACM installs metadata coverage for fp after a block fetch.
-func (s *STU) fillACM(fp addr.FPage) {
-	switch s.cfg.Org {
-	case OrgDeACTW:
-		s.wcache.insert(uint64(fp)/s.cfg.pagesPerWay(), struct{}{})
-	case OrgDeACTN:
-		s.ncache.insert(n44(fp), s.meta.Entry(fp))
-	}
-}
-
 // VerifyMapped handles a DeACT request that arrived with the V flag set:
 // the node already supplied the FAM address; the STU only vets it. This is
-// the fast path of Figure 6 (step 3).
+// the fast path of Figure 6 (step 3). VerifyMapped and HandleUnmapped serve
+// the DeACT organizations; I-FAM requests go through TranslateAndVerify.
 func (s *STU) VerifyMapped(now sim.Time, fp addr.FPage, want acm.Perm) (sim.Time, acm.Decision) {
 	return s.verify(now, fp, want)
 }
@@ -298,45 +285,39 @@ func (s *STU) VerifyMapped(now sim.Time, fp addr.FPage, want acm.Perm) (sim.Time
 // per step not covered by the PTW cache. Faults fall back to the broker.
 func (s *STU) walk(now sim.Time, npPage addr.NPPage) (sim.Time, addr.FPage, error) {
 	s.stats.Walks++
-	start := s.ptw.BestStartLevel(uint64(npPage))
-	steps, val, ok := s.table.WalkAppend(uint64(npPage), start, s.walkBuf[:0])
-	defer func() { s.walkBuf = steps[:0] }()
-	t := now
-	for _, st := range steps {
-		t = s.famRead(t, addr.FAddr(st.EntryAddr), false)
-		s.stats.PTWSteps++
+	fp, t, err := s.walker.Walk(now, uint64(npPage), s.ptw, walkPort{s})
+	switch err {
+	case nil:
+	case tlb.ErrFaultUnmapped:
+		return t, 0, fmt.Errorf("stu(node %d): broker did not install mapping for %#x", s.nodeID, npPage)
+	case tlb.ErrFaultMismatch:
+		return t, 0, fmt.Errorf("stu(node %d): broker mapping mismatch for %#x", s.nodeID, npPage)
+	default:
+		return t, 0, err
 	}
-	if !ok {
-		if s.fault == nil {
-			return t, 0, fmt.Errorf("stu(node %d): node page %#x has no FAM mapping", s.nodeID, npPage)
-		}
-		fp, err := s.fault(npPage)
-		if err != nil {
-			return t, 0, fmt.Errorf("stu(node %d): broker fault for node page %#x: %w", s.nodeID, npPage, err)
-		}
-		s.stats.BrokerFaults++
-		// Retry the walk from the level that faulted; the broker has now
-		// installed the missing subtree. The retried steps append in place
-		// of the faulting step, reusing the scratch buffer.
-		retryFrom := steps[len(steps)-1].Level
-		head := len(steps) - 1
-		var val2 uint64
-		var ok2 bool
-		steps, val2, ok2 = s.table.WalkAppend(uint64(npPage), retryFrom, steps[:head])
-		if !ok2 {
-			return t, 0, fmt.Errorf("stu(node %d): broker did not install mapping for %#x", s.nodeID, npPage)
-		}
-		for _, st2 := range steps[head:] {
-			t = s.famRead(t, addr.FAddr(st2.EntryAddr), false)
-			s.stats.PTWSteps++
-		}
-		if addr.FPage(val2) != fp {
-			return t, 0, fmt.Errorf("stu(node %d): broker mapping mismatch for %#x", s.nodeID, npPage)
-		}
-		val = val2
+	return t, addr.FPage(fp), nil
+}
+
+// walkPort charges the STU's FAM page-table walks: every step is a FAM read
+// across the fabric, and an unmapped node page is a broker allocation.
+type walkPort struct{ s *STU }
+
+func (p walkPort) ReadEntry(now sim.Time, entryAddr uint64) (sim.Time, error) {
+	p.s.stats.PTWSteps++
+	return p.s.famRead(now, addr.FAddr(entryAddr), false), nil
+}
+
+func (p walkPort) Fault(key uint64) (uint64, error) {
+	s, npPage := p.s, addr.NPPage(key)
+	if s.fault == nil {
+		return 0, fmt.Errorf("stu(node %d): node page %#x has no FAM mapping", s.nodeID, npPage)
 	}
-	s.ptw.FillFromWalk(uint64(npPage), steps)
-	return t, addr.FPage(val), nil
+	fp, err := s.fault(npPage)
+	if err != nil {
+		return 0, fmt.Errorf("stu(node %d): broker fault for node page %#x: %w", s.nodeID, npPage, err)
+	}
+	s.stats.BrokerFaults++
+	return uint64(fp), nil
 }
 
 // HandleUnmapped serves a DeACT request with V=0: the node's FAM translator
@@ -361,38 +342,22 @@ func (s *STU) TranslateAndVerify(now sim.Time, npPage addr.NPPage, want acm.Perm
 		return now, 0, acm.Decision{}, fmt.Errorf("stu: TranslateAndVerify requires the I-FAM organization, have %v", s.cfg.Org)
 	}
 	_, t := s.port.Acquire(now, s.cfg.LookupTime)
-	if ent, ok := s.ifam.lookup(uint64(npPage)); ok {
+	if v, ok := s.cache.Lookup(uint64(npPage)); ok {
+		fp = addr.FPage(v)
 		s.stats.TranslationHits++
 		s.stats.ACMHits++ // coupled entry: ACM rides along (Figure 9's I-FAM series)
-		d := s.meta.Check(ent.fam, s.nodeID, want)
-		if d.BitmapFetch {
-			t = s.famRead(t, s.layout.BitmapBlockAddr(ent.fam.Huge(), s.nodeID), false)
-			s.stats.BitmapFetches++
+	} else {
+		s.stats.TranslationMisses++
+		s.stats.ACMMisses++
+		if t, fp, err = s.walk(t, npPage); err != nil {
+			return t, 0, acm.Decision{}, err
 		}
-		if !d.Allowed {
-			s.stats.Denied++
-		}
-		return t, ent.fam, d, nil
+		// The coupled entry needs the metadata too: one ACM block fetch.
+		t = s.famRead(t, s.layout.ACMBlockAddr(fp), false)
+		s.stats.ACMFetches++
+		s.cache.Insert(uint64(npPage), uint64(fp))
 	}
-	s.stats.TranslationMisses++
-	s.stats.ACMMisses++
-	t, fp, err = s.walk(t, npPage)
-	if err != nil {
-		return t, 0, acm.Decision{}, err
-	}
-	// The coupled entry needs the metadata too: one ACM block fetch.
-	t = s.famRead(t, s.layout.ACMBlockAddr(fp), false)
-	s.stats.ACMFetches++
-	ent := ifamEntry{fam: fp, e: s.meta.Entry(fp)}
-	s.ifam.insert(uint64(npPage), ent)
-	d = s.meta.Check(fp, s.nodeID, want)
-	if d.BitmapFetch {
-		t = s.famRead(t, s.layout.BitmapBlockAddr(fp.Huge(), s.nodeID), false)
-		s.stats.BitmapFetches++
-	}
-	if !d.Allowed {
-		s.stats.Denied++
-	}
+	t, d = s.decide(t, fp, want)
 	return t, fp, d, nil
 }
 
@@ -414,33 +379,15 @@ func (s *STU) ACMHitRate() float64 {
 	return float64(s.stats.ACMHits) / float64(tot)
 }
 
-// InvalidateNodePage drops any coupled I-FAM entry for npPage (migration).
-func (s *STU) InvalidateNodePage(npPage addr.NPPage) {
-	if s.ifam != nil {
-		s.ifam.invalidate(uint64(npPage))
-	}
-}
-
 // InvalidateACM drops cached metadata for a FAM page (migration, §VI).
 func (s *STU) InvalidateACM(fp addr.FPage) {
-	switch s.cfg.Org {
-	case OrgDeACTW:
-		s.wcache.invalidate(uint64(fp) / s.cfg.pagesPerWay())
-	case OrgDeACTN:
-		s.ncache.invalidate(n44(fp))
+	if s.cfg.Org != OrgIFAM {
+		s.cache.Invalidate(s.acmTag(fp))
 	}
 }
 
 // Flush empties all STU state (full shootdown).
 func (s *STU) Flush() {
-	if s.ifam != nil {
-		s.ifam.flush()
-	}
-	if s.wcache != nil {
-		s.wcache.flush()
-	}
-	if s.ncache != nil {
-		s.ncache.flush()
-	}
+	s.cache.Flush()
 	s.ptw.Flush()
 }

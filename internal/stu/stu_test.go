@@ -21,7 +21,7 @@ type fixture struct {
 	famReads uint64
 }
 
-func newFixture(t *testing.T, cfg Config, nodeID uint16) *fixture {
+func newFixture(t testing.TB, cfg Config, nodeID uint16) *fixture {
 	t.Helper()
 	b, err := broker.New(layout(), 11)
 	if err != nil {
@@ -59,6 +59,8 @@ func TestConfigValidate(t *testing.T) {
 		{Entries: 9, Ways: 2, ACMBits: 16},
 		{Entries: 8, Ways: 2, ACMBits: 12},
 		{Entries: 8, Ways: 2, ACMBits: 16, PairsPerWay: 4},
+		{Entries: 24, Ways: 8, ACMBits: 16},  // 3 sets: not a power of two
+		{Entries: 768, Ways: 8, ACMBits: 16}, // deact-sim -stu 768
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -382,4 +384,65 @@ func TestTrustReadsSkipsReadVerification(t *testing.T) {
 	if d.Allowed {
 		t.Fatal("trusted-reads mode allowed a foreign WRITE — tampering possible")
 	}
+}
+
+// BenchmarkSTU measures the STU's per-FAM-access paths at steady state. Each
+// stream sends three of four requests to a hot set that fits the 1024-entry
+// cache and the fourth to a cold range four times its size, so hits, misses,
+// walks and ACM fetches mix. Both paths must allocate nothing.
+func BenchmarkSTU(b *testing.B) {
+	const hot, cold = 512, 4096
+	pick := func(i int) int {
+		if i%4 == 3 {
+			return hot + (i/4)%cold
+		}
+		return i % hot
+	}
+	b.Run("IFAM-TranslateAndVerify", func(b *testing.B) {
+		f := newFixture(b, defaultCfg(OrgIFAM), 1)
+		pages := make([]addr.NPPage, hot+cold)
+		for i := range pages {
+			pages[i] = addr.NPPage(0x40000 + 3*i) // FAM zone, spread over PTE pages
+			if _, err := f.b.MapForNode(1, pages[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var t sim.Time
+		for i := 0; i < 2*len(pages); i++ {
+			t, _, _, _ = f.s.TranslateAndVerify(t, pages[pick(i)], acm.PermR)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if t, _, _, err = f.s.TranslateAndVerify(t, pages[pick(i)], acm.PermR); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(f.s.TranslationHitRate(), "hit_rate")
+	})
+	b.Run("DeACTN-VerifyMapped", func(b *testing.B) {
+		f := newFixture(b, defaultCfg(OrgDeACTN), 2)
+		pages := make([]addr.FPage, hot+cold)
+		for i := range pages {
+			p, err := f.b.AllocatePage(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pages[i] = p
+		}
+		var t sim.Time
+		for i := 0; i < 2*len(pages); i++ {
+			t, _ = f.s.VerifyMapped(t, pages[pick(i)], acm.PermRW)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var d acm.Decision
+			if t, d = f.s.VerifyMapped(t, pages[pick(i)], acm.PermRW); !d.Allowed {
+				b.Fatalf("own page denied: %+v", d)
+			}
+		}
+		b.ReportMetric(f.s.ACMHitRate(), "hit_rate")
+	})
 }

@@ -18,13 +18,21 @@ type MMUConfig struct {
 	PTWEntries int
 }
 
+// Validate checks both TLB geometries with the rule New applies.
+func (c MMUConfig) Validate() error {
+	if err := geometry("l1", c.L1Entries, c.L1Ways); err != nil {
+		return err
+	}
+	return geometry("l2", c.L2Entries, c.L2Ways)
+}
+
 // NewMMU builds an MMU.
-func NewMMU(name string, cfg MMUConfig) (*MMU, error) {
-	l1, err := New(name+".l1tlb", cfg.L1Entries, cfg.L1Ways)
+func NewMMU(cfg MMUConfig) (*MMU, error) {
+	l1, err := New("l1", cfg.L1Entries, cfg.L1Ways)
 	if err != nil {
 		return nil, err
 	}
-	l2, err := New(name+".l2tlb", cfg.L2Entries, cfg.L2Ways)
+	l2, err := New("l2", cfg.L2Entries, cfg.L2Ways)
 	if err != nil {
 		return nil, err
 	}

@@ -4,13 +4,16 @@
 // cache that holds upper-level entries to shorten walks (the [8]
 // optimization the paper folds into its baselines).
 //
-// The same TLB and PTW-cache structures are reused by the STU for its
-// system-level translation cache and FAM-table walker.
+// The STU reuses all three: a TLB is its set-associative translation/ACM
+// cache, and a Walker with its own PTW cache walks the FAM page table. A
+// WalkPort says what a walk costs: the node charges entry reads through its
+// cache hierarchy and faults to the OS, the STU charges FAM reads and faults
+// to the broker.
 //
-// Invariants: lookups and fills allocate nothing in steady state (dense
-// mask-indexed arrays, no maps), and replacement is a deterministic
-// function of the access history — both load-bearing for the simulator's
-// byte-identical-output guarantee.
+// Invariants: lookups, fills and walks allocate nothing in steady state
+// (dense mask-indexed arrays, no maps, one reused walk buffer), and
+// replacement is a deterministic function of the access history — both
+// load-bearing for the simulator's byte-identical-output guarantee.
 package tlb
 
 import "fmt"
@@ -18,8 +21,6 @@ import "fmt"
 // TLB is a set-associative translation lookaside buffer mapping page
 // numbers to page numbers with LRU replacement.
 type TLB struct {
-	name    string
-	sets    uint64
 	setMask uint64 // sets-1; the set count is a power of two
 	ways    int
 	tags    []uint64
@@ -29,39 +30,36 @@ type TLB struct {
 	tick    uint64
 	hits    uint64
 	misses  uint64
-	flushes uint64
 }
 
-// New builds a TLB with the given total entry count and associativity.
-// Entries must be a power-of-two multiple of ways.
-func New(name string, entries, ways int) (*TLB, error) {
+// geometry is the shape rule New enforces: entries must be a power-of-two
+// multiple of ways. Set indexing is a mask, so the set count must be a
+// power of two. MMUConfig.Validate applies the same rule.
+func geometry(name string, entries, ways int) error {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		return nil, fmt.Errorf("tlb %s: bad geometry entries=%d ways=%d", name, entries, ways)
+		return fmt.Errorf("tlb %s: bad geometry entries=%d ways=%d", name, entries, ways)
 	}
-	sets := uint64(entries / ways)
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("tlb %s: set count %d not a power of two", name, sets)
+	if sets := entries / ways; sets&(sets-1) != 0 {
+		return fmt.Errorf("tlb %s: set count %d not a power of two", name, sets)
+	}
+	return nil
+}
+
+// New builds a TLB with the given total entry count and associativity;
+// name only labels errors. Entries must be a power-of-two multiple of ways.
+func New(name string, entries, ways int) (*TLB, error) {
+	if err := geometry(name, entries, ways); err != nil {
+		return nil, err
 	}
 	n := uint64(entries)
 	return &TLB{
-		name:    name,
-		sets:    sets,
-		setMask: sets - 1,
+		setMask: uint64(entries/ways) - 1,
 		ways:    ways,
 		tags:    make([]uint64, n),
 		values:  make([]uint64, n),
 		valid:   make([]bool, n),
 		stamps:  make([]uint64, n),
 	}, nil
-}
-
-// MustNew is New for statically known-good geometries.
-func MustNew(name string, entries, ways int) *TLB {
-	t, err := New(name, entries, ways)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 func (t *TLB) setBase(key uint64) uint64 { return (key & t.setMask) * uint64(t.ways) }
@@ -128,7 +126,6 @@ func (t *TLB) Flush() {
 	for i := range t.valid {
 		t.valid[i] = false
 	}
-	t.flushes++
 }
 
 // Hits returns the hit count.
@@ -145,6 +142,3 @@ func (t *TLB) HitRate() float64 {
 	}
 	return float64(t.hits) / float64(total)
 }
-
-// Name returns the TLB's name.
-func (t *TLB) Name() string { return t.name }

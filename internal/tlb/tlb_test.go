@@ -20,14 +20,22 @@ func TestNewGeometry(t *testing.T) {
 	if _, err := New("t", 24, 4); err == nil {
 		t.Error("non-power-of-two sets accepted")
 	}
-	tl, err := New("t", 32, 4)
-	if err != nil || tl.Name() != "t" {
+	if _, err := New("t", 32, 4); err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
 	}
 }
 
+func mustNew(t *testing.T, entries, ways int) *TLB {
+	t.Helper()
+	tl, err := New("t", entries, ways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
 func TestLookupInsert(t *testing.T) {
-	tl := MustNew("t", 32, 4)
+	tl := mustNew(t, 32, 4)
 	if _, ok := tl.Lookup(5); ok {
 		t.Fatal("cold lookup hit")
 	}
@@ -49,7 +57,7 @@ func TestLookupInsert(t *testing.T) {
 }
 
 func TestLRUWithinSet(t *testing.T) {
-	tl := MustNew("t", 2, 2) // 1 set, 2 ways
+	tl := mustNew(t, 2, 2) // 1 set, 2 ways
 	tl.Insert(1, 10)
 	tl.Insert(2, 20)
 	tl.Lookup(1) // 2 becomes LRU
@@ -66,7 +74,7 @@ func TestLRUWithinSet(t *testing.T) {
 }
 
 func TestInvalidateAndFlush(t *testing.T) {
-	tl := MustNew("t", 32, 4)
+	tl := mustNew(t, 32, 4)
 	tl.Insert(7, 70)
 	if !tl.Invalidate(7) {
 		t.Fatal("invalidate missed present entry")
@@ -86,7 +94,7 @@ func TestInvalidateAndFlush(t *testing.T) {
 }
 
 func TestMMULevels(t *testing.T) {
-	m, err := NewMMU("core0", MMUConfig{L1Entries: 32, L1Ways: 4, L2Entries: 256, L2Ways: 8, PTWEntries: 32})
+	m, err := NewMMU(MMUConfig{L1Entries: 32, L1Ways: 4, L2Entries: 256, L2Ways: 8, PTWEntries: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +124,10 @@ func TestMMULevels(t *testing.T) {
 }
 
 func TestMMUBadConfig(t *testing.T) {
-	if _, err := NewMMU("x", MMUConfig{L1Entries: 0, L1Ways: 1, L2Entries: 8, L2Ways: 1}); err == nil {
+	if _, err := NewMMU(MMUConfig{L1Entries: 0, L1Ways: 1, L2Entries: 8, L2Ways: 1}); err == nil {
 		t.Fatal("bad L1 accepted")
 	}
-	if _, err := NewMMU("x", MMUConfig{L1Entries: 8, L1Ways: 1, L2Entries: 0, L2Ways: 1}); err == nil {
+	if _, err := NewMMU(MMUConfig{L1Entries: 8, L1Ways: 1, L2Entries: 0, L2Ways: 1}); err == nil {
 		t.Fatal("bad L2 accepted")
 	}
 }
@@ -184,7 +192,7 @@ func TestPTWCacheCapacityEvicts(t *testing.T) {
 
 // Property: TLB Lookup-after-Insert always hits with the inserted value.
 func TestTLBRoundTripQuick(t *testing.T) {
-	tl := MustNew("t", 64, 4)
+	tl := mustNew(t, 64, 4)
 	f := func(k uint32, v uint32) bool {
 		tl.Insert(uint64(k), uint64(v))
 		got, ok := tl.Lookup(uint64(k))
@@ -192,5 +200,22 @@ func TestTLBRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkTLBLookup is the per-reference MMU hit path: L1 and L2 lookups
+// over a working set that overflows L1 but fits L2.
+func BenchmarkTLBLookup(b *testing.B) {
+	m, err := NewMMU(MMUConfig{L1Entries: 32, L1Ways: 4, L2Entries: 256, L2Ways: 8, PTWEntries: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < 512; i++ {
+		m.Insert(i, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Lookup(uint64(i) % 512)
 	}
 }
