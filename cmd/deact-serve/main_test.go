@@ -294,10 +294,11 @@ func TestServeResultLookup(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadGeometry: cache, TLB and STU shapes the simulator
-// cannot build are client errors caught by validation, so /run answers 400
-// instead of failing the simulation with a 500, and a sweep holding one
-// fails whole before any point starts.
+// TestServeRejectsBadGeometry: cache, TLB and STU shapes, node allocation
+// ratios and DeACT translator sizes the simulator cannot build are client
+// errors caught by validation, so /run answers 400 instead of failing the
+// simulation with a 500, and a sweep holding one fails whole before any
+// point starts.
 func TestServeRejectsBadGeometry(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 	for _, body := range []string{
@@ -305,6 +306,11 @@ func TestServeRejectsBadGeometry(t *testing.T) {
 		`{"STUEntries":768}`,
 		`{"Hierarchy":{"L1Ways":3}}`,
 		`{"MMU":{"L1Entries":24}}`,
+		`{"LocalEveryN":0}`,
+		`{"Scheme":"i-fam","LocalEveryN":-5}`,
+		`{"Scheme":"deact-n","TranslationCacheBytes":100}`,
+		`{"Scheme":"deact-w","TranslationCacheBytes":0}`,
+		`{"Scheme":"deact-n","Outstanding":0}`,
 	} {
 		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
 		if err != nil {

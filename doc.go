@@ -53,14 +53,15 @@
 //
 // Construction memory is recycled: core.SystemPool (backed by
 // internal/arena) hands the large zeroed arrays a System is built from —
-// ACM chunk slabs, the broker owner table, translator lines, cache line
-// arrays, page-table arenas, OS backing tables — from run to run,
-// clearing instead of reallocating. The experiments Runner keeps one pool
-// per worker slot, so a full report's hundreds of runs amortize
-// construction down to the structures a config actually resizes; recycled
-// runs are bit-identical to fresh ones (TestPooledRunMatchesUnpooled and
-// the golden-report job hold this). The package-level Example in
-// example_test.go is the compile-checked Runner tour.
+// ACM chunk slabs, the broker owner table and free-pool map, translator
+// lines, cache line arrays, TLB and STU arrays, page-table arenas, OS
+// backing tables — from run to run, clearing instead of reallocating. The
+// experiments Runner keeps one pool per worker slot, so a full report's
+// hundreds of runs amortize construction down to the structures a config
+// actually resizes; recycled runs are bit-identical to fresh ones
+// (TestPooledRunMatchesUnpooled and the golden-report job hold this). The
+// package-level Example in example_test.go is the compile-checked Runner
+// tour.
 //
 // Contention is modeled by one batched calendar type (package sim): each
 // memory-device bank, controller port, fabric link direction and STU port
@@ -70,8 +71,9 @@
 // (sim.Clock, wired by core.NewSystem), and its 512-gap live bound only
 // ever drops such closed gaps; grants are bit-identical to an unpruned
 // interval calendar (the sim package cross-checks them property-style).
-// Every growth of a calendar's backing array compacts the retired gaps
-// away first, so memory tracks the live calendar, not the run length.
+// Before a calendar's backing array grows, it retires the closed gaps and
+// compacts them away, so memory tracks the gaps still reachable from the
+// engine clock, not the live bound or the run length.
 // BenchmarkMemdevAccess and BenchmarkFabricTraverse guard the
 // device-level cost (~tens of ns and 0 allocs per access); the cache
 // hierarchy adds a per-set MRU way cache so repeat hits skip the way scan.

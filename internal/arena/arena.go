@@ -1,16 +1,19 @@
 // Package arena recycles the large backing arrays a simulated system is
 // built from, so a sweep's hundreds of runs reuse one set of allocations
 // instead of handing ~2.5MB of zeroed memory to the garbage collector per
-// run. Construction-time consumers (cache line arrays, translator lines,
-// page-table arenas, broker owner tables, ACM chunks) request buffers with
-// Slice and hand them back with Release once the run's System is torn down;
-// the next run's identical geometry then reuses them byte-for-byte.
+// run. Construction-time consumers (cache line arrays, TLB arrays,
+// translator lines, page-table arenas, broker owner tables, ACM chunks)
+// request buffers with Slice and hand them back with Release once the run's
+// System is torn down; the next run's identical geometry then reuses them
+// byte-for-byte. Maps (the broker's free-pool overrides) recycle the same
+// way through Map and ReleaseMap.
 //
 // Buffers are keyed by a per-call-site tag and matched best-fit by
 // capacity, so a sweep that varies one structure's geometry still recycles
-// every other structure. Slice zeroes what it returns, which is the whole
-// determinism story: a recycled system is bit-identical to a freshly
-// allocated one, and the golden-report CI job holds that property.
+// every other structure. Slice zeroes what it returns and Map returns an
+// empty map, which is the whole determinism story: a recycled system is
+// bit-identical to a freshly allocated one, and the golden-report CI job
+// holds that property.
 //
 // An Arena is not safe for concurrent use. The experiment Runner keeps one
 // arena per worker-pool slot, giving each in-flight simulation a private
@@ -24,21 +27,23 @@ import "unsafe"
 // page table, …); beyond that, Release keeps the largest.
 const maxPerTag = 64
 
-// buffer is one released slice, decomposed so that storing it allocates
-// nothing: boxing a []T into an `any` copies the three-word slice header to
-// the heap on every Release, which at one Release per structure per run
-// added up to a measurable per-run allocation floor. ptr keeps the backing
-// array reachable (an unsafe.Pointer is a real pointer to the GC), and typ
-// holds a nil *T — pointer values box into interfaces without allocating —
-// so Slice can still refuse a buffer whose element type differs from the
-// request even when two call sites share a tag.
+// buffer is one released slice or map, decomposed so that storing it
+// allocates nothing: boxing a []T into an `any` copies the three-word slice
+// header to the heap on every Release, which at one Release per structure
+// per run added up to a measurable per-run allocation floor. For a slice,
+// ptr keeps the backing array reachable (an unsafe.Pointer is a real
+// pointer to the GC), and typ holds a nil *T — pointer values box into
+// interfaces without allocating — so Slice can still refuse a buffer whose
+// element type differs from the request even when two call sites share a
+// tag. A map is pointer-shaped too, so typ holds the map itself and Map
+// matches it by type the same way.
 type buffer struct {
 	ptr unsafe.Pointer // first element of the released backing array
-	typ any            // (*T)(nil): element-type identity for Slice
-	cap int
+	typ any            // (*T)(nil) for a slice, the map[K]V for a map
+	cap int            // slice capacity, or the map's size when released
 }
 
-// Arena is a tag-keyed free list of recycled slices.
+// Arena is a tag-keyed free list of recycled slices and maps.
 type Arena struct {
 	lists map[string][]buffer
 }
@@ -96,7 +101,48 @@ func Release[T any](a *Arena, tag string, s []T) {
 	if a == nil || cap(s) == 0 {
 		return
 	}
-	b := buffer{ptr: unsafe.Pointer(unsafe.SliceData(s[:cap(s)])), typ: (*T)(nil), cap: cap(s)}
+	a.put(tag, buffer{ptr: unsafe.Pointer(unsafe.SliceData(s[:cap(s)])), typ: (*T)(nil), cap: cap(s)})
+}
+
+// Map returns an empty map[K]V, reusing the largest map previously released
+// under tag. A map grows on demand, like a length-0 Slice request, and
+// clear keeps a map's storage, so a recycled map regrows to its previous
+// size without allocating. A nil arena or a free list with no map of the
+// type makes a new one.
+func Map[K comparable, V any](a *Arena, tag string) map[K]V {
+	if a == nil {
+		return map[K]V{}
+	}
+	free := a.lists[tag]
+	best := -1
+	for i := range free {
+		if _, ok := free[i].typ.(map[K]V); ok && (best < 0 || free[i].cap > free[best].cap) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return map[K]V{}
+	}
+	m := free[best].typ.(map[K]V)
+	free[best] = free[len(free)-1]
+	a.lists[tag] = free[:len(free)-1]
+	return m
+}
+
+// ReleaseMap empties m and hands it back for future Map calls under tag.
+// The caller must not touch m afterwards. A nil arena or a nil map is a
+// no-op.
+func ReleaseMap[K comparable, V any](a *Arena, tag string, m map[K]V) {
+	if a == nil || m == nil {
+		return
+	}
+	b := buffer{typ: m, cap: len(m)}
+	clear(m)
+	a.put(tag, b)
+}
+
+// put adds b to tag's free list; a full list keeps the largest buffers.
+func (a *Arena) put(tag string, b buffer) {
 	free := a.lists[tag]
 	if len(free) < maxPerTag {
 		a.lists[tag] = append(free, b)

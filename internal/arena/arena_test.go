@@ -103,6 +103,41 @@ func TestReleaseBoundKeepsLargest(t *testing.T) {
 	}
 }
 
+// TestMapRecycling: Map hands back a released map of the same type, empty
+// and taking the largest on offer; a different tag or value type gets a
+// new map, and releasing a map or Map from a nil arena is harmless.
+func TestMapRecycling(t *testing.T) {
+	a := New()
+	small, big := Map[uint64, uint32](a, "m"), Map[uint64, uint32](a, "m")
+	small[1] = 1
+	for i := uint64(0); i < 100; i++ {
+		big[i] = uint32(i)
+	}
+	ReleaseMap(a, "m", big)
+	ReleaseMap(a, "m", small)
+	if len(big) != 0 || len(small) != 0 {
+		t.Fatal("released maps were not emptied")
+	}
+	other := Map[uint64, uint64](a, "m")
+	other[7] = 7
+	if len(a.lists["m"]) != 2 {
+		t.Fatal("Map handed out a map of another value type")
+	}
+	got := Map[uint64, uint32](a, "m")
+	got[5] = 5
+	if len(big) != 1 {
+		t.Fatal("Map did not take the largest released map")
+	}
+	if len(Map[uint64, uint32](a, "elsewhere")) != 0 {
+		t.Fatal("fresh map not empty")
+	}
+	ReleaseMap[uint64, uint32](nil, "m", got)
+	ReleaseMap[uint64, uint32](a, "m", nil)
+	if m := Map[uint64, uint32](nil, "m"); m == nil {
+		t.Fatal("nil arena returned a nil map")
+	}
+}
+
 func TestExtend(t *testing.T) {
 	s := make([]uint64, 4, 16)
 	s[3] = 9

@@ -68,8 +68,9 @@ func New(layout addr.Layout, seed int64) (*Broker, error) {
 	return NewInArena(nil, layout, seed)
 }
 
-// NewInArena is New drawing the owner table, ACM chunk slabs and FAM
-// page-table arenas from a. A nil arena allocates normally.
+// NewInArena is New drawing the owner table, the free-pool override map,
+// ACM chunk slabs and FAM page-table arenas from a. A nil arena allocates
+// normally.
 func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
@@ -88,7 +89,7 @@ func newRange(a *arena.Arena, layout addr.Layout, seed int64, base, count uint64
 		base:      base,
 		full:      base == 0 && count == layout.UsableFAMPages(),
 		freeCount: count,
-		freeMods:  map[uint64]addr.FPage{},
+		freeMods:  arena.Map[uint64, addr.FPage](a, "broker.freeMods"),
 		owner:     arena.Slice[uint16](a, "broker.owner", int(count)),
 		nodeMaps:  map[uint16]*pagetable.Table{},
 		a:         a,
@@ -189,13 +190,14 @@ func (b *Broker) NodeTable(node uint16) (*pagetable.Table, error) {
 	return t, nil
 }
 
-// Recycle returns the broker's large tables — the owner table, the ACM
-// chunk slabs, every node's FAM page-table arena — to a for the next run's
-// construction. The broker (and the tables NodeTable handed out) must not
-// be used afterwards.
+// Recycle returns the broker's large tables — the owner table, the
+// free-pool override map, the ACM chunk slabs, every node's FAM page-table
+// arena — to a for the next run's construction. The broker (and the tables
+// NodeTable handed out) must not be used afterwards.
 func (b *Broker) Recycle(a *arena.Arena) {
 	arena.Release(a, "broker.owner", b.owner)
-	b.owner = nil
+	arena.ReleaseMap(a, "broker.freeMods", b.freeMods)
+	b.owner, b.freeMods = nil, nil
 	b.meta.Recycle(a)
 	for _, t := range b.nodeMaps {
 		t.Recycle(a)

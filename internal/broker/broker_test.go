@@ -5,6 +5,7 @@ import (
 
 	"deact/internal/acm"
 	"deact/internal/addr"
+	"deact/internal/arena"
 )
 
 func layout() addr.Layout {
@@ -223,5 +224,45 @@ func TestPoolExhaustion(t *testing.T) {
 	}
 	if _, err := b.AllocatePage(1); err == nil {
 		t.Fatal("exhausted pool still allocating")
+	}
+}
+
+// TestRecycledBrokerMapDoesNotGrow: a broker built from a recycled arena
+// takes over the previous run's free-pool override map, storage and all,
+// so replaying the same AllocatePage sequence allocates nothing. A fresh
+// broker's map grows through the same loop.
+func TestRecycledBrokerMapDoesNotGrow(t *testing.T) {
+	const pages = 2000
+	allocate := func(b *Broker) func() {
+		return func() {
+			for i := 0; i < pages; i++ {
+				if _, err := b.AllocatePage(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	a := arena.New()
+	first, err := NewInArena(a, layout(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun below makes one warm-up pass and one measured pass.
+	allocate(first)()
+	allocate(first)()
+	first.Recycle(a)
+	recycled, err := NewInArena(a, layout(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1, allocate(recycled)); n != 0 {
+		t.Fatalf("recycled broker allocated %.0f times over %d pages, want 0", n, pages)
+	}
+	fresh, err := NewInArena(arena.New(), layout(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1, allocate(fresh)); n == 0 {
+		t.Fatal("fresh broker's map did not grow; the guard above proves nothing")
 	}
 }

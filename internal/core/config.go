@@ -315,11 +315,13 @@ func (c Config) Validate() error {
 	if err := c.Layout.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	// The geometry rules NewSystem's constructors enforce, through the same
-	// functions they call. Every scheme's STU geometry is checked, E-FAM's
-	// included, so a config's validity does not depend on its scheme.
+	// The rules NewSystem's constructors enforce, through the same functions
+	// they call: the node's own (LocalEveryN, and the translator under a
+	// DeACT scheme) and the geometries. Every scheme's STU geometry is
+	// checked, E-FAM's included, so a geometry's validity does not depend
+	// on the scheme.
 	nc := c.nodeConfig(0)
-	for _, err := range [...]error{nc.Hierarchy.Validate(), nc.MMU.Validate(), nc.STU.Validate()} {
+	for _, err := range [...]error{nc.Validate(), nc.Hierarchy.Validate(), nc.MMU.Validate(), nc.STU.Validate()} {
 		if err != nil {
 			return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 		}

@@ -107,6 +107,44 @@ func TestValidateCatchesGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesNodeRules: the node's own rules — LocalEveryN under
+// every scheme, the translator's cache size and outstanding-list depth
+// under the DeACT schemes that build one — fail Validate with
+// ErrInvalidConfig before NewSystem runs. A scheme without a translator
+// ignores its settings and still builds.
+func TestValidateCatchesNodeRules(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		mutate    func(*Config)
+		deactOnly bool
+	}{
+		{"local every 0", func(c *Config) { c.LocalEveryN = 0 }, false},
+		{"local every -1", func(c *Config) { c.LocalEveryN = -1 }, false},
+		{"translation cache 0", func(c *Config) { c.TranslationCacheBytes = 0 }, true},
+		{"translation cache 100", func(c *Config) { c.TranslationCacheBytes = 100 }, true},
+		{"outstanding 0", func(c *Config) { c.Outstanding = 0 }, true},
+	} {
+		for _, scheme := range Schemes() {
+			cfg := DefaultConfig()
+			cfg.Scheme = scheme
+			cfg.WarmupInstructions, cfg.MeasureInstructions = 0, 1000
+			tc.mutate(&cfg)
+			err := cfg.Validate()
+			if tc.deactOnly && !scheme.UsesDeACT() {
+				if err != nil {
+					t.Errorf("%s/%v: Validate rejected a setting the scheme ignores: %v", tc.name, scheme, err)
+				} else if _, err := NewSystem(cfg); err != nil {
+					t.Errorf("%s/%v: Validate passed but NewSystem failed: %v", tc.name, scheme, err)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s/%v: Validate = %v, want ErrInvalidConfig", tc.name, scheme, err)
+			}
+		}
+	}
+}
+
 func TestSchemesList(t *testing.T) {
 	s := Schemes()
 	if len(s) != 4 || s[0] != EFAM || s[3] != DeACTN {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -20,32 +21,45 @@ func poolTestConfig(scheme Scheme, bench string) Config {
 
 // TestPooledRunMatchesUnpooled is the arena determinism gate: a run built
 // from recycled memory must be bit-identical to a fresh one, for every
-// scheme (each exercises a different subset of pooled structures), both on
-// the pool's first use and after the pool has been dirtied by runs of
-// *other* configurations.
+// scheme (each exercises a different subset of pooled structures) and for
+// a 2-node system (two STUs and translators, a larger broker free-pool
+// map), both on the pool's first use and after the pool has been dirtied
+// by runs of *other* configurations — STU caches larger and smaller than
+// the default, so recycled TLB arrays are reused across geometries.
 func TestPooledRunMatchesUnpooled(t *testing.T) {
 	ctx := context.Background()
 	pool := NewSystemPool()
+	var cfgs []Config
 	for _, scheme := range Schemes() {
-		cfg := poolTestConfig(scheme, "mcf")
+		cfgs = append(cfgs, poolTestConfig(scheme, "mcf"))
+	}
+	twoNode := poolTestConfig(DeACTN, "mcf")
+	twoNode.Nodes = 2
+	cfgs = append(cfgs, twoNode)
+	for _, cfg := range cfgs {
+		name := fmt.Sprintf("%v/%d-node", cfg.Scheme, cfg.Nodes)
 		want, err := Run(ctx, cfg)
 		if err != nil {
-			t.Fatalf("%v unpooled: %v", scheme, err)
+			t.Fatalf("%s unpooled: %v", name, err)
 		}
-		for round := 0; round < 3; round++ {
+		// Round 0 reuses whatever the previous configuration left; each
+		// later round first dirties the pool with a different benchmark
+		// and STU geometry, so reuse crosses run shapes.
+		for round, dirtySTU := range []int{0, 4096, 256} {
+			if dirtySTU != 0 {
+				other := cfg
+				other.Benchmark = "sp"
+				other.STUEntries = dirtySTU
+				if _, err := Run(ctx, other, WithPool(pool)); err != nil {
+					t.Fatalf("%s dirtying run (STU %d): %v", name, dirtySTU, err)
+				}
+			}
 			got, err := Run(ctx, cfg, WithPool(pool))
 			if err != nil {
-				t.Fatalf("%v pooled round %d: %v", scheme, round, err)
+				t.Fatalf("%s pooled round %d: %v", name, round, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v pooled round %d diverged from unpooled:\n got %+v\nwant %+v", scheme, round, got, want)
-			}
-			// Dirty the pool with a different benchmark and geometry
-			// before the next round, so reuse crosses run shapes.
-			other := poolTestConfig(scheme, "sp")
-			other.STUEntries = 512
-			if _, err := Run(ctx, other, WithPool(pool)); err != nil {
-				t.Fatalf("%v dirtying run: %v", scheme, err)
+				t.Fatalf("%s pooled round %d diverged from unpooled:\n got %+v\nwant %+v", name, round, got, want)
 			}
 		}
 	}

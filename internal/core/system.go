@@ -18,14 +18,13 @@ import (
 )
 
 // SystemPool recycles the large construction-time allocations of a System
-// — cache line arrays, page-table arenas, the broker's owner table, ACM
-// chunk slabs, translator lines, OS backing tables (~2.5MB zeroed per run)
-// — across the hundreds of runs of a sweep: build with
-// NewSystem(cfg, WithPool(pool)), run, then Recycle, and the next
-// same-shaped system reuses the memory,
-// clearing instead of reallocating. Results are byte-identical to unpooled
-// runs (recycled buffers are zeroed on reuse; the golden-report CI job
-// holds this).
+// — cache line arrays, TLB and STU arrays, page-table arenas, the broker's
+// owner table and free-pool map, ACM chunk slabs, translator lines, OS
+// backing tables (~2.5MB zeroed per run) — across the hundreds of runs of
+// a sweep: build with NewSystem(cfg, WithPool(pool)), run, then Recycle,
+// and the next same-shaped system reuses the memory, clearing instead of
+// reallocating. Results are byte-identical to unpooled runs (recycled
+// buffers are zeroed on reuse; the golden-report CI job holds this).
 //
 // A pool is not safe for concurrent use: give each concurrently running
 // simulation its own (the experiments Runner keeps one per worker slot).

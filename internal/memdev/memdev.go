@@ -11,10 +11,10 @@
 //
 // The contention model is batched: each bank (and the port) keeps a tail
 // time served in O(1) for in-order arrivals and a small gap calendar for
-// out-of-order ones. Bind attaches the engine clock, which retires gaps
-// entirely in the past; on top of each bank pruning itself on access, a
-// rotating scan hint prunes one further bank per request so rarely touched
-// banks' calendars are retired between their own accesses.
+// out-of-order ones. Bind attaches the engine clock, which lets each
+// calendar retire the gaps that closed in the past before its backing
+// array grows, so a bank's calendar is sized by its own reachable gaps
+// however rarely it is touched.
 package memdev
 
 import (
@@ -55,12 +55,9 @@ func (c Config) Validate() error {
 // Device is a banked memory device.
 type Device struct {
 	cfg      Config
-	clock    sim.Clock
 	port     sim.Server
 	banks    []sim.Server
 	bankMask uint64 // len(banks)-1 when a power of two, else 0
-	scan     int    // rotating prune hint over banks
-	tick     uint64 // access counter driving the rotating prune
 
 	reads  uint64
 	writes uint64
@@ -86,7 +83,6 @@ func New(cfg Config) *Device {
 // Bind attaches the engine clock to the port and every bank, enabling exact
 // retirement of past calendar state (see sim.Clock).
 func (d *Device) Bind(c sim.Clock) {
-	d.clock = c
 	d.port.Bind(c)
 	for i := range d.banks {
 		d.banks[i].Bind(c)
@@ -114,16 +110,6 @@ func (d *Device) Access(now sim.Time, a uint64, write bool) sim.Time {
 		d.reads++
 	}
 	_, done := d.bankFor(a).Acquire(issued, svc)
-	if d.tick++; d.tick&15 == 0 && d.clock != nil {
-		// Rotating scan hint: periodically retire one bank's past gaps, so
-		// every bank's calendar is pruned at a fraction of the device's
-		// access rate even if the bank itself is cold.
-		d.scan++
-		if d.scan >= len(d.banks) {
-			d.scan = 0
-		}
-		d.banks[d.scan].Prune(d.clock.Now())
-	}
 	return done
 }
 

@@ -156,7 +156,10 @@ type Config struct {
 	Seed int64
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration, including the translator's under a
+// DeACT scheme (the only schemes that build one). New applies it, and so
+// does core.Config.Validate, so a config the node cannot build is rejected
+// before any construction starts.
 func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
@@ -165,6 +168,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("node: LocalEveryN must be positive")
 	case c.CycleTime == 0:
 		return fmt.Errorf("node: zero cycle time")
+	}
+	if c.Scheme.UsesDeACT() {
+		if err := c.Translator.Validate(); err != nil {
+			return err
+		}
 	}
 	if err := c.Prefetch.Validate(); err != nil {
 		return err
@@ -282,8 +290,9 @@ func New(cfg Config, brk *broker.Broker, fab *fabric.Fabric, fam *memdev.Device)
 }
 
 // NewInArena is New drawing the node's large construction-time arrays —
-// cache line arrays, the page-table arena, the translator's line array and
-// the OS direct-backing table — from a. A nil arena allocates normally.
+// cache line arrays, the MMUs' and the STU's TLB arrays, the page-table
+// arena, the translator's line array and the OS direct-backing table —
+// from a. A nil arena allocates normally.
 func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabric, fam *memdev.Device) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -312,7 +321,7 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	}
 	n.walkPorts = make([]walkPort, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		m, err := tlb.NewMMU(cfg.MMU)
+		m, err := tlb.NewMMUInArena(a, cfg.MMU)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +361,7 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 		if err != nil {
 			return nil, err
 		}
-		n.stuU, err = stu.New(cfg.STU, cfg.ID, cfg.Layout, brk.Meta(), tbl,
+		n.stuU, err = stu.NewInArena(a, cfg.STU, cfg.ID, cfg.Layout, brk.Meta(), tbl,
 			n.famAT,
 			func(np addr.NPPage) (addr.FPage, error) { return brk.MapForNode(cfg.ID, np) })
 		if err != nil {
@@ -375,7 +384,13 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 // The node must not be used afterwards.
 func (n *Node) Recycle(a *arena.Arena) {
 	n.hier.Recycle(a)
+	for _, m := range n.mmus {
+		m.Recycle(a)
+	}
 	n.pt.Recycle(a)
+	if n.stuU != nil {
+		n.stuU.Recycle(a)
+	}
 	if n.trans != nil {
 		n.trans.Recycle(a)
 	}

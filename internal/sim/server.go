@@ -33,9 +33,13 @@ type Clock interface {
 //
 // A Server bound to a Clock retires gaps that closed at or before the
 // engine's current time — exact pruning, since no future arrival can
-// precede it. Pruning is kept off the tail fast path: it runs when a new
-// idle gap finds the backing array full, O(1) amortized (each gap is
-// appended, skipped and compacted away once).
+// precede it. Pruning is kept off the tail fast path and has one site:
+// insertGap runs it when a new idle gap finds the backing array full,
+// before compacting or growing, O(1) amortized (each gap is appended,
+// skipped and compacted away once). The array is thus sized by the gaps
+// still reachable from the clock, which in a two-node I-FAM sssp run at
+// the default scale is ~16 of the ~70 live gaps an out-of-order Acquire
+// sees on average.
 type Server struct {
 	clock     Clock
 	tail      Time  // end of the last booking; everything at/after is free
@@ -50,13 +54,11 @@ type gap struct{ start, end Time }
 
 // maxLiveGaps bounds the live gap calendar: when a new gap would exceed it,
 // the oldest live gap is forgotten (no longer bookable), which can only
-// over-serialize the distant past. A clock-bound server does hit the bound:
-// pruning runs only when the backing array fills, so closed gaps linger in
-// the live range. A two-node I-FAM sssp run at the default scale hits it
-// about 4.1M times, and every gap it drops there had closed before the
-// engine clock and could host no future arrival. So the bound never
-// changes a grant in practice; it caps memory for unbound servers and for
-// clocks that lag far behind.
+// over-serialize the distant past. A clock-bound server whose clock keeps
+// up does not reach it: insertGap prunes before the array grows, so the
+// live range holds at most one array's worth of closed gaps. A two-node
+// I-FAM sssp run at the default scale hits it 0 times. The bound caps
+// memory for unbound servers and for clocks that lag far behind.
 const maxLiveGaps = 512
 
 // Bind attaches the pruning clock. The caller guarantees that no subsequent
@@ -72,13 +74,6 @@ func (s *Server) Prune(w Time) {
 	s.watermark = w
 	for s.head < len(s.gaps) && s.gaps[s.head].end <= w {
 		s.head++
-	}
-}
-
-// prune runs Prune against the bound clock, if any.
-func (s *Server) prune() {
-	if s.clock != nil {
-		s.Prune(s.clock.Now())
 	}
 }
 
@@ -155,9 +150,6 @@ func (s *Server) pushGap(from, to Time) {
 	if len(s.gaps)-s.head >= maxLiveGaps {
 		s.head++
 	}
-	if len(s.gaps) == cap(s.gaps) {
-		s.prune() // retire what the clock allows before making room
-	}
 	s.insertGap(len(s.gaps), gap{start: from, end: to})
 }
 
@@ -188,15 +180,20 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 }
 
 // insertGap inserts g before gaps[i] (i == len(gaps) appends). Every growth
-// of the calendar goes through here, and none carries the retired prefix
-// gaps[:head] along: at capacity the live gaps are first compacted to the
-// front — in place when a quarter or more of the array is retired, else
-// into a fresh array twice their number — so the backing array is sized
-// by the live calendar, never by the server's history. insertGap retires
-// nothing itself: the live count len(gaps)-head, which the maxLiveGaps
-// bound reads, is the same as without compaction, and so is every grant.
+// of the calendar goes through here, and none carries a retired gap along:
+// at capacity it first retires what the bound clock allows (the only prune
+// site), then compacts the live gaps to the front — in place when a quarter
+// or more of the array is retired, else into a fresh array twice their
+// number. The array is therefore sized by the gaps still reachable, never
+// by the server's history or the maxLiveGaps bound. Pruning drops only
+// gaps no future arrival can book, and compaction retires nothing, so
+// every grant is unchanged. The caller's index stays valid: every gap from
+// gaps[i] on closes after the clock, so pruning never advances head past i.
 func (s *Server) insertGap(i int, g gap) {
 	if len(s.gaps) == cap(s.gaps) {
+		if s.clock != nil {
+			s.Prune(s.clock.Now())
+		}
 		live := s.gaps[s.head:]
 		if s.head*4 >= len(s.gaps) {
 			s.gaps = s.gaps[:copy(s.gaps, live)]

@@ -503,11 +503,25 @@ func (c *intervalCalendar) Acquire(now, service Time) (start, done Time) {
 // fixed multiple of the live bound however long the server runs.
 const maxGapCap = 4 * maxLiveGaps
 
+// reachableGaps counts s's live gaps that close after w: the ones a future
+// arrival at or after w could still book.
+func reachableGaps(s *Server, w Time) int {
+	n := 0
+	for _, g := range s.gaps[s.head:] {
+		if g.end > w {
+			n++
+		}
+	}
+	return n
+}
+
 // contentionSequence drives a randomized arrival pattern against a
 // clock-bound Server and the unpruned reference calendar. The engine time
 // trails the arrival front the way real event dispatch does, and arrivals
 // jitter backward within the trailing window to exercise out-of-order gap
-// booking across the watermark boundary.
+// booking across the watermark boundary. Besides matching every grant, the
+// server must keep its backing array within twice the peak count of
+// reachable gaps.
 func contentionSequence(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -516,6 +530,7 @@ func contentionSequence(t *testing.T, seed int64) {
 	clk := &fakeClock{}
 	srv.Bind(clk)
 	var front Time // the farthest arrival seen; the clock trails it
+	peak := 0      // the most gaps reachable from the clock after any step
 	for i := 0; i < 5000; i++ {
 		front += Time(rng.Intn(200))
 		// Arrivals land anywhere between the clock and the front (chains
@@ -531,6 +546,12 @@ func contentionSequence(t *testing.T, seed int64) {
 		if os != ss || od != sd {
 			t.Fatalf("seed %d step %d: server (%d,%d) != oracle (%d,%d) for Acquire(%d,%d)",
 				seed, i, ss, sd, os, od, now, svc)
+		}
+		// Closed gaps are retired before the array grows, so it is sized
+		// by the gaps still reachable, not by the live bound.
+		peak = max(peak, reachableGaps(&srv, clk.now))
+		if c := cap(srv.gaps); c > 2*peak+1 {
+			t.Fatalf("seed %d step %d: backing array holds %d gaps, peak reachable is %d", seed, i, c, peak)
 		}
 		// Advance the clock to trail the front by a bounded window, as the
 		// engine's dispatch time trails in-flight chains.

@@ -32,6 +32,7 @@ import (
 
 	"deact/internal/acm"
 	"deact/internal/addr"
+	"deact/internal/arena"
 	"deact/internal/pagetable"
 	"deact/internal/sim"
 	"deact/internal/tlb"
@@ -177,6 +178,14 @@ type STU struct {
 func New(cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
 	table *pagetable.Table, fam FAMAccessFunc,
 	fault func(np addr.NPPage) (addr.FPage, error)) (*STU, error) {
+	return NewInArena(nil, cfg, nodeID, layout, meta, table, fam, fault)
+}
+
+// NewInArena is New drawing the STU cache's entry arrays from a. A nil
+// arena allocates normally.
+func NewInArena(a *arena.Arena, cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
+	table *pagetable.Table, fam FAMAccessFunc,
+	fault func(np addr.NPPage) (addr.FPage, error)) (*STU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,7 +201,7 @@ func New(cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
 	default:
 		return nil, fmt.Errorf("stu: unknown organization %v", cfg.Org)
 	}
-	cache, err := tlb.New("stu", entries, ways)
+	cache, err := tlb.NewInArena(a, "stu", entries, ways)
 	if err != nil {
 		return nil, err
 	}
@@ -208,6 +217,10 @@ func New(cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
 		walker:  tlb.Walker{Table: table},
 	}, nil
 }
+
+// Recycle returns the STU cache's entry arrays to a for the next run's
+// construction. The STU must not be used afterwards.
+func (s *STU) Recycle(a *arena.Arena) { s.cache.Recycle(a) }
 
 // Stats returns a copy of the accumulated counters.
 func (s *STU) Stats() Stats { return s.stats }

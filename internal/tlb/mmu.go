@@ -1,5 +1,7 @@
 package tlb
 
+import "deact/internal/arena"
+
 // MMU bundles a core's two TLB levels and its PTW cache, mirroring the
 // Samba MMU configuration of Table II (L1: 32 entries, L2: 256 entries,
 // PTW cache: 32 entries).
@@ -28,15 +30,28 @@ func (c MMUConfig) Validate() error {
 
 // NewMMU builds an MMU.
 func NewMMU(cfg MMUConfig) (*MMU, error) {
-	l1, err := New("l1", cfg.L1Entries, cfg.L1Ways)
+	return NewMMUInArena(nil, cfg)
+}
+
+// NewMMUInArena is NewMMU drawing both TLBs' entry arrays from a. A nil
+// arena allocates normally.
+func NewMMUInArena(a *arena.Arena, cfg MMUConfig) (*MMU, error) {
+	l1, err := NewInArena(a, "l1", cfg.L1Entries, cfg.L1Ways)
 	if err != nil {
 		return nil, err
 	}
-	l2, err := New("l2", cfg.L2Entries, cfg.L2Ways)
+	l2, err := NewInArena(a, "l2", cfg.L2Entries, cfg.L2Ways)
 	if err != nil {
 		return nil, err
 	}
 	return &MMU{L1: l1, L2: l2, PTW: NewPTWCache(cfg.PTWEntries)}, nil
+}
+
+// Recycle returns both TLBs' entry arrays to a for the next run's
+// construction. The MMU must not be used afterwards.
+func (m *MMU) Recycle(a *arena.Arena) {
+	m.L1.Recycle(a)
+	m.L2.Recycle(a)
 }
 
 // LookupLevel identifies which TLB level served a translation.

@@ -13,10 +13,15 @@
 // Invariants: lookups, fills and walks allocate nothing in steady state
 // (dense mask-indexed arrays, no maps, one reused walk buffer), and
 // replacement is a deterministic function of the access history — both
-// load-bearing for the simulator's byte-identical-output guarantee.
+// load-bearing for the simulator's byte-identical-output guarantee. The
+// TLB entry arrays recycle through internal/arena across runs.
 package tlb
 
-import "fmt"
+import (
+	"fmt"
+
+	"deact/internal/arena"
+)
 
 // TLB is a set-associative translation lookaside buffer mapping page
 // numbers to page numbers with LRU replacement.
@@ -48,18 +53,34 @@ func geometry(name string, entries, ways int) error {
 // New builds a TLB with the given total entry count and associativity;
 // name only labels errors. Entries must be a power-of-two multiple of ways.
 func New(name string, entries, ways int) (*TLB, error) {
+	return NewInArena(nil, name, entries, ways)
+}
+
+// NewInArena is New drawing the entry arrays from a, so a TLB of a
+// recycled geometry allocates only its header. A nil arena allocates
+// normally.
+func NewInArena(a *arena.Arena, name string, entries, ways int) (*TLB, error) {
 	if err := geometry(name, entries, ways); err != nil {
 		return nil, err
 	}
-	n := uint64(entries)
 	return &TLB{
 		setMask: uint64(entries/ways) - 1,
 		ways:    ways,
-		tags:    make([]uint64, n),
-		values:  make([]uint64, n),
-		valid:   make([]bool, n),
-		stamps:  make([]uint64, n),
+		tags:    arena.Slice[uint64](a, "tlb.tags", entries),
+		values:  arena.Slice[uint64](a, "tlb.values", entries),
+		valid:   arena.Slice[bool](a, "tlb.valid", entries),
+		stamps:  arena.Slice[uint64](a, "tlb.stamps", entries),
 	}, nil
+}
+
+// Recycle returns the entry arrays to a for the next run's construction.
+// The TLB must not be used afterwards.
+func (t *TLB) Recycle(a *arena.Arena) {
+	arena.Release(a, "tlb.tags", t.tags)
+	arena.Release(a, "tlb.values", t.values)
+	arena.Release(a, "tlb.valid", t.valid)
+	arena.Release(a, "tlb.stamps", t.stamps)
+	t.tags, t.values, t.valid, t.stamps = nil, nil, nil, nil
 }
 
 func (t *TLB) setBase(key uint64) uint64 { return (key & t.setMask) * uint64(t.ways) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"deact/internal/arena"
 	"deact/internal/pagetable"
 )
 
@@ -217,5 +218,49 @@ func BenchmarkTLBLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Lookup(uint64(i) % 512)
+	}
+}
+
+// TestNewInArenaReusesArrays: a TLB built after Recycle of the same
+// geometry takes all four entry arrays from the arena and allocates only
+// its header; without an arena it allocates the arrays too.
+func TestNewInArenaReusesArrays(t *testing.T) {
+	build := func(a *arena.Arena) func() {
+		return func() {
+			tl, err := NewInArena(a, "t", 1024, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl.Recycle(a)
+		}
+	}
+	if n := testing.AllocsPerRun(10, build(arena.New())); n != 1 {
+		t.Fatalf("recycled TLB construction allocated %.0f times, want 1 (the header)", n)
+	}
+	if n := testing.AllocsPerRun(10, build(nil)); n != 5 {
+		t.Fatalf("unpooled TLB construction allocated %.0f times, want 5 (header and four arrays)", n)
+	}
+}
+
+// TestRecycledTLBStartsEmpty: a TLB built from a recycled arena holds none
+// of its predecessor's entries or counters.
+func TestRecycledTLBStartsEmpty(t *testing.T) {
+	a := arena.New()
+	old, err := NewInArena(a, "t", 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 64; k++ {
+		old.Insert(k, k+100)
+	}
+	old.Recycle(a)
+	fresh, err := NewInArena(a, "t", 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 64; k++ {
+		if v, ok := fresh.Lookup(k); ok {
+			t.Fatalf("recycled TLB hit key %d → %d", k, v)
+		}
 	}
 }

@@ -193,3 +193,59 @@ func TestLookupChargesDRAMQueueing(t *testing.T) {
 		t.Fatalf("concurrent lookups did not queue: %v then %v", d1, d2)
 	}
 }
+
+// stepClock is a settable sim.Clock for binding the DRAM calendars.
+type stepClock struct{ now sim.Time }
+
+func (c *stepClock) Now() sim.Time { return c.now }
+
+// TestHotPathAllocatesNothing: once warm, the translator's per-request
+// calls — ReserveSlot, Lookup and Update — allocate nothing, whether the
+// outstanding list has a free slot or stalls.
+func TestHotPathAllocatesNothing(t *testing.T) {
+	d := dram()
+	clk := &stepClock{}
+	d.Bind(clk)
+	tr, err := New(cfg(), d, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := addr.NPPage(1 << 20)
+	// One request per 100ns keeps the DRAM banks below saturation, as the
+	// cores' outstanding-request limit does in a real run. Even requests
+	// revisit 64 hot pages (hits), odd ones stream through new pages
+	// (misses and Updates).
+	batch := func() {
+		for i := 0; i < 2000; i++ {
+			clk.now += sim.NS(100)
+			np := addr.NPPage(i % 64)
+			if i%2 == 1 {
+				stream++
+				np = stream
+			}
+			start := tr.ReserveSlot(clk.now, func(s sim.Time) sim.Time { return s + sim.NS(400) })
+			done, _, hit := tr.Lookup(start, np)
+			if !hit {
+				tr.Update(done, np, addr.FPage(np)+1)
+			}
+		}
+	}
+	batch()
+	if n := testing.AllocsPerRun(5, batch); n != 0 {
+		t.Fatalf("warm translator allocated %.0f times per 2000 requests, want 0", n)
+	}
+	if s := tr.Stats(); s.Hits < 5000 || s.Misses < 5000 {
+		t.Fatalf("batches do not exercise both hits and misses: %+v", s)
+	}
+	stall := func() {
+		for i := 0; i < 1000; i++ {
+			tr.ReserveSlot(clk.now, func(s sim.Time) sim.Time { return s + sim.US(1) })
+		}
+	}
+	if n := testing.AllocsPerRun(5, stall); n != 0 {
+		t.Fatalf("stalling ReserveSlot allocated %.0f times per 1000 calls, want 0", n)
+	}
+	if tr.Stats().SlotStallsPS == 0 {
+		t.Fatal("stall loop never stalled")
+	}
+}
