@@ -1,7 +1,7 @@
 // Benchmark harness: one sub-benchmark of BenchmarkExperiments per entry
 // of the experiments registry (every table and figure of the paper's
-// evaluation plus the beyond-paper sweeps), plus micro-benchmarks of the
-// hot simulator paths.
+// evaluation plus the beyond-paper sweeps). Micro-benchmarks of the hot
+// simulator paths live beside the code they time, in internal/*.
 //
 //	go test -bench=. -benchmem
 //
@@ -16,13 +16,8 @@ import (
 	"context"
 	"testing"
 
-	"deact/internal/acm"
-	"deact/internal/addr"
-	"deact/internal/broker"
-	"deact/internal/cache"
 	"deact/internal/experiments"
 	"deact/internal/stats"
-	"deact/internal/workload"
 )
 
 // benchOptions keeps figure benchmarks affordable on one machine while
@@ -97,65 +92,5 @@ func BenchmarkExperiments(b *testing.B) {
 				reportSeries(b, t)
 			}
 		})
-	}
-}
-
-// ——— micro-benchmarks of the hot simulator paths ———
-
-// BenchmarkCacheHierarchyAccess streams through the full three-level
-// hierarchy; the per-level hit/miss/eviction mixes live in
-// internal/cache's BenchmarkCacheAccess.
-func BenchmarkCacheHierarchyAccess(b *testing.B) {
-	h, err := cache.NewHierarchy(cache.HierarchyConfig{
-		Cores: 1, L1Size: 8 << 10, L1Ways: 8, L2Size: 64 << 10, L2Ways: 8,
-		L3Size: 256 << 10, L3Ways: 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(0, uint64(i*64)%(1<<22), i%4 == 0)
-	}
-}
-
-func BenchmarkBrokerAllocate(b *testing.B) {
-	l := addr.Layout{DRAMSize: 64 << 20, FAMZoneSize: 448 << 20, FAMSize: 1 << 30, ACMBits: 16}
-	brk, err := broker.New(l, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := brk.AllocatePage(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := brk.FreePage(1, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkACMCheck(b *testing.B) {
-	l := addr.Layout{DRAMSize: 64 << 20, FAMZoneSize: 448 << 20, FAMSize: 1 << 30, ACMBits: 16}
-	s := acm.NewStore(l)
-	for p := addr.FPage(0); p < 4096; p++ {
-		s.Set(p, acm.Entry{Owner: uint16(p) % 63, Perm: acm.PermRWX})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Check(addr.FPage(i)%4096, uint16(i)%63, acm.PermR)
-	}
-}
-
-func BenchmarkWorkloadGen(b *testing.B) {
-	g, err := workload.NewGenerator(workload.Catalog()["sssp"], 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
 	}
 }

@@ -294,16 +294,17 @@ func TestServeResultLookup(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadGeometry: cache, TLB and STU shapes, node allocation
-// ratios and DeACT translator sizes the simulator cannot build are client
-// errors caught by validation, so /run answers 400 instead of failing the
-// simulation with a 500, and a sweep holding one fails whole before any
-// point starts.
+// TestServeRejectsBadGeometry: cache, TLB and STU shapes, more cores per
+// node than a cache hierarchy serves, node allocation ratios and DeACT
+// translator sizes the simulator cannot build are client errors caught by
+// validation, so /run answers 400 instead of failing the simulation with a
+// 500, and a sweep holding one fails whole before any point starts.
 func TestServeRejectsBadGeometry(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 	for _, body := range []string{
 		`{"STUEntries":12,"STUWays":8}`,
 		`{"STUEntries":768}`,
+		`{"CoresPerNode":9}`,
 		`{"Hierarchy":{"L1Ways":3}}`,
 		`{"MMU":{"L1Entries":24}}`,
 		`{"LocalEveryN":0}`,

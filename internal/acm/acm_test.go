@@ -166,3 +166,19 @@ func TestOwnershipQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// benchDecision keeps BenchmarkACMCheck's result live.
+var benchDecision Decision
+
+func BenchmarkACMCheck(b *testing.B) {
+	l := addr.Layout{DRAMSize: 64 << 20, FAMZoneSize: 448 << 20, FAMSize: 1 << 30, ACMBits: 16}
+	s := NewStore(l)
+	for p := addr.FPage(0); p < 4096; p++ {
+		s.Set(p, Entry{Owner: uint16(p) % 63, Perm: PermRWX})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDecision = s.Check(addr.FPage(i)%4096, uint16(i)%63, PermR)
+	}
+}

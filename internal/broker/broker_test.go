@@ -266,3 +266,22 @@ func TestRecycledBrokerMapDoesNotGrow(t *testing.T) {
 		t.Fatal("fresh broker's map did not grow; the guard above proves nothing")
 	}
 }
+
+func BenchmarkBrokerAllocate(b *testing.B) {
+	l := addr.Layout{DRAMSize: 64 << 20, FAMZoneSize: 448 << 20, FAMSize: 1 << 30, ACMBits: 16}
+	brk, err := New(l, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := brk.AllocatePage(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := brk.FreePage(1, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -223,6 +223,13 @@ func (c *Cache) Probe(a uint64) bool {
 // whether the access hit and, on an allocation that displaced a valid block,
 // the victim.
 func (c *Cache) Access(a uint64, write bool) (hit bool, victim Victim, evicted bool) {
+	hit, victim, evicted, _ = c.access(a, write)
+	return hit, victim, evicted
+}
+
+// access is Access that also returns the index of the line that now holds
+// the block, so the hierarchy can keep per-line state beside the cache's.
+func (c *Cache) access(a uint64, write bool) (hit bool, victim Victim, evicted bool, line uint64) {
 	set, tag := c.index(a)
 	if c.order != nil {
 		return c.accessRank(set, tag, write)
@@ -231,7 +238,7 @@ func (c *Cache) Access(a uint64, write bool) (hit bool, victim Victim, evicted b
 }
 
 // accessRank is the rank-word access path (ways ≤ rankWays).
-func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim, evicted bool) {
+func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim, evicted bool, line uint64) {
 	base := set * uint64(c.ways)
 
 	// Way-cache probe: the MRU way is at rank position 0 by construction,
@@ -241,7 +248,7 @@ func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim
 			c.dirty[i] = true
 		}
 		c.hits++
-		return true, Victim{}, false
+		return true, Victim{}, false, i
 	}
 	for w := 0; w < c.ways; w++ {
 		i := base + uint64(w)
@@ -253,7 +260,7 @@ func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim
 			c.order[set] = promote(word, findPos(word, uint64(w)), uint64(w))
 			c.mruWay[set] = uint16(w)
 			c.hits++
-			return true, Victim{}, false
+			return true, Victim{}, false, i
 		}
 	}
 
@@ -272,11 +279,11 @@ func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim
 	c.order[set] = promote(word, uint(c.ways-1), vw)
 	c.mruWay[set] = uint16(vw)
 	c.inserted++
-	return false, victim, evicted
+	return false, victim, evicted, lruIdx
 }
 
 // accessStamp is the per-way stamp access path (ways > rankWays).
-func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victim, evicted bool) {
+func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victim, evicted bool, line uint64) {
 	base := set * uint64(c.ways)
 	c.tick++
 
@@ -287,7 +294,7 @@ func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victi
 			c.dirty[i] = true
 		}
 		c.hits++
-		return true, Victim{}, false
+		return true, Victim{}, false, i
 	}
 	for w := 0; w < c.ways; w++ {
 		i := base + uint64(w)
@@ -298,7 +305,7 @@ func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victi
 			}
 			c.mruWay[set] = uint16(w)
 			c.hits++
-			return true, Victim{}, false
+			return true, Victim{}, false, i
 		}
 	}
 
@@ -323,7 +330,7 @@ func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victi
 	c.used[lruIdx] = c.tick
 	c.mruWay[set] = uint16(lruIdx - base)
 	c.inserted++
-	return false, victim, evicted
+	return false, victim, evicted, lruIdx
 }
 
 // reconstruct rebuilds a block address from a line index and tag.

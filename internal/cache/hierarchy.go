@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"deact/internal/arena"
 )
@@ -45,11 +46,15 @@ type HierarchyConfig struct {
 	L3Ways int
 }
 
+// MaxCores is the most cores one hierarchy serves: each L3 line records
+// the cores that may hold it above in one byte.
+const MaxCores = 8
+
 // Validate checks the core count and every level's geometry with the rule
 // New applies.
 func (c HierarchyConfig) Validate() error {
-	if c.Cores <= 0 {
-		return fmt.Errorf("cache: cores must be positive")
+	if c.Cores <= 0 || c.Cores > MaxCores {
+		return fmt.Errorf("cache: cores %d out of [1, %d]", c.Cores, MaxCores)
 	}
 	if _, err := geometry("l1", c.L1Size, c.L1Ways); err != nil {
 		return err
@@ -64,10 +69,18 @@ func (c HierarchyConfig) Validate() error {
 // Hierarchy is an inclusive three-level cache hierarchy: private L1 and L2
 // per core, one shared L3. Inclusivity is enforced by back-invalidating L1
 // and L2 when the L3 evicts a block.
+//
+// Back-invalidation visits only the cores that may hold the victim. Each L3
+// line carries a core-presence mask: an L3 fill sets it to the filling core
+// alone and every L3 access ORs in the accessing core. A core's L1 or L2
+// only ever takes a block through its own L3 access or from its own L2, so
+// the mask is a superset of the true holders; invalidating a cache without
+// the block is a no-op, so skipping the other cores changes nothing.
 type Hierarchy struct {
-	l1, l2 []*Cache
-	l3     *Cache
-	wbBuf  []uint64 // reused writeback scratch, returned by Access
+	l1, l2  []*Cache
+	l3      *Cache
+	present []uint8  // per L3 line: bit c set if core c may hold it above
+	wbBuf   []uint64 // reused writeback scratch, returned by Access
 }
 
 // NewHierarchy builds the hierarchy.
@@ -99,6 +112,7 @@ func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error
 	if err != nil {
 		return nil, err
 	}
+	h.present = arena.Slice[uint8](a, "cache.presence", len(h.l3.tags))
 	return h, nil
 }
 
@@ -110,6 +124,8 @@ func (h *Hierarchy) Recycle(a *arena.Arena) {
 		h.l2[i].recycle(a)
 	}
 	h.l3.recycle(a)
+	arena.Release(a, "cache.presence", h.present)
+	h.present = nil
 }
 
 // Access performs a load or store by core on the physical block containing
@@ -131,12 +147,20 @@ func (h *Hierarchy) Access(core int, a uint64, write bool) (HitLevel, []uint64) 
 	if hit, _, _ := l2.Access(a, write); hit {
 		return L2, nil
 	}
-	hit, victim, evicted := h.l3.Access(a, write)
+	hit, victim, evicted, line := h.l3.access(a, write)
+	bit := uint8(1) << uint(core)
+	if hit {
+		h.present[line] |= bit
+		return L3, writebacks
+	}
+	holders := h.present[line] // the victim's, before the fill resets it
+	h.present[line] = bit
 	if evicted {
 		// Inclusive hierarchy: the departing L3 block must vanish from all
 		// upper levels; any dirty upper copy joins the writeback.
 		dirty := victim.Dirty
-		for i := range h.l1 {
+		for ; holders != 0; holders &= holders - 1 {
+			i := bits.TrailingZeros8(holders)
 			if _, d := h.l1[i].Invalidate(victim.Addr); d {
 				dirty = true
 			}
@@ -151,9 +175,6 @@ func (h *Hierarchy) Access(core int, a uint64, write bool) (HitLevel, []uint64) 
 			// write-barrier cost on the miss path.
 			h.wbBuf = writebacks
 		}
-	}
-	if hit {
-		return L3, writebacks
 	}
 	return Memory, writebacks
 }

@@ -43,7 +43,7 @@ func ScaleFlags(fs *flag.FlagSet, warmup, measure uint64, cores int) *Scale {
 	s := &Scale{}
 	fs.Uint64Var(&s.Warmup, "warmup", warmup, "warmup instructions per core (instruction count, not cycles)")
 	fs.Uint64Var(&s.Measure, "measure", measure, "measured instructions per core (instruction count, not cycles)")
-	fs.IntVar(&s.Cores, "cores", cores, "cores per node")
+	fs.IntVar(&s.Cores, "cores", cores, "cores per node (at most 8)")
 	fs.Int64Var(&s.Seed, "seed", 42, "random seed (drives placement, workloads and replacement; fixed seed = byte-identical output)")
 	return s
 }

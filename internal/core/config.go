@@ -57,7 +57,7 @@ type Config struct {
 	// Nodes is the number of compute nodes sharing the fabric and FAM
 	// (Figure 16 sweeps 1–8).
 	Nodes int
-	// CoresPerNode is 4 in Table II.
+	// CoresPerNode is 4 in Table II; at most cache.MaxCores (8).
 	CoresPerNode int
 	// WarmupInstructions run per core before measurement starts, so the
 	// reported rates reflect steady state rather than cold misses.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"deact/internal/cache"
 	"deact/internal/workload"
 )
 
@@ -83,6 +84,8 @@ func TestValidateCatchesGeometry(t *testing.T) {
 		{"l3 size", func(c *Config) { c.Hierarchy.L3Size = 96 << 10 }, false},
 		{"l1 tlb 24", func(c *Config) { c.MMU.L1Entries = 24 }, false},
 		{"l2 tlb ways", func(c *Config) { c.MMU.L2Ways = 0 }, false},
+		{"9 cores", func(c *Config) { c.CoresPerNode = cache.MaxCores + 1 }, false},
+		{"8 cores", func(c *Config) { c.CoresPerNode = cache.MaxCores }, true},
 		{"stu 2048x16", func(c *Config) { c.STUEntries, c.STUWays = 2048, 16 }, true},
 		{"l1 4-way", func(c *Config) { c.Hierarchy.L1Ways = 4 }, true},
 		{"l1 tlb 64", func(c *Config) { c.MMU.L1Entries = 64 }, true},

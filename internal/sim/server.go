@@ -109,17 +109,15 @@ func (s *Server) Acquire(now, service Time) (start, done Time) {
 	}
 	// Take the earliest gap that fits, else queue behind the tail. Gaps
 	// closing at or before the arrival cannot host it (their remaining
-	// room ends before now+service); gap ends are sorted, so
-	// binary-search past them instead of scanning — which also skips any
-	// retired-but-uncompacted prefix, so no pruning is needed here.
-	lo, hi := s.head, len(s.gaps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.gaps[mid].end <= now {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// room ends before now+service); gap ends are sorted, so the gaps that
+	// can are a suffix of the live range. Find its start by scanning back
+	// from the end: arrivals reach only a few gaps back (6.8 on average in
+	// a default-scale two-node I-FAM sssp run), so the scan reads adjacent
+	// gaps next to the one checked above, where a binary search jumps
+	// across the whole live range.
+	lo := len(s.gaps) - 1
+	for lo > s.head && s.gaps[lo-1].end > now {
+		lo--
 	}
 	for i := lo; i < len(s.gaps); i++ {
 		g := s.gaps[i]

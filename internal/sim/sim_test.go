@@ -578,6 +578,36 @@ func TestContentionImplementationsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		contentionSequence(t, seed)
 	}
+	farGapSequence(t)
+}
+
+// farGapSequence books a wide idle window and then 40 narrow ones after
+// it, so a request too long for the narrow ones fits only in a gap more
+// than 32 gaps from the calendar's end; a search that looks only near the
+// end would queue it behind the tail instead.
+func farGapSequence(t *testing.T) {
+	t.Helper()
+	var oracle intervalCalendar
+	var srv Server
+	acquire := func(now, svc Time) {
+		t.Helper()
+		os, od := oracle.Acquire(now, svc)
+		ss, sd := srv.Acquire(now, svc)
+		if os != ss || od != sd {
+			t.Fatalf("far gap: server (%d,%d) != oracle (%d,%d) for Acquire(%d,%d)", ss, sd, os, od, now, svc)
+		}
+	}
+	acquire(0, 10)
+	for i := Time(0); i <= 40; i++ {
+		acquire(1000+12*i, 10) // the first leaves [10,1000) idle, the rest 2ps each
+	}
+	if n := srv.liveGaps(); n != 41 {
+		t.Fatalf("far gap: %d live gaps, want 41", n)
+	}
+	acquire(5, 500)
+	if g := srv.gaps[srv.head]; g.start != 10+500 || g.end != 1000 {
+		t.Fatalf("far gap: the wide window was not the one booked: %+v", srv.gaps[srv.head])
+	}
 }
 
 // splitStep makes one arrival of a split-heavy pattern: mostly a request

@@ -44,41 +44,40 @@ func levelKey(key uint64, level int) uint64 {
 }
 
 // BestStartLevel returns the deepest walk level the cache can skip to for
-// key (0 = no coverage, must start at the root). One sweep checks all three
-// level keys; the deepest hit wins and is the only entry touched, exactly
-// as separate per-level scans would behave (keys are unique in the array).
+// key (0 = no coverage, must start at the root). The deepest hit wins and
+// is the only entry touched. A first sweep looks for the level-3 key alone,
+// the common hit; only on a miss does a second sweep look for the level-2
+// and level-1 keys. Keys are unique in the array, so this touches the same
+// entry as one sweep over all three.
 func (p *PTWCache) BestStartLevel(key uint64) int {
 	p.tick++
-	lk1 := levelKey(key, 1)
-	lk2 := levelKey(key, 2)
 	lk3 := levelKey(key, 3)
-	i1, i2, i3 := -1, -1, -1
-	for i := 0; i < p.entries; i++ {
-		switch p.keys[i] {
-		case lk3:
-			i3 = i
+	for i, k := range p.keys {
+		if k == lk3 {
+			return p.hit(i, 3)
+		}
+	}
+	lk2 := levelKey(key, 2)
+	lk1 := levelKey(key, 1)
+	i1 := -1
+	for i, k := range p.keys {
+		switch k {
 		case lk2:
-			i2 = i
+			return p.hit(i, 2)
 		case lk1:
 			i1 = i
 		}
-		if i3 >= 0 {
-			break
-		}
 	}
-	var idx, level int
-	switch {
-	case i3 >= 0:
-		idx, level = i3, 3
-	case i2 >= 0:
-		idx, level = i2, 2
-	case i1 >= 0:
-		idx, level = i1, 1
-	default:
-		p.misses++
-		return 0
+	if i1 >= 0 {
+		return p.hit(i1, 1)
 	}
-	p.stamps[idx] = p.tick
+	p.misses++
+	return 0
+}
+
+// hit records a BestStartLevel hit on entry i and returns its level.
+func (p *PTWCache) hit(i, level int) int {
+	p.stamps[i] = p.tick
 	p.hits++
 	return level
 }

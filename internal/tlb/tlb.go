@@ -28,14 +28,18 @@ import (
 type TLB struct {
 	setMask uint64 // sets-1; the set count is a power of two
 	ways    int
-	tags    []uint64
+	tags    []uint64 // emptyTag for an empty way
 	values  []uint64
-	valid   []bool
-	stamps  []uint64
+	stamps  []uint64 // LRU stamps; 0 for an empty way (valid ones are ≥ 1)
 	tick    uint64
 	hits    uint64
 	misses  uint64
 }
+
+// emptyTag marks an empty way, so a probe compares tags only. Keys are page
+// numbers and ACM tags, far below 2^64-1 for any address space this
+// simulator models.
+const emptyTag = ^uint64(0)
 
 // geometry is the shape rule New enforces: entries must be a power-of-two
 // multiple of ways. Set indexing is a mask, so the set count must be a
@@ -63,14 +67,17 @@ func NewInArena(a *arena.Arena, name string, entries, ways int) (*TLB, error) {
 	if err := geometry(name, entries, ways); err != nil {
 		return nil, err
 	}
-	return &TLB{
+	t := &TLB{
 		setMask: uint64(entries/ways) - 1,
 		ways:    ways,
 		tags:    arena.Slice[uint64](a, "tlb.tags", entries),
 		values:  arena.Slice[uint64](a, "tlb.values", entries),
-		valid:   arena.Slice[bool](a, "tlb.valid", entries),
 		stamps:  arena.Slice[uint64](a, "tlb.stamps", entries),
-	}, nil
+	}
+	for i := range t.tags {
+		t.tags[i] = emptyTag
+	}
+	return t, nil
 }
 
 // Recycle returns the entry arrays to a for the next run's construction.
@@ -78,9 +85,8 @@ func NewInArena(a *arena.Arena, name string, entries, ways int) (*TLB, error) {
 func (t *TLB) Recycle(a *arena.Arena) {
 	arena.Release(a, "tlb.tags", t.tags)
 	arena.Release(a, "tlb.values", t.values)
-	arena.Release(a, "tlb.valid", t.valid)
 	arena.Release(a, "tlb.stamps", t.stamps)
-	t.tags, t.values, t.valid, t.stamps = nil, nil, nil, nil
+	t.tags, t.values, t.stamps = nil, nil, nil
 }
 
 func (t *TLB) setBase(key uint64) uint64 { return (key & t.setMask) * uint64(t.ways) }
@@ -91,7 +97,7 @@ func (t *TLB) Lookup(key uint64) (value uint64, ok bool) {
 	t.tick++
 	for w := 0; w < t.ways; w++ {
 		i := base + uint64(w)
-		if t.valid[i] && t.tags[i] == key {
+		if t.tags[i] == key {
 			t.stamps[i] = t.tick
 			t.hits++
 			return t.values[i], true
@@ -109,23 +115,20 @@ func (t *TLB) Insert(key, value uint64) {
 	victimStamp := ^uint64(0)
 	for w := 0; w < t.ways; w++ {
 		i := base + uint64(w)
-		if t.valid[i] && t.tags[i] == key {
+		if t.tags[i] == key {
 			t.values[i] = value
 			t.stamps[i] = t.tick
 			return
 		}
-		stamp := t.stamps[i]
-		if !t.valid[i] {
-			stamp = 0
-		}
-		if stamp < victimStamp {
-			victimStamp = stamp
-			victim = i
+		// One load into a local lets the compiler select the victim with
+		// conditional moves; the stamps are unordered, so a branch here
+		// mispredicts.
+		if stamp := t.stamps[i]; stamp < victimStamp {
+			victimStamp, victim = stamp, i
 		}
 	}
 	t.tags[victim] = key
 	t.values[victim] = value
-	t.valid[victim] = true
 	t.stamps[victim] = t.tick
 }
 
@@ -134,8 +137,9 @@ func (t *TLB) Invalidate(key uint64) bool {
 	base := t.setBase(key)
 	for w := 0; w < t.ways; w++ {
 		i := base + uint64(w)
-		if t.valid[i] && t.tags[i] == key {
-			t.valid[i] = false
+		if t.tags[i] == key {
+			t.tags[i] = emptyTag
+			t.stamps[i] = 0
 			return true
 		}
 	}
@@ -144,9 +148,10 @@ func (t *TLB) Invalidate(key uint64) bool {
 
 // Flush empties the TLB (full shootdown, e.g. on job migration).
 func (t *TLB) Flush() {
-	for i := range t.valid {
-		t.valid[i] = false
+	for i := range t.tags {
+		t.tags[i] = emptyTag
 	}
+	clear(t.stamps)
 }
 
 // Hits returns the hit count.

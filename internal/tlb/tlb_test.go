@@ -222,7 +222,7 @@ func BenchmarkTLBLookup(b *testing.B) {
 }
 
 // TestNewInArenaReusesArrays: a TLB built after Recycle of the same
-// geometry takes all four entry arrays from the arena and allocates only
+// geometry takes all three entry arrays from the arena and allocates only
 // its header; without an arena it allocates the arrays too.
 func TestNewInArenaReusesArrays(t *testing.T) {
 	build := func(a *arena.Arena) func() {
@@ -237,8 +237,8 @@ func TestNewInArenaReusesArrays(t *testing.T) {
 	if n := testing.AllocsPerRun(10, build(arena.New())); n != 1 {
 		t.Fatalf("recycled TLB construction allocated %.0f times, want 1 (the header)", n)
 	}
-	if n := testing.AllocsPerRun(10, build(nil)); n != 5 {
-		t.Fatalf("unpooled TLB construction allocated %.0f times, want 5 (header and four arrays)", n)
+	if n := testing.AllocsPerRun(10, build(nil)); n != 4 {
+		t.Fatalf("unpooled TLB construction allocated %.0f times, want 4 (header and three arrays)", n)
 	}
 }
 

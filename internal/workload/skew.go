@@ -5,7 +5,10 @@
 // map is a step function with at most `footprint` steps, so instead of
 // evaluating math.Pow per reference we precompute, once per (footprint,
 // SkewExp) pair, the exact float64 boundary at which each step begins, and
-// answer queries with a binary search over the boundary array.
+// answer queries by counting the boundaries at or below u. A guide array
+// over [0,1) in power-of-two buckets says how many boundaries lie at or
+// below each bucket's lower edge, so a query starts its count there and
+// scans forward over the few boundaries inside its own bucket.
 //
 // The boundaries are found by bisection over the *bit patterns* of the
 // candidate floats: non-negative float64s are ordered identically to their
@@ -19,7 +22,7 @@ package workload
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 )
 
@@ -47,15 +50,24 @@ type skewTable struct {
 	// uint64(footprint·u^k) ≥ i+1. Pages unreachable by any u < 1 have no
 	// entry (the array simply ends early).
 	bounds []float64
+	// guide[j] is the number of bounds ≤ j/G, for G = len(guide), a power
+	// of two no larger than max(len(bounds), 1). Scaling by a power of two
+	// is exact in float64, so int(u·G) is the bucket j with
+	// j/G ≤ u < (j+1)/G.
+	guide []uint32
 }
 
 // page returns the page for draw u, bit-identical to
 // skewedPagePow(t.footprint, k, u).
 func (t *skewTable) page(u float64) uint64 {
 	// The number of boundaries ≤ u is exactly uint64(footprint·u^k): the
-	// same value the direct formula computes, found by binary search
-	// instead of pow.
-	p := uint64(sort.Search(len(t.bounds), func(i int) bool { return t.bounds[i] > u }))
+	// same value the direct formula computes, counted without pow. Every
+	// bound the guide counts is ≤ j/G ≤ u, so the count resumes there.
+	i := int(t.guide[int(u*float64(len(t.guide)))])
+	for i < len(t.bounds) && t.bounds[i] <= u {
+		i++
+	}
+	p := uint64(i)
 	if p >= t.footprint {
 		p = t.footprint - 1
 	}
@@ -122,5 +134,24 @@ func buildSkewTable(footprint uint64, k float64) *skewTable {
 		t.bounds = append(t.bounds, math.Float64frombits(hi))
 		lo = hi - 1 // stepAt(hi-1) < p ≤ stepAt(next boundary)
 	}
+	t.buildGuide()
 	return t
+}
+
+// buildGuide fills the guide in one linear pass over the sorted bounds,
+// with at most one bucket per bound.
+func (t *skewTable) buildGuide() {
+	g := 1
+	if n := len(t.bounds); n > 1 {
+		g = 1 << (bits.Len(uint(n)) - 1)
+	}
+	t.guide = make([]uint32, g)
+	i := 0
+	for j := range t.guide {
+		edge := float64(j) / float64(g)
+		for i < len(t.bounds) && t.bounds[i] <= edge {
+			i++
+		}
+		t.guide[j] = uint32(i)
+	}
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // TestSkewTableMatchesPow checks the tabled inversion against the direct pow
-// formula: exhaustively at every step boundary and its representable
-// neighbors (where the two could first disagree), and on a large randomized
-// sample, for every skewed catalog profile.
+// formula: exhaustively at every step boundary and every guide-bucket edge
+// and their representable predecessors (where the two could first
+// disagree), and on a large randomized sample, for every skewed catalog
+// profile.
 func TestSkewTableMatchesPow(t *testing.T) {
 	for _, name := range Names() {
 		p, err := Get(name)
@@ -24,7 +25,7 @@ func TestSkewTableMatchesPow(t *testing.T) {
 			t.Fatalf("%s: no table for footprint=%d k=%g", name, p.FootprintPages, p.SkewExp)
 		}
 		check := func(u float64) {
-			if u < 0 || u >= 1 {
+			if !(u >= 0 && u < 1) { // also drops the NaN below 0's bits
 				return
 			}
 			got, want := tab.page(u), skewedPagePow(p.FootprintPages, p.SkewExp, u)
@@ -43,6 +44,15 @@ func TestSkewTableMatchesPow(t *testing.T) {
 			}
 			check(b)
 			check(prev)
+		}
+		g := len(tab.guide)
+		if g&(g-1) != 0 || g > max(len(tab.bounds), 1) {
+			t.Fatalf("%s: %d guide buckets for %d bounds", name, g, len(tab.bounds))
+		}
+		for j := 0; j < g; j++ {
+			edge := float64(j) / float64(g)
+			check(edge)
+			check(math.Float64frombits(math.Float64bits(edge) - 1))
 		}
 		r := rand.New(rand.NewSource(int64(len(name))))
 		for i := 0; i < 200_000; i++ {

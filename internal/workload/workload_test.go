@@ -271,3 +271,15 @@ func TestMemIntensityHonored(t *testing.T) {
 		t.Fatalf("instructions per memory op %.2f, want ≈%.2f", perMem, want)
 	}
 }
+
+func BenchmarkWorkloadGen(b *testing.B) {
+	g, err := NewGenerator(Catalog()["sssp"], 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Next()
+	}
+}
