@@ -13,6 +13,7 @@
 //	POST /run                  one configuration → {Fingerprint, Cached, Result}
 //	POST /sweep                {"Configs":[...]} → NDJSON, one line per config
 //	                           in submission order, streamed as results land
+//	                           (at most 1024 configs per request)
 //	GET  /result/{fingerprint} stored entry for a fingerprint (404 on miss)
 //	GET  /healthz              liveness probe
 //
@@ -56,6 +57,13 @@ import (
 // maxRequestBytes bounds request bodies; the largest legitimate request —
 // a full sweep of complete configs — is well under a megabyte.
 const maxRequestBytes = 1 << 20
+
+// maxSweepConfigs caps the configs one /sweep may submit. The body limit
+// alone admits ~80k distinct one-field configs, each a full simulation.
+// The largest experiment-registry sweep (Figure 15 over all 14 benchmarks:
+// 7 latencies × 14 × 2 schemes) submits 196, so the cap leaves every
+// registry sweep room to grow while keeping one request's work bounded.
+const maxSweepConfigs = 1024
 
 // Connection bounds against slow or idle clients. A client must finish
 // its request headers within readHeaderTimeout, and a keep-alive
@@ -228,8 +236,13 @@ func (s *server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(sr.Configs) == 0 {
+	switch {
+	case len(sr.Configs) == 0:
 		http.Error(w, "empty sweep: provide Configs", http.StatusBadRequest)
+		return
+	case len(sr.Configs) > maxSweepConfigs:
+		http.Error(w, fmt.Sprintf("sweep of %d configs exceeds the %d-config limit", len(sr.Configs), maxSweepConfigs),
+			http.StatusBadRequest)
 		return
 	}
 	cfgs := make([]core.Config, len(sr.Configs))

@@ -190,6 +190,69 @@ func TestServeSweepStreamsInOrder(t *testing.T) {
 	}
 }
 
+// TestServeSweepPointCap: a /sweep of exactly maxSweepConfigs configs is
+// served, and one more config is a 400 before anything is submitted.
+func TestServeSweepPointCap(t *testing.T) {
+	s := newServer(experiments.Options{Warmup: 1_000, Measure: 2_000, Cores: 1, Seed: 42, Parallelism: 2})
+	ts := httptest.NewServer(s.mux())
+	t.Cleanup(func() {
+		ts.Close()
+		s.runner.WaitIdle()
+	})
+	sweep := func(cfgs []string) *http.Response {
+		body := `{"Configs":[` + strings.Join(cfgs, ",") + `]}`
+		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	over := make([]string, maxSweepConfigs+1)
+	for i := range over {
+		over[i] = fmt.Sprintf(`{"Seed":%d}`, i)
+	}
+	resp := sweep(over)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("sweep of %d configs = %d, want 400", len(over), resp.StatusCode)
+	}
+	if _, submitted := s.runner.Progress(); submitted != 0 {
+		t.Fatalf("rejected sweep submitted %d runs", submitted)
+	}
+
+	// At the cap every config is the same point, so the Runner simulates
+	// it once and the stream still carries one line per config.
+	same := make([]string, maxSweepConfigs)
+	for i := range same {
+		same[i] = `{"Seed":1}`
+	}
+	resp = sweep(same)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		data, _ := io.ReadAll(resp.Body)
+		t.Fatalf("sweep of %d configs = %d: %s", maxSweepConfigs, resp.StatusCode, data)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	lines := 0
+	for ; sc.Scan(); lines++ {
+		var l line
+		if err := json.Unmarshal(sc.Bytes(), &l); err != nil || l.Error != "" {
+			t.Fatalf("line %d: %v %s", lines, err, l.Error)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lines != maxSweepConfigs {
+		t.Fatalf("sweep streamed %d lines, want %d", lines, maxSweepConfigs)
+	}
+	if n := s.runner.CachedRuns(); n != 1 {
+		t.Fatalf("%d simulations, want 1", n)
+	}
+}
+
 // TestServeSweepClientDisconnectAbortsQueuedRuns pins the abandonment path
 // of /sweep: when the client disconnects mid-stream, the handler's deferred
 // releases must detach every unconsumed future, so the in-flight simulation
@@ -295,10 +358,12 @@ func TestServeResultLookup(t *testing.T) {
 }
 
 // TestServeRejectsBadGeometry: cache, TLB and STU shapes, more cores per
-// node than a cache hierarchy serves, node allocation ratios and DeACT
-// translator sizes the simulator cannot build are client errors caught by
-// validation, so /run answers 400 instead of failing the simulation with a
-// 500, and a sweep holding one fails whole before any point starts.
+// node than a cache hierarchy serves, node allocation ratios, DeACT
+// translator sizes and prefetcher sizes the simulator cannot build are
+// client errors caught by validation, so /run answers 400 instead of
+// failing the simulation with a 500 (or, for an overflowing prefetcher
+// size, hanging a worker), and a sweep holding one fails whole before any
+// point starts. A field the Config no longer has is an unknown field.
 func TestServeRejectsBadGeometry(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 	for _, body := range []string{
@@ -312,6 +377,10 @@ func TestServeRejectsBadGeometry(t *testing.T) {
 		`{"Scheme":"deact-n","TranslationCacheBytes":100}`,
 		`{"Scheme":"deact-w","TranslationCacheBytes":0}`,
 		`{"Scheme":"deact-n","Outstanding":0}`,
+		`{"PrefetchStreams":4611686018427387905}`,
+		`{"PrefetchStreams":1073741825}`,
+		`{"PrefetchStreams":64,"PrefetchThreshold":2147483648}`,
+		`{"BrokerShards":2}`,
 	} {
 		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
 		if err != nil {

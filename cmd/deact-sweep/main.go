@@ -18,10 +18,8 @@
 // Each -sweep name selects one entry of the experiments registry;
 // `deact-sweep -h` lists the valid names.
 //
-// The capacity sweep takes three extra knobs: -steady and -noisy name the
-// benchmarks the steady tenants and the noisy tenant 0 run, and
-// -broker-shards fixes how many shards the FAM broker's ownership state is
-// split into (0 derives one shard per two nodes). Its grid
+// The capacity sweep takes two extra knobs: -steady and -noisy name the
+// benchmarks the steady tenants and the noisy tenant 0 run. Its grid
 // (nodes × tenants) is fixed like the figure sweeps' points are.
 //
 // Every (scheme, benchmark, point) simulation of a sweep is independent;
@@ -68,7 +66,6 @@ func run(ctx context.Context) error {
 		sweep  = flag.String("sweep", "stu", "sweep to run: "+strings.Join(experiments.SweepNames(), ", "))
 		steady = flag.String("steady", "sp", "capacity sweep: benchmark the steady tenants run")
 		noisy  = flag.String("noisy", "canl", "capacity sweep: benchmark the noisy tenant 0 runs on every node")
-		shards = flag.Int("broker-shards", 0, "capacity sweep: FAM broker shards per point, clamped to the node count (0 = one shard per two nodes)")
 	)
 	// Warmup/measure default below deact-report's 80k/60k deliberately: a
 	// sweep multiplies every point across schemes and benchmark groups.
@@ -96,7 +93,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	opts.SteadyBenchmark, opts.NoisyBenchmark, opts.BrokerShards = *steady, *noisy, *shards
+	opts.SteadyBenchmark, opts.NoisyBenchmark = *steady, *noisy
 	opts.OnRunDone = cli.ProgressPrinter(os.Stderr)
 	r := experiments.New(opts)
 	defer r.WaitIdle()

@@ -26,24 +26,11 @@ import (
 	"deact/internal/pagetable"
 )
 
-// Broker is the centralized FAM manager. A Broker normally owns the whole
-// usable pool; NewSharded builds several Brokers that each own a disjoint
-// contiguous page range of it (base/full below), which is the sharding seam
-// datacenter-scale configurations use so ownership metadata is not one
-// global table.
+// Broker is the centralized FAM manager; it owns the whole usable pool.
 type Broker struct {
 	layout addr.Layout
 	meta   *acm.Store
 	rng    *rand.Rand
-
-	// base is the first FAM page of this broker's partition; owner and the
-	// virtual free pool are indexed relative to it. 0 for an unsharded
-	// broker.
-	base uint64
-	// full records that the partition is the entire usable pool. Shared
-	// 1GB regions are carved from the top of the pool, so only a full
-	// broker supports them.
-	full bool
 
 	// The random-pick free pool is a lazily materialized permutation: it
 	// behaves exactly like a []addr.FPage initialized to the identity and
@@ -75,46 +62,37 @@ func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error)
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	return newRange(a, layout, seed, 0, layout.UsableFAMPages()), nil
-}
-
-// newRange builds a broker owning the page range [base, base+count) of an
-// already validated layout. base=0, count=usable is the classic unsharded
-// broker; NewSharded builds one per partition.
-func newRange(a *arena.Arena, layout addr.Layout, seed int64, base, count uint64) *Broker {
+	usable := layout.UsableFAMPages()
 	b := &Broker{
 		layout:    layout,
 		meta:      acm.NewStoreInArena(a, layout),
 		rng:       rand.New(rand.NewSource(seed)),
-		base:      base,
-		full:      base == 0 && count == layout.UsableFAMPages(),
-		freeCount: count,
+		freeCount: usable,
 		freeMods:  arena.Map[uint64, addr.FPage](a, "broker.freeMods"),
-		owner:     arena.Slice[uint16](a, "broker.owner", int(count)),
+		owner:     arena.Slice[uint16](a, "broker.owner", int(usable)),
 		nodeMaps:  map[uint16]*pagetable.Table{},
 		a:         a,
 	}
 	// Shared 1GB regions are carved from the top of the usable area,
 	// growing downward; the random-allocation pool keeps everything below
-	// the carve boundary. Carving is only legal on a full-pool broker
-	// (AllocateSharedRegion enforces this), so a shard's hugeNext is unused.
-	b.hugeNext = (base + count) / addr.PagesPerHuge
-	b.randLimit = base + count
-	return b
+	// the carve boundary.
+	b.hugeNext = usable / addr.PagesPerHuge
+	b.randLimit = usable
+	return b, nil
 }
 
 // freeAt reads virtual free-pool slot i. The identity permutation maps slot
-// i to the partition's i-th page.
+// i to page i.
 func (b *Broker) freeAt(i uint64) addr.FPage {
 	if p, ok := b.freeMods[i]; ok {
 		return p
 	}
-	return addr.FPage(b.base + i)
+	return addr.FPage(i)
 }
 
 // setFree writes virtual free-pool slot i.
 func (b *Broker) setFree(i uint64, p addr.FPage) {
-	if uint64(p) == b.base+i {
+	if uint64(p) == i {
 		delete(b.freeMods, i)
 		return
 	}
@@ -159,7 +137,7 @@ func (b *Broker) AllocatePage(node uint16) (addr.FPage, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.owner[uint64(p)-b.base] = node + 1
+	b.owner[p] = node + 1
 	b.allocated++
 	if err := b.meta.Set(p, acm.Entry{Owner: node, Perm: acm.PermRWX}); err != nil {
 		return 0, err
@@ -179,7 +157,7 @@ func (b *Broker) NodeTable(node uint16) (*pagetable.Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		b.owner[uint64(p)-b.base] = node + 1
+		b.owner[p] = node + 1
 		return uint64(p), nil
 	}
 	t, err := pagetable.NewInArena(b.a, fmt.Sprintf("fam-pt.%d", node), alloc)
@@ -229,10 +207,10 @@ func (b *Broker) MapForNode(node uint16, npPage addr.NPPage) (addr.FPage, error)
 // FreePage returns a page to the pool and clears its metadata. Only the
 // recorded owner may free.
 func (b *Broker) FreePage(node uint16, p addr.FPage) error {
-	if uint64(p) < b.base || uint64(p)-b.base >= uint64(len(b.owner)) || b.owner[uint64(p)-b.base] != node+1 {
+	if uint64(p) >= uint64(len(b.owner)) || b.owner[p] != node+1 {
 		return fmt.Errorf("broker: node %d freeing page %d it does not own", node, p)
 	}
-	b.owner[uint64(p)-b.base] = 0
+	b.owner[p] = 0
 	b.meta.Clear(p)
 	b.setFree(b.freeCount, p)
 	b.freeCount++
@@ -244,9 +222,6 @@ func (b *Broker) FreePage(node uint16, p addr.FPage) error {
 // sub-pages with the shared ACM marker and the given default permission,
 // and returns its region index.
 func (b *Broker) AllocateSharedRegion(defaultPerm acm.Perm) (uint64, error) {
-	if !b.full {
-		return 0, fmt.Errorf("broker: shared regions require an unsharded (full-pool) broker")
-	}
 	if b.hugeNext == 0 {
 		return 0, fmt.Errorf("broker: no 1GB regions left for sharing")
 	}
@@ -319,7 +294,7 @@ func (b *Broker) MigrateJob(from, to uint16) (MigrationCost, error) {
 		if o != from+1 {
 			continue
 		}
-		p := addr.FPage(b.base + uint64(pi))
+		p := addr.FPage(pi)
 		b.owner[pi] = to + 1
 		// Page-table node pages carry no ACM entry of their own (the broker
 		// owns them); only data pages need ACM rewrites.

@@ -179,21 +179,8 @@ func (h *Hierarchy) Access(core int, a uint64, write bool) (HitLevel, []uint64) 
 	return Memory, writebacks
 }
 
-// SetDirtyInL3 marks the block containing a dirty in the L3 if present. The
-// hierarchy propagates store dirtiness lazily (stores allocate dirty at the
-// level they hit); the node model calls this when a dirty block is evicted
-// from an upper level in tests.
-func (h *Hierarchy) SetDirtyInL3(a uint64) {
-	if h.l3.Probe(a) {
-		h.l3.Access(a, true)
-	}
-}
-
 // L1Cache returns core's private L1 (for stats and tests).
 func (h *Hierarchy) L1Cache(core int) *Cache { return h.l1[core] }
-
-// L2Cache returns core's private L2.
-func (h *Hierarchy) L2Cache(core int) *Cache { return h.l2[core] }
 
 // L3Cache returns the shared L3.
 func (h *Hierarchy) L3Cache() *Cache { return h.l3 }

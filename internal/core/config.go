@@ -141,12 +141,6 @@ type Config struct {
 	// uses (one thrashing tenant, Tenants-1 steady tenants). Requires
 	// Tenants >= 2.
 	NoisyBenchmark string
-	// BrokerShards partitions the broker/ACM ownership state into
-	// independent shards, each owning a contiguous slice of the FAM page
-	// pool; nodes map to shards round-robin by node ID. 0 or 1 means one
-	// global broker, byte-identical to the unsharded behavior. At most
-	// Nodes (so no shard is left without a node).
-	BrokerShards int
 
 	// TrustReads enables the §III-A encrypted-memory optimization: reads
 	// skip access control (per-node encryption keys make stolen reads
@@ -287,8 +281,6 @@ func (c Config) Validate() error {
 	case c.Tenants > c.Nodes*c.CoresPerNode:
 		return fmt.Errorf("%w: Tenants %d exceeds total cores %d (a tenant would own no core)",
 			ErrInvalidConfig, c.Tenants, c.Nodes*c.CoresPerNode)
-	case c.BrokerShards < 0 || c.BrokerShards > c.Nodes:
-		return fmt.Errorf("%w: BrokerShards %d out of [0, Nodes=%d]", ErrInvalidConfig, c.BrokerShards, c.Nodes)
 	}
 	if c.NoisyBenchmark != "" {
 		if c.Tenants < 2 {
@@ -346,14 +338,6 @@ func (c Config) benchmarkFor(tenant uint8) string {
 		return c.NoisyBenchmark
 	}
 	return c.Benchmark
-}
-
-// brokerShards returns the effective shard count (0 normalizes to 1).
-func (c Config) brokerShards() int {
-	if c.BrokerShards <= 0 {
-		return 1
-	}
-	return c.BrokerShards
 }
 
 // stuOrg maps a scheme to its STU organization (E-FAM has no STU).

@@ -29,14 +29,11 @@ func (c Config) normalized() Config {
 	// nodeConfig overwrites the hierarchy's core count with CoresPerNode;
 	// a stale Hierarchy.Cores never reaches the simulation.
 	c.Hierarchy.Cores = c.CoresPerNode
-	// 0 and 1 are two spellings of "single-tenant" and "one broker shard"
-	// (tenantFor and brokerShards treat them identically); normalize so the
-	// spellings cannot split run identity in the dedup cache.
+	// 0 and 1 are two spellings of "single-tenant" (tenantFor treats them
+	// identically); normalize so the spellings cannot split run identity in
+	// the dedup cache.
 	if c.Tenants == 0 {
 		c.Tenants = 1
-	}
-	if c.BrokerShards == 0 {
-		c.BrokerShards = 1
 	}
 	// "" and CoreInOrder are two spellings of the default timing model;
 	// normalize so they cannot split run identity.

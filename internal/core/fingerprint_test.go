@@ -79,8 +79,8 @@ func TestFingerprintPinned(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"default", DefaultConfig(), "e6833ee8e2c946c83396f9e97a861bd7"},
-		{"custom", custom, "9fbfa1a650923d4ce76334bb5116a911"},
+		{"default", DefaultConfig(), "c360ec467129ec130cb657d2553a6984"},
+		{"custom", custom, "83163d2760773a4695388f954efb2187"},
 	} {
 		if err := c.cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -110,15 +110,13 @@ func TestFingerprintEqualConfigsHashEqual(t *testing.T) {
 func TestFingerprintCoversEveryField(t *testing.T) {
 	// Hierarchy.Cores is overwritten with CoresPerNode before hashing (and
 	// before simulating), so perturbing it must NOT change run identity.
-	// Tenants and BrokerShards normalize 0 to 1 — both spellings mean
-	// "single-tenant" / "one shard" and simulate identically — and this
-	// test perturbs them from their default 0 to 1, so the fingerprint must
-	// stay put. (Any value ≥ 2 does change identity; see
-	// TestFingerprintTenancyFieldsDistinct.)
+	// Tenants normalizes 0 to 1 — both spellings mean "single-tenant" and
+	// simulate identically — and this test perturbs it from its default 0
+	// to 1, so the fingerprint must stay put. (Any value ≥ 2 does change
+	// identity; see TestFingerprintTenancyFieldsDistinct.)
 	normalized := map[string]bool{
 		"Config.Hierarchy.Cores": true,
 		"Config.Tenants":         true,
-		"Config.BrokerShards":    true,
 	}
 
 	base := DefaultConfig()
@@ -152,18 +150,15 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 // semantics: 0 and 1 merge (both mean "feature off"), real values split,
 // and the noisy-benchmark choice is part of run identity.
 func TestFingerprintTenancyFieldsDistinct(t *testing.T) {
-	mk := func(tenants, shards int, noisy string) string {
+	mk := func(tenants int, noisy string) string {
 		c := DefaultConfig()
-		c.Tenants, c.BrokerShards, c.NoisyBenchmark = tenants, shards, noisy
+		c.Tenants, c.NoisyBenchmark = tenants, noisy
 		return c.Fingerprint()
 	}
-	if mk(0, 0, "") != mk(1, 1, "") {
-		t.Error("Tenants/BrokerShards 0 and 1 split run identity; they simulate identically")
+	if mk(0, "") != mk(1, "") {
+		t.Error("Tenants 0 and 1 split run identity; they simulate identically")
 	}
-	if mk(2, 0, "") != mk(2, 1, "") {
-		t.Error("BrokerShards 0 vs 1 split identity under tenancy")
-	}
-	distinct := []string{mk(0, 0, ""), mk(2, 0, ""), mk(4, 0, ""), mk(2, 0, "canl"), mk(2, 2, "")}
+	distinct := []string{mk(0, ""), mk(2, ""), mk(4, ""), mk(2, "canl")}
 	fps := map[string]int{}
 	for i, fp := range distinct {
 		if j, dup := fps[fp]; dup {
@@ -232,7 +227,8 @@ func TestValidateSentinelErrors(t *testing.T) {
 		{"tenants-exceed-cores", func(c *Config) { c.Nodes, c.CoresPerNode, c.Tenants = 1, 4, 5 }},
 		{"noisy-without-tenants", func(c *Config) { c.NoisyBenchmark = "canl" }},
 		{"noisy-unknown", func(c *Config) { c.Tenants, c.NoisyBenchmark = 2, "nope" }},
-		{"shards-exceed-nodes", func(c *Config) { c.Nodes, c.BrokerShards = 1, 2 }},
+		{"prefetch-streams-overflow", func(c *Config) { c.PrefetchStreams = 1<<62 + 1 }},
+		{"prefetch-threshold-too-large", func(c *Config) { c.PrefetchStreams, c.PrefetchThreshold = 64, 1<<31 }},
 		{"core-model-unknown", func(c *Config) { c.CoreModel = "speculative" }},
 		{"ooo-without-window", func(c *Config) { c.CoreModel = CoreOoO }},
 		{"ooo-negative-latency", func(c *Config) {

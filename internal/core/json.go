@@ -15,7 +15,7 @@ import (
 // results computed under older semantics auto-invalidate as cache misses
 // instead of being served stale. Pure refactors (byte-identical goldens)
 // must not bump it: the stored results are still exact.
-const ModelVersion = "pr7-capacity"
+const ModelVersion = "one-broker"
 
 // ParseScheme parses a scheme name in any accepted spelling ("deact-n",
 // "DeACT-N", "deactn", "deact", ...). It is the inverse of Scheme.Name and

@@ -86,7 +86,7 @@ func WithTraceRecorder(rec *trace.Recorder) RunOption {
 type System struct {
 	cfg    Config
 	engine *sim.Engine
-	brk    broker.Sharded
+	brk    *broker.Broker
 	fab    *fabric.Fabric
 	fam    *memdev.Device
 	nodes  []*node.Node
@@ -139,7 +139,7 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 	}
 
 	s := &System{cfg: cfg, engine: sim.NewEngine()}
-	s.brk, err = broker.NewShardedInArena(a, cfg.Layout, cfg.Seed, cfg.brokerShards())
+	s.brk, err = broker.NewInArena(a, cfg.Layout, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -148,10 +148,8 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 
 	total := cfg.WarmupInstructions + cfg.MeasureInstructions
 	for ni := 0; ni < cfg.Nodes; ni++ {
-		// Node IDs start at 1; the broker reserves 0 for itself. Each node
-		// is served by its shard of the (possibly unsharded) broker.
-		id := uint16(ni + 1)
-		n, err := node.NewInArena(a, cfg.nodeConfig(id), s.brk.For(id), s.fab, s.fam)
+		// Node IDs start at 1; the broker reserves 0 for itself.
+		n, err := node.NewInArena(a, cfg.nodeConfig(uint16(ni+1)), s.brk, s.fab, s.fam)
 		if err != nil {
 			return nil, err
 		}
@@ -206,17 +204,8 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 	return s, nil
 }
 
-// Broker exposes the system broker (examples: shared pages, migration). In
-// an unsharded configuration (BrokerShards ≤ 1, the default) this is the
-// single full-pool broker; with sharding on it is shard 0 — use BrokerFor
-// to reach the shard serving a specific node.
-func (s *System) Broker() *broker.Broker { return s.brk.Shard(0) }
-
-// BrokerFor returns the broker shard serving the given node ID.
-func (s *System) BrokerFor(node uint16) *broker.Broker { return s.brk.For(node) }
-
-// BrokerShards returns the effective broker shard count.
-func (s *System) BrokerShards() int { return s.brk.Shards() }
+// Broker exposes the system broker (examples: shared pages, migration).
+func (s *System) Broker() *broker.Broker { return s.brk }
 
 // Node returns node i (0-based).
 func (s *System) Node(i int) *node.Node { return s.nodes[i] }

@@ -128,46 +128,6 @@ func TestTenancyIsObservationOnly(t *testing.T) {
 	}
 }
 
-// TestShardedRunDeterministic: a sharded-broker run must be deterministic.
-func TestShardedRunDeterministic(t *testing.T) {
-	cfg := tenancyConfig()
-	cfg.BrokerShards = 2
-
-	a, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sharded run not deterministic")
-	}
-}
-
-// TestShardedPooledMatchesUnpooled extends the arena determinism gate to
-// the sharded broker: recycled per-shard tables must be bit-identical to
-// fresh ones.
-func TestShardedPooledMatchesUnpooled(t *testing.T) {
-	cfg := tenancyConfig()
-	cfg.BrokerShards = 2
-	want, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewSystemPool()
-	for round := 0; round < 2; round++ {
-		got, err := Run(context.Background(), cfg, WithPool(pool))
-		if err != nil {
-			t.Fatalf("pooled round %d: %v", round, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pooled sharded round %d diverged from unpooled", round)
-		}
-	}
-}
-
 // TestTenantAssignmentRoundRobin pins the documented core→tenant mapping:
 // node-major global core index modulo Tenants.
 func TestTenantAssignmentRoundRobin(t *testing.T) {

@@ -36,24 +36,6 @@ func (o Options) noisyBenchmark() string {
 	return "canl"
 }
 
-// capacityShards derives the broker shard count for a sweep point: the
-// explicit Options.BrokerShards (clamped to the node count), or one shard
-// per two node groups so ownership-metadata contention scales with the
-// fabric rather than concentrating on one pool.
-func (o Options) capacityShards(nodes int) int {
-	s := o.BrokerShards
-	if s <= 0 {
-		s = nodes / 2
-	}
-	if s > nodes {
-		s = nodes
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // CapacitySweep is the capacity-planning experiment (beyond the paper, built
 // on its §V-C multi-node setup): tenant 0 on every node runs a noisy
 // AT-sensitive workload while the remaining tenants run a steady one, and the
@@ -81,7 +63,6 @@ func (r *Runner) CapacitySweep(ctx context.Context) (stats.Table, error) {
 				c.Nodes = p.nodes
 				c.Tenants = p.tenants
 				c.NoisyBenchmark = noisy
-				c.BrokerShards = r.opts.capacityShards(p.nodes)
 			}))
 		}
 	}

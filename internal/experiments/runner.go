@@ -60,10 +60,6 @@ type Options struct {
 	// NoisyBenchmark is the workload the noisy tenant (tenant 0 on every
 	// node) runs in the capacity sweep ("canl" if empty).
 	NoisyBenchmark string
-	// BrokerShards fixes the FAM broker shard count at every capacity
-	// sweep point (clamped to the point's node count). 0 derives one
-	// shard per two nodes, min 1.
-	BrokerShards int
 	// Store, if set, backs the runner with a persistent content-addressed
 	// result cache: a submitted config whose result is already stored is
 	// answered from disk immediately — without taking a worker slot or
@@ -90,11 +86,6 @@ type RunInfo struct {
 	// Completed and Submitted are the runner-wide counters at the moment
 	// this run finished: distinct simulations done vs registered so far.
 	Completed, Submitted int
-}
-
-// DefaultOptions returns the scale used for EXPERIMENTS.md.
-func DefaultOptions() Options {
-	return Options{Warmup: 80_000, Measure: 60_000, Cores: 2, Seed: 42}
 }
 
 // benchmarks returns the effective benchmark list.

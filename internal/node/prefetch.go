@@ -24,13 +24,28 @@ type PrefetchConfig struct {
 	Threshold int
 }
 
+// Upper bounds on the prefetcher's sizing knobs, far above any value the
+// experiments use (64 streams, threshold 2). They keep a validated config
+// constructible: newPrefetcher rounds Streams up to a power of two, which
+// overflows near 1<<62 and allocates tens of GB near 1<<30, and the
+// confirmation counter a Threshold is compared against is an int32.
+const (
+	MaxPrefetchStreams   = 1 << 16
+	MaxPrefetchThreshold = 1 << 10
+)
+
 // Enabled reports whether the prefetcher is active.
 func (c PrefetchConfig) Enabled() bool { return c.Streams > 0 }
 
 // Validate checks the configuration.
 func (c PrefetchConfig) Validate() error {
-	if c.Streams < 0 || c.Degree < 0 || c.Threshold < 0 {
+	switch {
+	case c.Streams < 0 || c.Degree < 0 || c.Threshold < 0:
 		return fmt.Errorf("node: negative prefetch parameter")
+	case c.Streams > MaxPrefetchStreams:
+		return fmt.Errorf("node: prefetch Streams %d exceeds %d", c.Streams, MaxPrefetchStreams)
+	case c.Threshold > MaxPrefetchThreshold:
+		return fmt.Errorf("node: prefetch Threshold %d exceeds %d", c.Threshold, MaxPrefetchThreshold)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"testing"
 
 	"deact/internal/addr"
@@ -76,6 +77,31 @@ func TestPrefetcherDefaults(t *testing.T) {
 	}
 	if (PrefetchConfig{}).Enabled() {
 		t.Error("zero config enabled")
+	}
+}
+
+// TestPrefetchConfigBounds: the sizing bounds are inclusive, and values past
+// them fail Validate, so newPrefetcher never sees a Streams whose
+// power-of-two round-up overflows (an endless loop near 1<<62) or a
+// Threshold its int32 counter would truncate.
+func TestPrefetchConfigBounds(t *testing.T) {
+	at := PrefetchConfig{Streams: MaxPrefetchStreams, Threshold: MaxPrefetchThreshold}
+	if err := at.Validate(); err != nil {
+		t.Fatalf("config at the bounds rejected: %v", err)
+	}
+	if p := newPrefetcher(at); len(p.tbl) != MaxPrefetchStreams || int(p.threshold) != MaxPrefetchThreshold {
+		t.Fatalf("table %d threshold %d, want %d/%d", len(p.tbl), p.threshold, MaxPrefetchStreams, MaxPrefetchThreshold)
+	}
+	for _, c := range []PrefetchConfig{
+		{Streams: MaxPrefetchStreams + 1},
+		{Streams: 1<<30 + 1},
+		{Streams: 1<<62 + 1},
+		{Streams: 1, Threshold: MaxPrefetchThreshold + 1},
+		{Streams: 1, Threshold: math.MaxInt32 + 1},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v validated", c)
+		}
 	}
 }
 

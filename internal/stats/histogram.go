@@ -70,8 +70,7 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Merge adds o's samples into h. Merge is associative and commutative:
-// merging per-node (or per-shard) histograms in any order yields the same
-// counts.
+// merging per-node histograms in any order yields the same counts.
 func (h *Histogram) Merge(o Histogram) {
 	for i := range h.counts {
 		h.counts[i] += o.counts[i]
@@ -142,9 +141,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return 0
 }
 
-// P50, P95 and P99 are the tail-latency shorthands the report uses.
+// P50 and P99 are the tail-latency shorthands the report uses.
 func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
-func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
 // histJSON is the canonical wire form of a Histogram: the non-zero buckets

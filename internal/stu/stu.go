@@ -229,9 +229,6 @@ func (s *STU) Stats() Stats { return s.stats }
 // calendar retires bookings entirely in the past (see sim.Clock).
 func (s *STU) Bind(c sim.Clock) { s.port.Bind(c) }
 
-// NodeID returns the node this STU guards.
-func (s *STU) NodeID() uint16 { return s.nodeID }
-
 // acmTag is the DeACT cache key covering fp's ACM: DeACT-W's group of
 // pagesPerWay contiguous pages, or DeACT-N's truncated 44-bit FAM page tag
 // (Figure 8c; exact for ≤44-bit page numbers, matching the paper's
