@@ -27,6 +27,11 @@
 //	[zigzag varint ΔPC]   only when bit 2 is set
 //	zigzag varint Δaddr   vs. the previous op's address (first op: vs. 0)
 //
+// Every varint is in its shortest form, the compute escape carries only
+// values ≥ 31, and bit 2 is set only for a nonzero ΔPC: the encoding of an
+// op stream is unique, so ID identifies content. Decode rejects any other
+// form.
+//
 // Delta encoding makes strided and looping streams a couple of bytes per
 // op. Tenant IDs are deliberately not recorded: like SetTenant on the
 // generators, tenancy is run configuration, re-stamped at replay time, so
@@ -61,6 +66,11 @@ const (
 	computeShift = 3
 	// computeEscape in the inline compute field means "uvarint follows".
 	computeEscape = 31
+
+	// minStreamBytes is the smallest encoded stream: a one-byte op count,
+	// a one-byte payload length, and one op of a flags byte and a one-byte
+	// address delta.
+	minStreamBytes = 4
 )
 
 // Recorder captures the per-core Op streams of one run. Build it with the
@@ -205,30 +215,32 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("trace: bad magic (not a deact trace)")
 	}
 	rest := data[len(magic):]
-	v, n := binary.Uvarint(rest)
+	v, n := uvarint(rest)
 	if n <= 0 || v != version {
 		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", v, version)
 	}
 	rest = rest[n:]
-	bl, n := binary.Uvarint(rest)
+	bl, n := uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < bl {
 		return nil, fmt.Errorf("trace: truncated benchmark name")
 	}
 	bench := string(rest[n : n+int(bl)])
 	rest = rest[n+int(bl):]
-	sc, n := binary.Uvarint(rest)
-	if n <= 0 || sc == 0 || sc > 1<<20 {
+	sc, n := uvarint(rest)
+	// Bounding sc by the bytes left keeps a short header from claiming
+	// (and allocating) streams it cannot hold.
+	if n <= 0 || sc == 0 || sc > 1<<20 || sc > uint64(len(rest)-n)/minStreamBytes {
 		return nil, fmt.Errorf("trace: invalid stream count %d", sc)
 	}
 	rest = rest[n:]
 	t := &Trace{bench: bench, streams: make([]stream, sc)}
 	for i := range t.streams {
-		ops, n := binary.Uvarint(rest)
+		ops, n := uvarint(rest)
 		if n <= 0 || ops == 0 {
 			return nil, fmt.Errorf("trace: stream %d: invalid op count", i)
 		}
 		rest = rest[n:]
-		bl, n := binary.Uvarint(rest)
+		bl, n := uvarint(rest)
 		if n <= 0 || uint64(len(rest)-n) < bl {
 			return nil, fmt.Errorf("trace: stream %d: truncated payload", i)
 		}
@@ -248,7 +260,7 @@ func Decode(data []byte) (*Trace, error) {
 }
 
 // validateStream decodes the whole payload once, requiring exactly ops
-// ops and a clean end.
+// ops in the Recorder's encoding and a clean end.
 func validateStream(data []byte, ops uint64) error {
 	pos := 0
 	for i := uint64(0); i < ops; i++ {
@@ -258,20 +270,20 @@ func validateStream(data []byte, ops uint64) error {
 		flags := data[pos]
 		pos++
 		if flags>>computeShift == computeEscape {
-			v, n := binary.Uvarint(data[pos:])
-			if n <= 0 || v > 1<<30 {
+			v, n := uvarint(data[pos:])
+			if n <= 0 || v < computeEscape || v > 1<<30 {
 				return fmt.Errorf("op %d: bad compute varint", i)
 			}
 			pos += n
 		}
 		if flags&flagPC != 0 {
-			if _, n := binary.Varint(data[pos:]); n <= 0 {
+			if d, n := varint(data[pos:]); n <= 0 || d == 0 {
 				return fmt.Errorf("op %d: bad pc varint", i)
 			} else {
 				pos += n
 			}
 		}
-		if _, n := binary.Varint(data[pos:]); n <= 0 {
+		if _, n := varint(data[pos:]); n <= 0 {
 			return fmt.Errorf("op %d: bad address varint", i)
 		} else {
 			pos += n
@@ -281,6 +293,26 @@ func validateStream(data []byte, ops uint64) error {
 		return fmt.Errorf("%d trailing payload bytes", len(data)-pos)
 	}
 	return nil
+}
+
+// uvarint is binary.Uvarint restricted to shortest encodings, the only
+// ones AppendUvarint writes: it reports n = 0 for an overlong one, whose
+// last byte is a redundant zero group.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
+
+// varint is binary.Varint restricted to shortest encodings, like uvarint.
+func varint(b []byte) (int64, int) {
+	v, n := binary.Varint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // ID is the trace's content identity: the first 32 hex characters of the

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"deact/internal/workload"
@@ -122,6 +124,102 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad[len(magic)] = 2 // version
 	if _, err := Decode(bad); err == nil {
 		t.Error("future version accepted")
+	}
+}
+
+// rawTrace assembles by hand a trace of one stream of ops ops around
+// payload, with an empty benchmark name.
+func rawTrace(ops uint64, payload []byte) []byte {
+	out := []byte(magic)
+	out = binary.AppendUvarint(out, version)
+	out = binary.AppendUvarint(out, 0) // name length
+	out = binary.AppendUvarint(out, 1) // stream count
+	out = binary.AppendUvarint(out, ops)
+	out = binary.AppendUvarint(out, uint64(len(payload)))
+	return append(out, payload...)
+}
+
+// splice returns b with its byte at index at replaced by ins.
+func splice(b []byte, at int, ins ...byte) []byte {
+	out := append([]byte(nil), b[:at]...)
+	out = append(out, ins...)
+	return append(out, b[at+1:]...)
+}
+
+// checkCanonical requires canonical to decode and every alias of the same
+// ops to be rejected: an accepted alias would give those ops a second ID.
+func checkCanonical(t *testing.T, canonical []byte, aliases map[string][]byte) {
+	t.Helper()
+	if _, err := Decode(canonical); err != nil {
+		t.Fatalf("canonical form % x rejected: %v", canonical, err)
+	}
+	for name, b := range aliases {
+		if tr, err := Decode(b); err == nil {
+			t.Errorf("%s: % x accepted with ID %s", name, b, tr.ID())
+		}
+	}
+}
+
+// TestDecodeRejectsOverlongVarints: binary.Uvarint also accepts padded
+// encodings such as 0x80 0x00 for 0, which the Recorder never writes.
+func TestDecodeRejectsOverlongVarints(t *testing.T) {
+	canon := rawTrace(1, []byte{0x00, 0x02}) // one op: Addr 1
+	h := len(magic)
+	checkCanonical(t, canon, map[string][]byte{
+		"version":        splice(canon, h, 0x81, 0x00),
+		"name length":    splice(canon, h+1, 0x80, 0x00),
+		"stream count":   splice(canon, h+2, 0x81, 0x00),
+		"op count":       splice(canon, h+3, 0x81, 0x00),
+		"payload length": splice(canon, h+4, 0x82, 0x00),
+		"address delta":  rawTrace(1, []byte{0x00, 0x82, 0x00}),
+	})
+	pc := []byte{flagPC, 0x02, 0x02} // PC 1, Addr 1
+	checkCanonical(t, rawTrace(1, pc), map[string][]byte{
+		"pc delta": rawTrace(1, []byte{flagPC, 0x82, 0x00, 0x02}),
+	})
+	esc := []byte{computeEscape << computeShift, 0x20, 0x02} // Compute 32
+	checkCanonical(t, rawTrace(1, esc), map[string][]byte{
+		"compute": rawTrace(1, []byte{computeEscape << computeShift, 0xa0, 0x00, 0x02}),
+	})
+}
+
+// TestDecodeRejectsSmallEscapedCompute: a compute gap below 31 has only
+// the inline form.
+func TestDecodeRejectsSmallEscapedCompute(t *testing.T) {
+	for c := byte(0); c < computeEscape; c++ {
+		checkCanonical(t, rawTrace(1, []byte{c << computeShift, 0x02}), map[string][]byte{
+			"escaped": rawTrace(1, []byte{computeEscape << computeShift, c, 0x02}),
+		})
+	}
+}
+
+// TestDecodeRejectsZeroPCDelta: a repeated PC is encoded by leaving the
+// PC flag clear, never by a zero delta.
+func TestDecodeRejectsZeroPCDelta(t *testing.T) {
+	checkCanonical(t, rawTrace(1, []byte{0x00, 0x02}), map[string][]byte{
+		"zero pc delta": rawTrace(1, []byte{flagPC, 0x00, 0x02}),
+	})
+}
+
+// TestDecodeBoundsStreamCount: a 13-byte header claiming 1<<20 streams is
+// rejected before Decode allocates room for them.
+func TestDecodeBoundsStreamCount(t *testing.T) {
+	data := []byte(magic)
+	data = binary.AppendUvarint(data, version)
+	data = binary.AppendUvarint(data, 0)
+	data = binary.AppendUvarint(data, 1<<20)
+	if len(data) != 13 {
+		t.Fatalf("header is %d bytes, want 13", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("stream count beyond the data accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("Decode of a %d-byte header allocated %d bytes", len(data), alloc)
 	}
 }
 

@@ -205,7 +205,8 @@ type Generator struct {
 	// search over precomputed boundaries, replacing the per-reference
 	// math.Pow call. nil when the profile is uniform (or the footprint is
 	// too large to table); skewedBlock then falls back to the direct
-	// formula. Both paths produce bit-identical pages for the same draw.
+	// formula. Both paths produce the same page for the same draw, except
+	// on the few floats where math.Pow is not monotone (see skew.go).
 	skew *skewTable
 }
 
