@@ -359,11 +359,12 @@ func TestServeResultLookup(t *testing.T) {
 
 // TestServeRejectsBadGeometry: cache, TLB and STU shapes, more cores per
 // node than a cache hierarchy serves, node allocation ratios, DeACT
-// translator sizes and prefetcher sizes the simulator cannot build are
-// client errors caught by validation, so /run answers 400 instead of
-// failing the simulation with a 500 (or, for an overflowing prefetcher
-// size, hanging a worker), and a sweep holding one fails whole before any
-// point starts. A field the Config no longer has is an unknown field.
+// translator sizes, prefetcher sizes and node counts beyond the ACM ID
+// space that the simulator cannot build are client errors caught by
+// validation, so /run answers 400 instead of failing the simulation with a
+// 500 (or, for an overflowing prefetcher size, hanging a worker), and a
+// sweep holding one fails whole before any point starts. A field the
+// Config no longer has is an unknown field.
 func TestServeRejectsBadGeometry(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 	for _, body := range []string{
@@ -381,6 +382,7 @@ func TestServeRejectsBadGeometry(t *testing.T) {
 		`{"PrefetchStreams":1073741825}`,
 		`{"PrefetchStreams":64,"PrefetchThreshold":2147483648}`,
 		`{"BrokerShards":2}`,
+		`{"Nodes":63,"Layout":{"ACMBits":8}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -20,11 +20,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"deact/internal/experiments"
 	"deact/internal/profiling"
 	"deact/internal/resultstore"
+	"deact/internal/workload"
 )
 
 // Scale holds the simulation-scale flags. Warmup and Measure are
@@ -67,12 +69,21 @@ func RunnerFlags(fs *flag.FlagSet) *Runner {
 
 // Options assembles an experiments.Options from the parsed flag values,
 // opening the persistent result store when -store was given. Output is
-// byte-identical with and without a store; only the work changes.
+// byte-identical with and without a store; only the work changes. An
+// unknown or repeated -benchmarks name is an error before anything runs.
 func (r *Runner) Options(s *Scale) (experiments.Options, error) {
 	opts := experiments.Options{Warmup: s.Warmup, Measure: s.Measure, Cores: s.Cores, Seed: s.Seed,
 		Parallelism: r.Parallelism}
 	if r.Benchmarks != "" {
 		opts.Benchmarks = strings.Split(r.Benchmarks, ",")
+		for i, b := range opts.Benchmarks {
+			if _, err := workload.Get(b); err != nil {
+				return experiments.Options{}, fmt.Errorf("-benchmarks: %w", err)
+			}
+			if slices.Contains(opts.Benchmarks[:i], b) {
+				return experiments.Options{}, fmt.Errorf("-benchmarks: %q listed twice (have %v)", b, workload.Names())
+			}
+		}
 	}
 	if r.StoreDir != "" {
 		st, err := resultstore.Open(r.StoreDir, 0)

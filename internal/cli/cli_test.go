@@ -69,6 +69,23 @@ func TestFlagGroupDefaults(t *testing.T) {
 	}
 }
 
+// TestBenchmarksRejectedBeforeRunning: an unknown or repeated -benchmarks
+// name fails Options, so no command simulates a run before it errors or
+// renders a duplicate column, and the error lists the valid names.
+func TestBenchmarksRejectedBeforeRunning(t *testing.T) {
+	sc := &Scale{Measure: 1000, Cores: 1}
+	for _, list := range []string{"mcf,fooo", "mcf,mcf", "mcf,,sp"} {
+		_, err := (&Runner{Benchmarks: list}).Options(sc)
+		if err == nil {
+			t.Errorf("-benchmarks %s accepted", list)
+			continue
+		}
+		if !strings.Contains(err.Error(), "sssp") {
+			t.Errorf("-benchmarks %s: error %q does not list the valid names", list, err)
+		}
+	}
+}
+
 // TestProgressPrinterCached: the progress line surfaces a running cached
 // tally once any run is served from the store, and stays silent before.
 func TestProgressPrinterCached(t *testing.T) {

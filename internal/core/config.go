@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"deact/internal/acm"
 	"deact/internal/addr"
 	"deact/internal/cache"
 	"deact/internal/memdev"
@@ -306,6 +307,12 @@ func (c Config) Validate() error {
 	}
 	if err := c.Layout.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	}
+	// Nodes are numbered from 1 and the all-ones ID marks shared pages, so
+	// the ACM width caps the node count (the broker rejects larger IDs).
+	if limit := acm.MaxNodes(c.Layout.ACMBits); c.Nodes >= limit {
+		return fmt.Errorf("%w: Nodes %d needs more than the %d-bit ACM ID space (at most %d nodes)",
+			ErrInvalidConfig, c.Nodes, c.Layout.ACMBits, limit-1)
 	}
 	// The rules NewSystem's constructors enforce, through the same functions
 	// they call: the node's own (LocalEveryN, and the translator under a

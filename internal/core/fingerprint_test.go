@@ -236,6 +236,7 @@ func TestValidateSentinelErrors(t *testing.T) {
 		}},
 		{"window-without-ooo", func(c *Config) { c.WindowSize = 8 }},
 		{"latency-without-ooo", func(c *Config) { c.SchedulerLatency = 2 }},
+		{"nodes-exceed-acm-ids", func(c *Config) { c.Nodes, c.Layout.ACMBits = 63, 8 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
@@ -251,6 +252,11 @@ func TestValidateSentinelErrors(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+	widest := DefaultConfig()
+	widest.Nodes, widest.Layout.ACMBits = 62, 8 // the largest 8-bit ACM deployment
+	if err := widest.Validate(); err != nil {
+		t.Fatalf("62 nodes at 8-bit ACM rejected: %v", err)
 	}
 }
 

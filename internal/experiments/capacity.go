@@ -108,13 +108,9 @@ func (r *Runner) CapacitySweep(ctx context.Context) (stats.Table, error) {
 // queueing on the shared fabric behind the noisy tenant's walks. Like
 // checkReadTrustNeverHurts, the bound carries a tolerance (10%) so
 // small-scale tail noise does not flip the verdict.
-func checkCapacityDeACTShieldsSteady(ctx context.Context, r *Runner) (bool, string, error) {
-	tbl, err := r.CapacitySweep(ctx)
-	if err != nil {
-		return false, "", err
-	}
+func checkCapacityDeACTShieldsSteady(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
 	// Series layout per scheme: [steady xlate, steady FAM, noisy FAM].
-	ifam, deact := tbl.Series[0].Values, tbl.Series[3].Values
+	ifam, deact := t.Series[0].Values, t.Series[3].Values
 	worst := 0.0
 	for i := range ifam {
 		if ratio := deact[i] / ifam[i]; ratio > worst {

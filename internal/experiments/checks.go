@@ -9,254 +9,159 @@ import (
 	"deact/internal/workload"
 )
 
-// sensitive/insensitive partition per the paper (§V-C).
-func partition(benchmarks []string) (sensitive, insensitive []string) {
+// partition splits the column indices of benchmark labels into the
+// paper's AT-sensitive and insensitive sets (§V-C).
+func partition(labels []string) (sensitive, insensitive []int) {
 	cat := workload.Catalog()
-	for _, b := range benchmarks {
+	for i, b := range labels {
 		if cat[b].ATSensitive {
-			sensitive = append(sensitive, b)
+			sensitive = append(sensitive, i)
 		} else {
-			insensitive = append(insensitive, b)
+			insensitive = append(insensitive, i)
 		}
 	}
 	return sensitive, insensitive
 }
 
-// meanMetric averages metric over benches under scheme, submitting all
-// runs as one batch.
-func (r *Runner) meanMetric(ctx context.Context, scheme core.Scheme, benches []string, metric func(core.Result) float64) (float64, error) {
-	var cfgs []core.Config
-	for _, b := range benches {
-		cfgs = append(cfgs, r.config(scheme, b, nil))
+// pick returns vals at the column indices cols.
+func pick(vals []float64, cols []int) []float64 {
+	out := make([]float64, len(cols))
+	for i, c := range cols {
+		out[i] = vals[c]
 	}
-	res, err := r.RunAll(ctx, cfgs)
-	if err != nil {
-		return 0, err
+	return out
+}
+
+// columnGeomean is the geomean of column col across t's series: a sweep
+// table's value at one sweep point over all sensitivity groups.
+func columnGeomean(t stats.Table, col int) float64 {
+	xs := make([]float64, len(t.Series))
+	for i, s := range t.Series {
+		xs[i] = s.Values[col]
 	}
-	var xs []float64
-	for _, re := range res {
-		xs = append(xs, metric(re))
+	return stats.Geomean(xs)
+}
+
+// series returns the values of t's series called name.
+func series(t stats.Table, name string) ([]float64, bool) {
+	for _, s := range t.Series {
+		if s.Name == name {
+			return s.Values, true
+		}
 	}
-	return stats.Mean(xs), nil
+	return nil, false
 }
 
 // checkFig3Ordering: sensitive benchmarks slow down more than insensitive.
-func checkFig3Ordering(ctx context.Context, r *Runner) (bool, string, error) {
-	sens, insens := partition(r.opts.benchmarks())
-	slowdown := func(benches []string) (float64, error) {
-		pairs, err := r.pairedDefaults(ctx, core.EFAM, core.IFAM, benches)
-		if err != nil {
-			return 0, err
-		}
-		var xs []float64
-		for _, p := range pairs {
-			xs = append(xs, p[0].Speedup(p[1]))
-		}
-		return stats.Geomean(xs), nil
-	}
-	s, err := slowdown(sens)
-	if err != nil {
-		return false, "", err
-	}
-	i, err := slowdown(insens)
-	if err != nil {
-		return false, "", err
-	}
+func checkFig3Ordering(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	sens, insens := partition(t.XLabels)
+	slow := t.Series[0].Values
+	s, i := stats.Geomean(pick(slow, sens)), stats.Geomean(pick(slow, insens))
 	return s > i, fmt.Sprintf("sensitive geomean %.2f× vs insensitive %.2f×", s, i), nil
 }
 
-// checkFig4Blowup: I-FAM AT share > E-FAM AT share everywhere.
-func checkFig4Blowup(ctx context.Context, r *Runner) (bool, string, error) {
-	worstGap := 1.0
-	var worstBench string
-	benches := r.opts.benchmarks()
-	pairs, err := r.pairedDefaults(ctx, core.EFAM, core.IFAM, benches)
-	if err != nil {
-		return false, "", err
-	}
-	for i, b := range benches {
-		gap := pairs[i][1].ATFraction - pairs[i][0].ATFraction
-		if gap < worstGap {
-			worstGap, worstBench = gap, b
+// worstGap returns the smallest (b-a)/100 over cols of two percent series
+// and the label of its column ("" when cols is empty, gap 1).
+func worstGap(t stats.Table, a, b []float64, cols []int) (float64, string) {
+	worst, label := 1.0, ""
+	for _, c := range cols {
+		if gap := (b[c] - a[c]) / 100; gap < worst {
+			worst, label = gap, t.XLabels[c]
 		}
 	}
-	return worstGap > 0, fmt.Sprintf("smallest increase %.3f (%s)", worstGap, worstBench), nil
+	return worst, label
+}
+
+// allColumns returns the indices of every column of t.
+func allColumns(t stats.Table) []int {
+	cols := make([]int, len(t.XLabels))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// checkFig4Blowup: I-FAM AT share > E-FAM AT share everywhere.
+func checkFig4Blowup(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	gap, bench := worstGap(t, t.Series[0].Values, t.Series[1].Values, allColumns(t))
+	return gap > 0, fmt.Sprintf("smallest increase %.3f (%s)", gap, bench), nil
 }
 
 // checkFig9NBeatsW: DeACT-N ACM hit rate > DeACT-W on sensitive set, and
 // DeACT-W within a few points of I-FAM on average (the paper's observation
 // that W's extra contiguous coverage is wasted under random placement).
-func checkFig9NBeatsW(ctx context.Context, r *Runner) (bool, string, error) {
-	sens, _ := partition(r.opts.benchmarks())
-	acm := func(s core.Scheme) (float64, error) {
-		return r.meanMetric(ctx, s, sens, func(res core.Result) float64 { return res.ACMHitRate })
-	}
-	n, err := acm(core.DeACTN)
-	if err != nil {
-		return false, "", err
-	}
-	w, err := acm(core.DeACTW)
-	if err != nil {
-		return false, "", err
-	}
-	i, err := acm(core.IFAM)
-	if err != nil {
-		return false, "", err
-	}
+func checkFig9NBeatsW(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	sens, _ := partition(t.XLabels)
+	mean := func(row int) float64 { return stats.Mean(pick(t.Series[row].Values, sens)) / 100 }
+	i, w, n := mean(0), mean(1), mean(2)
 	ok := n > w && w < i+0.10
 	return ok, fmt.Sprintf("mean ACM hit: I-FAM %.2f, DeACT-W %.2f, DeACT-N %.2f", i, w, n), nil
 }
 
 // checkFig10DeACTHigh: DeACT translation hit > I-FAM per benchmark, strictly
 // on the sensitive set where the STU cache thrashes.
-func checkFig10DeACTHigh(ctx context.Context, r *Runner) (bool, string, error) {
-	sens, _ := partition(r.opts.benchmarks())
-	worst := 1.0
-	var worstBench string
-	pairs, err := r.pairedDefaults(ctx, core.IFAM, core.DeACTN, sens)
-	if err != nil {
-		return false, "", err
-	}
-	for i, b := range sens {
-		gap := pairs[i][1].TranslationHitRate - pairs[i][0].TranslationHitRate
-		if gap < worst {
-			worst, worstBench = gap, b
-		}
-	}
-	return worst > 0, fmt.Sprintf("smallest sensitive-set gap %.3f (%s)", worst, worstBench), nil
+func checkFig10DeACTHigh(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	sens, _ := partition(t.XLabels)
+	gap, bench := worstGap(t, t.Series[0].Values, t.Series[1].Values, sens)
+	return gap > 0, fmt.Sprintf("smallest sensitive-set gap %.3f (%s)", gap, bench), nil
 }
 
 // checkFig11Monotone: mean AT share I-FAM > DeACT-W > DeACT-N.
-func checkFig11Monotone(ctx context.Context, r *Runner) (bool, string, error) {
-	at := func(s core.Scheme) (float64, error) {
-		return r.meanMetric(ctx, s, r.opts.benchmarks(), func(res core.Result) float64 { return res.ATFraction })
-	}
-	i, err := at(core.IFAM)
-	if err != nil {
-		return false, "", err
-	}
-	w, err := at(core.DeACTW)
-	if err != nil {
-		return false, "", err
-	}
-	n, err := at(core.DeACTN)
-	if err != nil {
-		return false, "", err
-	}
-	return i > w && w > n, fmt.Sprintf("mean AT share: %.1f%% → %.1f%% → %.1f%%", i*100, w*100, n*100), nil
+func checkFig11Monotone(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	i, w, n := stats.Mean(t.Series[0].Values), stats.Mean(t.Series[1].Values), stats.Mean(t.Series[2].Values)
+	return i > w && w > n, fmt.Sprintf("mean AT share: %.1f%% → %.1f%% → %.1f%%", i, w, n), nil
 }
 
-// checkFig12Ordering: the headline performance ordering.
-func checkFig12Ordering(ctx context.Context, r *Runner) (bool, string, error) {
-	sens, _ := partition(r.opts.benchmarks())
-	ipc := func(s core.Scheme) (float64, error) {
-		return r.meanMetric(ctx, s, sens, func(res core.Result) float64 { return res.IPC })
-	}
-	e, err := ipc(core.EFAM)
+// checkFig12Ordering: the headline performance ordering. The table prints
+// performance normalized to E-FAM, so the raw IPCs come from the default
+// runs Figure 12 submitted.
+func checkFig12Ordering(ctx context.Context, r *Runner, t stats.Table) (bool, string, error) {
+	schemes := []core.Scheme{core.EFAM, core.IFAM, core.DeACTW, core.DeACTN}
+	rows, err := r.perBenchmarkSchemes(ctx, schemes, func(res core.Result) float64 { return res.IPC })
 	if err != nil {
 		return false, "", err
 	}
-	i, err := ipc(core.IFAM)
-	if err != nil {
-		return false, "", err
+	sens, _ := partition(t.XLabels)
+	var ipc [4]float64
+	for i, row := range rows {
+		ipc[i] = stats.Mean(pick(row, sens))
 	}
-	w, err := ipc(core.DeACTW)
-	if err != nil {
-		return false, "", err
-	}
-	n, err := ipc(core.DeACTN)
-	if err != nil {
-		return false, "", err
-	}
+	e, i, w, n := ipc[0], ipc[1], ipc[2], ipc[3]
 	ok := e >= n && n >= w && w > i
 	return ok, fmt.Sprintf("sensitive-set mean IPC: E %.4f ≥ N %.4f ≥ W %.4f > I %.4f", e, n, w, i), nil
 }
 
-// checkFig13Shrinks: DeACT speedup at 256 STU entries > at 4096.
-func checkFig13Shrinks(ctx context.Context, r *Runner) (bool, string, error) {
-	return r.checkSweepMonotone(ctx, "stu=256", func(c *core.Config) { c.STUEntries = 256 },
-		"stu=4096", func(c *core.Config) { c.STUEntries = 4096 }, true)
+// checkFig13Shrinks: DeACT speedup at the smallest STU > at the largest.
+func checkFig13Shrinks(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	last := len(t.XLabels) - 1
+	small, large := columnGeomean(t, 0), columnGeomean(t, last)
+	return small > large, fmt.Sprintf("stu=%s: %.2f× vs stu=%s: %.2f×",
+		t.XLabels[0], small, t.XLabels[last], large), nil
 }
 
-// checkFig15Grows: speedup at 6µs fabric > at 100ns.
-func checkFig15Grows(ctx context.Context, r *Runner) (bool, string, error) {
-	return r.checkSweepMonotone(ctx, "fab=6us", func(c *core.Config) { c.FabricLatency = 6_000_000 },
-		"fab=100ns", func(c *core.Config) { c.FabricLatency = 100_000 }, true)
-}
-
-// checkSweepMonotone compares geomean DeACT-N speedup over I-FAM at two
-// sweep points across all sensitivity groups. The labels only name the
-// points in the detail string; run identity comes from the mutated configs.
-func (r *Runner) checkSweepMonotone(ctx context.Context, labelHi string, mutHi func(*core.Config), labelLo string, mutLo func(*core.Config), wantHiBigger bool) (bool, string, error) {
-	var his, los []float64
-	for _, g := range r.sensitivityGroups() {
-		if len(g.members) == 0 {
-			continue
-		}
-		hi, err := r.speedupOverIFAM(ctx, g, core.DeACTN, mutHi)
-		if err != nil {
-			return false, "", err
-		}
-		lo, err := r.speedupOverIFAM(ctx, g, core.DeACTN, mutLo)
-		if err != nil {
-			return false, "", err
-		}
-		his = append(his, hi)
-		los = append(los, lo)
-	}
-	hi, lo := stats.Geomean(his), stats.Geomean(los)
-	ok := hi > lo
-	if !wantHiBigger {
-		ok = lo > hi
-	}
-	return ok, fmt.Sprintf("%s: %.2f× vs %s: %.2f×", labelHi, hi, labelLo, lo), nil
+// checkFig15Grows: speedup at the longest fabric latency > at the shortest.
+func checkFig15Grows(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	last := len(t.XLabels) - 1
+	short, long := columnGeomean(t, 0), columnGeomean(t, last)
+	return long > short, fmt.Sprintf("fab=%s: %.2f× vs fab=%s: %.2f×",
+		t.XLabels[last], long, t.XLabels[0], short), nil
 }
 
 // checkPairsMonotone: 3 pairs ≥ 2 pairs ≥ 1 pair.
-func checkPairsMonotone(ctx context.Context, r *Runner) (bool, string, error) {
-	var v [3]float64
-	for pi, p := range []int{1, 2, 3} {
-		p := p
-		var xs []float64
-		for _, g := range r.sensitivityGroups() {
-			if len(g.members) == 0 {
-				continue
-			}
-			x, err := r.speedupOverIFAM(ctx, g, core.DeACTN, func(c *core.Config) {
-				c.PairsPerWay = p
-				c.Layout.ACMBits = 8
-			})
-			if err != nil {
-				return false, "", err
-			}
-			xs = append(xs, x)
-		}
-		v[pi] = stats.Geomean(xs)
-	}
-	return v[2] >= v[1] && v[1] >= v[0], fmt.Sprintf("1/2/3 pairs: %.2f/%.2f/%.2f×", v[0], v[1], v[2]), nil
+func checkPairsMonotone(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	one, two, three := columnGeomean(t, 0), columnGeomean(t, 1), columnGeomean(t, 2)
+	return three >= two && two >= one, fmt.Sprintf("1/2/3 pairs: %.2f/%.2f/%.2f×", one, two, three), nil
 }
 
-// checkFig16Grows: speedup at 8 nodes > at 1 node for dc.
-func checkFig16Grows(ctx context.Context, r *Runner) (bool, string, error) {
-	speed := func(nodes int) (float64, error) {
-		mutate := func(c *core.Config) { c.Nodes = nodes }
-		rN, err := r.Run(ctx, r.config(core.DeACTN, "dc", mutate))
-		if err != nil {
-			return 0, err
-		}
-		rI, err := r.Run(ctx, r.config(core.IFAM, "dc", mutate))
-		if err != nil {
-			return 0, err
-		}
-		return rN.Speedup(rI), nil
+// checkFig16Grows: speedup at the most nodes > at one node for dc. The
+// sweep runs only benchmarks in the set, so without dc there is nothing
+// to judge.
+func checkFig16Grows(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	dc, ok := series(t, "dc")
+	if !ok {
+		return false, "dc not in the benchmark set", nil
 	}
-	one, err := speed(1)
-	if err != nil {
-		return false, "", err
-	}
-	eight, err := speed(8)
-	if err != nil {
-		return false, "", err
-	}
-	return eight > one, fmt.Sprintf("dc: 1 node %.2f× vs 8 nodes %.2f×", one, eight), nil
+	last := len(dc) - 1
+	return dc[last] > dc[0], fmt.Sprintf("dc: %s node %.2f× vs %s nodes %.2f×",
+		t.XLabels[0], dc[0], t.XLabels[last], dc[last]), nil
 }

@@ -63,10 +63,11 @@ func TestFigure3SlowdownAboveOne(t *testing.T) {
 func TestFigure12OrderingOnSensitiveSet(t *testing.T) {
 	ctx := context.Background()
 	r := New(tinyOptions())
-	if _, err := r.Figure12(ctx); err != nil {
+	tbl, err := r.Figure12(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ok, detail, err := checkFig12Ordering(ctx, r)
+	ok, detail, err := checkFig12Ordering(ctx, r, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +79,22 @@ func TestFigure12OrderingOnSensitiveSet(t *testing.T) {
 func TestFigure4And11Checks(t *testing.T) {
 	ctx := context.Background()
 	r := New(tinyOptions())
-	ok, detail, err := checkFig4Blowup(ctx, r)
+	fig4, err := r.Figure4(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, detail, err := checkFig4Blowup(ctx, r, fig4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Fatalf("fig4: %s", detail)
 	}
-	ok, detail, err = checkFig11Monotone(ctx, r)
+	fig11, err := r.Figure11(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, detail, err = checkFig11Monotone(ctx, r, fig11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +106,22 @@ func TestFigure4And11Checks(t *testing.T) {
 func TestFigure9And10Checks(t *testing.T) {
 	ctx := context.Background()
 	r := New(tinyOptions())
-	ok, detail, err := checkFig9NBeatsW(ctx, r)
+	fig9, err := r.Figure9(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, detail, err := checkFig9NBeatsW(ctx, r, fig9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Fatalf("fig9: %s", detail)
 	}
-	ok, detail, err = checkFig10DeACTHigh(ctx, r)
+	fig10, err := r.Figure10(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, detail, err = checkFig10DeACTHigh(ctx, r, fig10)
 	if err != nil {
 		t.Fatal(err)
 	}

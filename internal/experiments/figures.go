@@ -16,13 +16,13 @@ func (r *Runner) Figure3(ctx context.Context) (stats.Table, error) {
 		Title:   "Figure 3: Slowdown of I-FAM wrt E-FAM (×)",
 		XLabels: r.opts.benchmarks(),
 	}
-	pairs, err := r.pairedDefaults(ctx, core.EFAM, core.IFAM, r.opts.benchmarks())
+	rows, err := r.perBenchmarkSchemes(ctx, []core.Scheme{core.EFAM, core.IFAM}, func(res core.Result) float64 { return res.IPC })
 	if err != nil {
 		return t, err
 	}
-	var slow []float64
-	for _, p := range pairs {
-		slow = append(slow, p[0].Speedup(p[1]))
+	slow := make([]float64, len(t.XLabels))
+	for i := range slow {
+		slow[i] = rows[0][i] / rows[1][i]
 	}
 	err = t.AddSeries("I-FAM slowdown", slow)
 	return t, err
@@ -155,11 +155,11 @@ func (r *Runner) Figure12(ctx context.Context) (stats.Table, error) {
 }
 
 // sensitivitySweep builds a Figure 13/15-style table: one series per
-// sensitivity group, one column per sweep point, values = geomean DeACT-N
-// speedup over I-FAM at that point. Every (group, point, member) run —
-// DeACT-N and its I-FAM baseline — is submitted as one declarative batch,
+// sensitivity group, one column per sweep point, values = geomean speedup
+// of scheme over I-FAM at that point. Every (group, point, member) run —
+// scheme and its I-FAM baseline — is submitted as one declarative batch,
 // so the entire sweep overlaps across groups and sweep points.
-func (r *Runner) sensitivitySweep(ctx context.Context, title string, labels []string, mutates []func(*core.Config)) (stats.Table, error) {
+func (r *Runner) sensitivitySweep(ctx context.Context, scheme core.Scheme, title string, labels []string, mutates []func(*core.Config)) (stats.Table, error) {
 	t := stats.Table{Title: title, XLabels: labels}
 	groups := r.sensitivityGroups()
 	var cfgs []core.Config
@@ -167,7 +167,7 @@ func (r *Runner) sensitivitySweep(ctx context.Context, title string, labels []st
 		for i := range labels {
 			for _, b := range g.members {
 				cfgs = append(cfgs,
-					r.config(core.DeACTN, b, mutates[i]),
+					r.config(scheme, b, mutates[i]),
 					r.config(core.IFAM, b, mutates[i]))
 			}
 		}
@@ -253,7 +253,7 @@ func (r *Runner) Figure13(ctx context.Context) (stats.Table, error) {
 		labels = append(labels, fmt.Sprintf("%d", s))
 		mutates = append(mutates, func(c *core.Config) { c.STUEntries = s })
 	}
-	return r.sensitivitySweep(ctx, "Figure 13: DeACT-N speedup wrt I-FAM vs STU cache entries", labels, mutates)
+	return r.sensitivitySweep(ctx, core.DeACTN, "Figure 13: DeACT-N speedup wrt I-FAM vs STU cache entries", labels, mutates)
 }
 
 // AssociativitySweep reproduces the §V-D1 text experiment: STU cache
@@ -267,12 +267,12 @@ func (r *Runner) AssociativitySweep(ctx context.Context) (stats.Table, error) {
 		labels = append(labels, fmt.Sprintf("%d-way", a))
 		mutates = append(mutates, func(c *core.Config) { c.STUWays = a })
 	}
-	return r.sensitivitySweep(ctx, "§V-D1: DeACT-N speedup wrt I-FAM vs STU associativity", labels, mutates)
+	return r.sensitivitySweep(ctx, core.DeACTN, "§V-D1: DeACT-N speedup wrt I-FAM vs STU associativity", labels, mutates)
 }
 
 // Figure14 sweeps the ACM width (8/16/32 bits) for DeACT-W and DeACT-N,
-// normalized to I-FAM at the same width. All groups, schemes and widths go
-// out as one batch.
+// normalized to I-FAM at the same width: one sensitivity sweep per scheme,
+// whose I-FAM baselines the second sweep shares through dedup.
 func (r *Runner) Figure14(ctx context.Context) (stats.Table, error) {
 	widths := []uint{8, 16, 32}
 	var labels []string
@@ -283,40 +283,19 @@ func (r *Runner) Figure14(ctx context.Context) (stats.Table, error) {
 		mutates = append(mutates, func(c *core.Config) { c.Layout.ACMBits = w })
 	}
 	t := stats.Table{Title: "Figure 14: speedup wrt I-FAM vs ACM size", XLabels: labels}
-	groups := r.sensitivityGroups()
 	schemes := []core.Scheme{core.DeACTW, core.DeACTN}
-	var cfgs []core.Config
-	for _, g := range groups {
-		for _, scheme := range schemes {
-			for i := range widths {
-				for _, b := range g.members {
-					cfgs = append(cfgs,
-						r.config(scheme, b, mutates[i]),
-						r.config(core.IFAM, b, mutates[i]))
-				}
-			}
+	sweeps := make([]stats.Table, len(schemes))
+	for i, scheme := range schemes {
+		var err error
+		if sweeps[i], err = r.sensitivitySweep(ctx, scheme, t.Title, labels, mutates); err != nil {
+			return t, err
 		}
 	}
-	res, err := r.RunAll(ctx, cfgs)
-	if err != nil {
-		return t, err
-	}
-	idx := 0
-	for _, g := range groups {
-		if len(g.members) == 0 {
-			continue
-		}
-		for _, scheme := range schemes {
-			var vals []float64
-			for range widths {
-				var ratios []float64
-				for range g.members {
-					ratios = append(ratios, res[idx].Speedup(res[idx+1]))
-					idx += 2
-				}
-				vals = append(vals, stats.Geomean(ratios))
-			}
-			if err := t.AddSeries(fmt.Sprintf("%s %s", g.name, scheme), vals); err != nil {
+	// One series per (group, scheme), schemes adjacent within a group.
+	for g := range sweeps[0].Series {
+		for i, scheme := range schemes {
+			s := sweeps[i].Series[g]
+			if err := t.AddSeries(fmt.Sprintf("%s %s", s.Name, scheme), s.Values); err != nil {
 				return t, err
 			}
 		}
@@ -338,7 +317,7 @@ func (r *Runner) PairsPerWaySweep(ctx context.Context) (stats.Table, error) {
 			c.Layout.ACMBits = 8 // the paper varies pairs at 8-bit ACM
 		})
 	}
-	return r.sensitivitySweep(ctx, "§V-D2: DeACT-N speedup wrt I-FAM vs ACM pairs per way (8-bit ACM)", labels, mutates)
+	return r.sensitivitySweep(ctx, core.DeACTN, "§V-D2: DeACT-N speedup wrt I-FAM vs ACM pairs per way (8-bit ACM)", labels, mutates)
 }
 
 // Figure15 sweeps the fabric latency 100ns–6µs (paper: longer fabric →
@@ -352,7 +331,7 @@ func (r *Runner) Figure15(ctx context.Context) (stats.Table, error) {
 		labels = append(labels, nsLabel(l))
 		mutates = append(mutates, func(c *core.Config) { c.FabricLatency = l })
 	}
-	return r.sensitivitySweep(ctx, "Figure 15: DeACT-N speedup wrt I-FAM vs fabric latency", labels, mutates)
+	return r.sensitivitySweep(ctx, core.DeACTN, "Figure 15: DeACT-N speedup wrt I-FAM vs fabric latency", labels, mutates)
 }
 
 // Figure16 sweeps the node count 1–8 for pf and dc (paper: more nodes

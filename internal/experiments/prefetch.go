@@ -80,9 +80,10 @@ func (r *Runner) PrefetchSweep(ctx context.Context) (stats.Table, error) {
 // perf delta: on the stencil workload (pure strided streams) the PC-keyed
 // table must confirm streams and issue prefetches, and with the
 // prefetcher off the counters must stay exactly zero — the off
-// configuration is the golden-compatible no-op. Dedup answers both runs
-// from the sweep's cache.
-func checkPrefetchDetectsStreams(ctx context.Context, r *Runner) (bool, string, error) {
+// configuration is the golden-compatible no-op. The table prints only IPC,
+// so the counters come from two of the sweep's runs, which dedup answers
+// from its cache.
+func checkPrefetchDetectsStreams(ctx context.Context, r *Runner, _ stats.Table) (bool, string, error) {
 	sc := patternScenario{bench: "mcf", pattern: workload.PatternStencil, degree: 4}
 	on := r.prefetchConfig(core.DeACTN, sc, 4)
 	off := r.prefetchConfig(core.DeACTN, sc, 0)

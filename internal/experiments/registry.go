@@ -7,16 +7,22 @@ import (
 )
 
 // expectation records the paper's qualitative claim for one experiment so
-// the report can state pass/fail on shape, not absolute numbers.
+// the report can state pass/fail on shape, not absolute numbers. check
+// judges the table its experiment just rendered, so the verdict and its
+// detail are a function of the printed numbers and simulate nothing. The
+// Runner is there only for values a table does not print (raw IPC,
+// prefetch counters), and a check reads them from runs its experiment
+// already submitted.
 type expectation struct {
 	id    string
 	claim string
-	check func(ctx context.Context, r *Runner) (bool, string, error)
+	check func(ctx context.Context, r *Runner, t stats.Table) (bool, string, error)
 }
 
 // Experiment is one registry entry: everything Report, deact-report,
 // deact-sweep and the figure benchmarks need to know about an experiment.
-// Adding an experiment means adding one entry to Registry.
+// Adding an experiment means adding one entry to Registry: a generator
+// and the checks that read the table it returns.
 type Experiment struct {
 	// ID and PaperRef title the experiment's report section
 	// ("## ID — PaperRef").

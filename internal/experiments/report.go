@@ -71,7 +71,7 @@ func Report(ctx context.Context, w io.Writer, opts Options, sections ...string) 
 }
 
 // writeSection renders one experiment: heading, optional prose, table and
-// one PASS/FAIL line per expectation.
+// one PASS/FAIL line per expectation, each judged on that table.
 func writeSection(ctx context.Context, w io.Writer, r *Runner, e Experiment) error {
 	tbl, err := e.Run(ctx, r)
 	if err != nil {
@@ -83,7 +83,7 @@ func writeSection(ctx context.Context, w io.Writer, r *Runner, e Experiment) err
 	}
 	fmt.Fprintf(w, "```\n%s```\n\n", tbl.Render())
 	for _, ex := range e.expect {
-		ok, detail, err := ex.check(ctx, r)
+		ok, detail, err := ex.check(ctx, r, tbl)
 		if err != nil {
 			return fmt.Errorf("%s check: %w", e.ID, err)
 		}

@@ -24,7 +24,6 @@ import (
 	"deact/internal/core"
 	"deact/internal/resultstore"
 	"deact/internal/sim"
-	"deact/internal/stats"
 	"deact/internal/workload"
 )
 
@@ -457,28 +456,6 @@ func (r *Runner) sensitivityGroups() []sensGroup {
 type sensGroup struct {
 	name    string
 	members []string
-}
-
-// speedupOverIFAM computes geomean over group members of
-// IPC(scheme,mutate)/IPC(I-FAM,mutate) under the same mutation — the
-// y-axis of Figures 13–16. Both runs of every member pair are submitted
-// together.
-func (r *Runner) speedupOverIFAM(ctx context.Context, g sensGroup, scheme core.Scheme, mutate func(*core.Config)) (float64, error) {
-	var cfgs []core.Config
-	for _, b := range g.members {
-		cfgs = append(cfgs,
-			r.config(scheme, b, mutate),
-			r.config(core.IFAM, b, mutate))
-	}
-	pairs, err := r.runPaired(ctx, cfgs)
-	if err != nil {
-		return 0, err
-	}
-	var ratios []float64
-	for _, p := range pairs {
-		ratios = append(ratios, p[0].Speedup(p[1]))
-	}
-	return stats.Geomean(ratios), nil
 }
 
 // Options returns the runner options.

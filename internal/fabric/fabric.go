@@ -64,10 +64,9 @@ func (c Config) Validate() error {
 
 // Fabric is the shared interconnect.
 type Fabric struct {
-	cfg      Config
-	links    [2]sim.Server // indexed by Direction
-	packets  uint64
-	maxDelay [2]sim.Time // worst observed one-way delay per direction
+	cfg     Config
+	links   [2]sim.Server // indexed by Direction
+	packets uint64
 }
 
 // New builds a fabric. Invalid configs panic (they are validated by
@@ -91,20 +90,7 @@ func (f *Fabric) Bind(c sim.Clock) {
 func (f *Fabric) Traverse(now sim.Time, dir Direction) sim.Time {
 	_, sent := f.links[dir].Acquire(now, f.cfg.PacketTime)
 	f.packets++
-	arrive := sent + f.cfg.Latency
-	if d := arrive - now; d > f.maxDelay[dir] {
-		f.maxDelay[dir] = d
-	}
-	return arrive
-}
-
-// RoundTrip sends a request toward FAM and (after remote service completing
-// at the time remote returns) its response packet, returning when the
-// response arrives back at the node.
-func (f *Fabric) RoundTrip(now sim.Time, remote func(arrive sim.Time) sim.Time) sim.Time {
-	arrive := f.Traverse(now, ToFAM)
-	done := remote(arrive)
-	return f.Traverse(done, ToNode)
+	return sent + f.cfg.Latency
 }
 
 // Packets returns the number of packets carried in both directions.
@@ -112,13 +98,6 @@ func (f *Fabric) Packets() uint64 { return f.packets }
 
 // Latency returns the configured one-way latency.
 func (f *Fabric) Latency() sim.Time { return f.cfg.Latency }
-
-// MaxObservedDelay returns the worst end-to-end one-way delay seen in the
-// given direction, including queueing (contention diagnostics for the
-// Figure 16 sweep). Request and response delays are tracked separately:
-// the directions are independent links with different contention, and
-// mixing them hid which side of the fabric saturated.
-func (f *Fabric) MaxObservedDelay(dir Direction) sim.Time { return f.maxDelay[dir] }
 
 // BusyTime returns the combined reservation time of both links.
 func (f *Fabric) BusyTime() sim.Time {
