@@ -76,7 +76,8 @@
 // engine clock, not the live bound or the run length.
 // BenchmarkMemdevAccess and BenchmarkFabricTraverse guard the
 // device-level cost (~tens of ns and 0 allocs per access); the cache
-// hierarchy adds a per-set MRU way cache so repeat hits skip the way scan.
+// hierarchy probes each set's MRU way, read from its LRU rank word, so
+// repeat hits skip the way scan.
 //
 // Entry points:
 //

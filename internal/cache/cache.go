@@ -9,15 +9,15 @@
 // I-FAM/DeACT comparison depends on).
 //
 // The line arrays are laid out struct-of-arrays (tags and dirty bits in
-// separate dense slices) so the hit path scans only tags, and a
-// direct-mapped way cache — one MRU way per set — resolves repeat accesses
-// to a set's most recent block with a single probe, no scan at all.
+// separate dense slices) so the hit path scans only tags.
 //
 // Replacement is exact LRU. At associativity ≤ 16 each set's full recency
 // order lives in one uint64 rank word (a 4-bit way index per recency
 // position, MRU first), so hit promotion and victim selection are
 // constant-width bit operations on a single word instead of a scan over a
-// per-way stamp array. Wider caches fall back to per-way stamps. The two
+// per-way stamp array. The word's lowest nibble names the set's MRU way,
+// so a repeat access to a set's most recent block needs a single probe
+// and no recency update. Wider caches fall back to per-way stamps. The two
 // representations choose bit-identical victims (the rank word is
 // property-tested against the stamp implementation), so simulation output
 // does not depend on which one a geometry selects.
@@ -59,7 +59,6 @@ type Cache struct {
 	setShift uint     // log2(sets)
 	tags     []uint64 // sets × ways, row-major; invalidTag when empty
 	dirty    []bool
-	mruWay   []uint16 // direct-mapped way cache: per set, the last way hit
 
 	// order is the rank-word recency state (ways ≤ rankWays): one uint64
 	// per set listing way indices MRU-first, 4 bits per recency position;
@@ -70,9 +69,8 @@ type Cache struct {
 	used []uint64
 	tick uint64
 
-	hits     uint64
-	misses   uint64
-	inserted uint64
+	hits   uint64
+	misses uint64
 }
 
 // New builds a cache of the given total size in bytes with the given
@@ -83,7 +81,7 @@ func New(name string, sizeBytes uint64, ways int) (*Cache, error) {
 }
 
 // NewInArena is New drawing the line arrays (tags, recency state, dirty
-// bits, way cache) from a, so a sweep's hundreds of systems recycle one
+// bits) from a, so a sweep's hundreds of systems recycle one
 // set of allocations. A nil arena allocates normally.
 func NewInArena(a *arena.Arena, name string, sizeBytes uint64, ways int) (*Cache, error) {
 	return newCache(a, name, sizeBytes, ways, false)
@@ -106,7 +104,6 @@ func newCache(a *arena.Arena, name string, sizeBytes uint64, ways int, forceStam
 		setShift: uint(bits.TrailingZeros64(sets)),
 		tags:     arena.Slice[uint64](a, "cache.tags", int(n)),
 		dirty:    arena.Slice[bool](a, "cache.dirty", int(n)),
-		mruWay:   arena.Slice[uint16](a, "cache.mru", int(sets)),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -151,10 +148,9 @@ func MustNew(name string, sizeBytes uint64, ways int) *Cache {
 func (c *Cache) recycle(a *arena.Arena) {
 	arena.Release(a, "cache.tags", c.tags)
 	arena.Release(a, "cache.dirty", c.dirty)
-	arena.Release(a, "cache.mru", c.mruWay)
 	arena.Release(a, "cache.order", c.order)
 	arena.Release(a, "cache.used", c.used)
-	c.tags, c.dirty, c.mruWay, c.order, c.used = nil, nil, nil, nil, nil
+	c.tags, c.dirty, c.order, c.used = nil, nil, nil, nil
 }
 
 // Rank-word layout: nibble p of a set's order word holds the way index at
@@ -241,9 +237,8 @@ func (c *Cache) access(a uint64, write bool) (hit bool, victim Victim, evicted b
 func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim, evicted bool, line uint64) {
 	base := set * uint64(c.ways)
 
-	// Way-cache probe: the MRU way is at rank position 0 by construction,
-	// so a repeat access to it needs no recency update at all.
-	if i := base + uint64(c.mruWay[set]); c.tags[i] == tag {
+	// MRU probe: the way at rank position 0 needs no recency update at all.
+	if i := base + c.order[set]&0xF; c.tags[i] == tag {
 		if write {
 			c.dirty[i] = true
 		}
@@ -258,7 +253,6 @@ func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim
 			}
 			word := c.order[set]
 			c.order[set] = promote(word, findPos(word, uint64(w)), uint64(w))
-			c.mruWay[set] = uint16(w)
 			c.hits++
 			return true, Victim{}, false, i
 		}
@@ -277,8 +271,6 @@ func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim
 	c.tags[lruIdx] = tag
 	c.dirty[lruIdx] = write
 	c.order[set] = promote(word, uint(c.ways-1), vw)
-	c.mruWay[set] = uint16(vw)
-	c.inserted++
 	return false, victim, evicted, lruIdx
 }
 
@@ -286,16 +278,6 @@ func (c *Cache) accessRank(set, tag uint64, write bool) (hit bool, victim Victim
 func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victim, evicted bool, line uint64) {
 	base := set * uint64(c.ways)
 	c.tick++
-
-	// Way-cache probe: repeat access to the set's MRU block skips the scan.
-	if i := base + uint64(c.mruWay[set]); c.tags[i] == tag {
-		c.used[i] = c.tick
-		if write {
-			c.dirty[i] = true
-		}
-		c.hits++
-		return true, Victim{}, false, i
-	}
 	for w := 0; w < c.ways; w++ {
 		i := base + uint64(w)
 		if c.tags[i] == tag {
@@ -303,7 +285,6 @@ func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victi
 			if write {
 				c.dirty[i] = true
 			}
-			c.mruWay[set] = uint16(w)
 			c.hits++
 			return true, Victim{}, false, i
 		}
@@ -328,8 +309,6 @@ func (c *Cache) accessStamp(set, tag uint64, write bool) (hit bool, victim Victi
 	c.tags[lruIdx] = tag
 	c.dirty[lruIdx] = write
 	c.used[lruIdx] = c.tick
-	c.mruWay[set] = uint16(lruIdx - base)
-	c.inserted++
 	return false, victim, evicted, lruIdx
 }
 
@@ -392,6 +371,9 @@ func (c *Cache) Hits() uint64 { return c.hits }
 
 // Misses returns the miss count.
 func (c *Cache) Misses() uint64 { return c.misses }
+
+// resetStats zeroes the hit and miss counters; contents and recency stay.
+func (c *Cache) resetStats() { c.hits, c.misses = 0, 0 }
 
 // HitRate returns hits/(hits+misses), or 0 with no accesses.
 func (c *Cache) HitRate() float64 {

@@ -179,6 +179,16 @@ func (h *Hierarchy) Access(core int, a uint64, write bool) (HitLevel, []uint64) 
 	return Memory, writebacks
 }
 
+// ResetStats zeroes every level's hit and miss counters; contents and
+// recency state stay.
+func (h *Hierarchy) ResetStats() {
+	for i := range h.l1 {
+		h.l1[i].resetStats()
+		h.l2[i].resetStats()
+	}
+	h.l3.resetStats()
+}
+
 // L1Cache returns core's private L1 (for stats and tests).
 func (h *Hierarchy) L1Cache(core int) *Cache { return h.l1[core] }
 

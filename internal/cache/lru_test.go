@@ -133,7 +133,7 @@ func TestInitOrderWord(t *testing.T) {
 }
 
 // BenchmarkCacheAccess guards the per-access cost of the three access
-// outcomes the hierarchy mixes: repeat hits (way-cache path), scan hits
+// outcomes the hierarchy mixes: repeat hits (MRU probe), scan hits
 // (tag scan + rank promotion), and a streaming miss/eviction mix (victim
 // selection). Run with -benchmem: every path must stay at 0 allocs/op.
 func BenchmarkCacheAccess(b *testing.B) {
@@ -150,7 +150,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("hit-scan/%dway", ways), func(b *testing.B) {
 			// Two blocks in one set: each access hits the non-MRU way,
-			// defeating the way cache and exercising promotion.
+			// missing the MRU probe and exercising promotion.
 			a0, a1 := uint64(0), uint64(sets*64)
 			c.Access(a0, false)
 			c.Access(a1, false)

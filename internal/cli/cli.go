@@ -12,19 +12,21 @@
 //     commands built on experiments.Runner. Options assembles an
 //     experiments.Options from both groups, opening the persistent result
 //     store when -store names a directory.
-//   - Profiling: -cpuprofile/-memprofile — pprof output, wrapping
-//     internal/profiling so commands keep the start/flush discipline.
+//   - Profiling: -cpuprofile/-memprofile — pprof output with one
+//     start/flush discipline for every command.
 package cli
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
 	"deact/internal/experiments"
-	"deact/internal/profiling"
 	"deact/internal/resultstore"
 	"deact/internal/workload"
 )
@@ -111,14 +113,45 @@ func ProfilingFlags(fs *flag.FlagSet, what string) *Profiling {
 }
 
 // Start begins CPU profiling if -cpuprofile was given; call the returned
-// stop in a defer so the profile flushes on error paths too.
+// stop in a defer so the profile flushes on error paths too. The stop
+// reports a close error on stderr under cmd, since stops run in defers.
 func (p *Profiling) Start(cmd string) (stop func(), err error) {
-	return profiling.StartCPU(cmd, p.CPU)
+	if p.CPU == "" {
+		return func() {}, nil
+	}
+	f, err := os.Create(p.CPU)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+		}
+	}, nil
 }
 
-// WriteHeap writes the allocation profile if -memprofile was given; call
-// it after the workload finished.
-func (p *Profiling) WriteHeap() error { return profiling.WriteHeap(p.Mem) }
+// WriteHeap writes an allocation profile of the settled live heap if
+// -memprofile was given; call it after the workload finished.
+func (p *Profiling) WriteHeap() error {
+	if p.Mem == "" {
+		return nil
+	}
+	f, err := os.Create(p.Mem)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the live heap before the snapshot
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // ProgressPrinter returns an OnRunDone hook that keeps one live
 // completed/total line on w (the runner serializes calls). Runs answered

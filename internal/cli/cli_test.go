@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -111,5 +112,49 @@ func TestProgressPrinterCached(t *testing.T) {
 	p(experiments.RunInfo{Completed: 3, Submitted: 3})
 	if got := buf.String(); !strings.Contains(got, "runs: 3/3 completed (1 cached)") {
 		t.Fatalf("cumulative tally wrong: %q", got)
+	}
+}
+
+// TestProfilingWritesProfiles: -cpuprofile and -memprofile each leave a
+// non-empty pprof file, and empty paths are no-ops that create nothing.
+func TestProfilingWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	p := &Profiling{CPU: filepath.Join(dir, "cpu.pprof"), Mem: filepath.Join(dir, "mem.pprof")}
+	stop, err := p.Start("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if err := p.WriteHeap(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{p.CPU, p.Mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", path)
+		}
+	}
+
+	var off Profiling
+	stop, err = off.Start("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if err := off.WriteHeap(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Profiling{CPU: filepath.Join(dir, "missing", "cpu.pprof")}).Start("test"); err == nil {
+		t.Error("Start into a missing directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 2 {
+		t.Errorf("profiling left %d files, want the 2 requested", len(ents))
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"deact/internal/cache"
+	"deact/internal/node"
+	"deact/internal/stu"
+	"deact/internal/translator"
 	"deact/internal/workload"
 )
 
@@ -306,6 +309,93 @@ func TestMultiNodeRuns(t *testing.T) {
 	}
 	if r.NodeStats[0].FAMData == 0 || r.NodeStats[1].FAMData == 0 {
 		t.Fatal("a node did no FAM work")
+	}
+}
+
+// TestResetStatsZeroesResultCounters: after a run, resetStats leaves every
+// counter a Result reads at zero, so a Result covers exactly the phase
+// after the warmup boundary. Each counter is first required to be nonzero
+// where the scheme has it, so the check cannot pass on an idle system.
+func TestResetStatsZeroesResultCounters(t *testing.T) {
+	for _, scheme := range Schemes() {
+		cfg := quickConfig(scheme, "canl")
+		cfg.Nodes = 2
+		cfg.WarmupInstructions = 5_000
+		cfg.MeasureInstructions = 5_000
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		for i, n := range s.nodes {
+			switch {
+			case run.NodeStats[i] == node.Stats{}:
+				t.Fatalf("%v node %d: idle node", scheme, i)
+			case n.STU() != nil && run.STUStats[i] == stu.Stats{}:
+				t.Fatalf("%v node %d: idle STU", scheme, i)
+			case n.Translator() != nil && run.TranslatorStats[i] == translator.Stats{}:
+				t.Fatalf("%v node %d: idle translator", scheme, i)
+			}
+		}
+		if run.FAMReads == 0 || run.FabricPackets == 0 || run.MPKI == 0 {
+			t.Fatalf("%v: no FAM, fabric or L3 traffic: %v", scheme, run)
+		}
+
+		s.resetStats()
+		instrs, memOps := s.retired()
+		r := s.result(s.engine.Now(), instrs, memOps)
+		for i, n := range s.nodes {
+			if r.NodeStats[i] != (node.Stats{}) {
+				t.Errorf("%v node %d: node stats survive reset: %+v", scheme, i, r.NodeStats[i])
+			}
+			if r.STUStats[i] != (stu.Stats{}) {
+				t.Errorf("%v node %d: STU stats survive reset: %+v", scheme, i, r.STUStats[i])
+			}
+			if r.TranslatorStats[i] != (translator.Stats{}) {
+				t.Errorf("%v node %d: translator stats survive reset: %+v", scheme, i, r.TranslatorStats[i])
+			}
+			h := n.Hierarchy()
+			if m := h.L3Cache().Misses(); m != 0 {
+				t.Errorf("%v node %d: %d L3 misses survive reset", scheme, i, m)
+			}
+			if l1 := h.L1Cache(0); l1.Hits() != 0 || l1.Misses() != 0 {
+				t.Errorf("%v node %d: L1 counters survive reset", scheme, i)
+			}
+		}
+		if r.FAMReads != 0 || r.FAMWrites != 0 || r.FabricPackets != 0 {
+			t.Errorf("%v: FAM %d/%d and fabric %d survive reset", scheme, r.FAMReads, r.FAMWrites, r.FabricPackets)
+		}
+	}
+}
+
+// TestResultConservesFAMTraffic holds the two conservation laws of a
+// measured phase with the prefetcher off: every request observed at FAM is
+// one device access (translation metadata or data), and every device
+// access is one fabric packet each way. A counter that kept its warmup
+// total, or lost its reset, breaks one of them.
+func TestResultConservesFAMTraffic(t *testing.T) {
+	for _, scheme := range Schemes() {
+		cfg := quickConfig(scheme, "sssp")
+		cfg.Nodes = 2
+		cfg.WarmupInstructions = 5_000
+		cfg.MeasureInstructions = 5_000
+		r, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		fam := r.FAMReads + r.FAMWrites
+		if fam == 0 {
+			t.Fatalf("%v: no FAM traffic", scheme)
+		}
+		if fam != r.FAMAT+r.FAMData {
+			t.Errorf("%v: FAM reads+writes %d != FAMAT+FAMData %d", scheme, fam, r.FAMAT+r.FAMData)
+		}
+		if r.FabricPackets != 2*fam {
+			t.Errorf("%v: fabric packets %d != 2 x FAM accesses %d", scheme, r.FabricPackets, fam)
+		}
 	}
 }
 

@@ -43,61 +43,15 @@ type Result struct {
 	ACMHitRate float64
 
 	// NodeStats, STUStats and TranslatorStats are the per-node raw
-	// counter deltas.
+	// counters of the measured phase.
 	NodeStats       []node.Stats
 	STUStats        []stu.Stats
 	TranslatorStats []translator.Stats
 
-	// FAMReads/FAMWrites are device-level access deltas.
+	// FAMReads/FAMWrites are device-level access counts.
 	FAMReads, FAMWrites uint64
-	// FabricPackets is the interconnect traffic delta.
+	// FabricPackets is the interconnect traffic.
 	FabricPackets uint64
-}
-
-// diffNode subtracts counters (and, bucket-wise, the per-tenant latency
-// histograms), so the result reflects the measured phase only.
-func diffNode(a, b node.Stats) node.Stats {
-	d := node.Stats{
-		NodePTWalks: a.NodePTWalks - b.NodePTWalks,
-		OSFaults:    a.OSFaults - b.OSFaults,
-		FAMData:     a.FAMData - b.FAMData,
-		FAMAT:       a.FAMAT - b.FAMAT,
-		DRAMData:    a.DRAMData - b.DRAMData,
-		Writebacks:  a.Writebacks - b.Writebacks,
-		Denied:      a.Denied - b.Denied,
-		Prefetch:    a.Prefetch.Sub(b.Prefetch),
-	}
-	for i := range d.Tenants {
-		d.Tenants[i] = a.Tenants[i].Sub(b.Tenants[i])
-	}
-	return d
-}
-
-func diffSTU(a, b stu.Stats) stu.Stats {
-	return stu.Stats{
-		TranslationHits:   a.TranslationHits - b.TranslationHits,
-		TranslationMisses: a.TranslationMisses - b.TranslationMisses,
-		ACMHits:           a.ACMHits - b.ACMHits,
-		ACMMisses:         a.ACMMisses - b.ACMMisses,
-		ACMFetches:        a.ACMFetches - b.ACMFetches,
-		BitmapFetches:     a.BitmapFetches - b.BitmapFetches,
-		PTWSteps:          a.PTWSteps - b.PTWSteps,
-		Walks:             a.Walks - b.Walks,
-		Denied:            a.Denied - b.Denied,
-		BrokerFaults:      a.BrokerFaults - b.BrokerFaults,
-		TrustedReads:      a.TrustedReads - b.TrustedReads,
-	}
-}
-
-func diffTr(a, b translator.Stats) translator.Stats {
-	return translator.Stats{
-		Hits:         a.Hits - b.Hits,
-		Misses:       a.Misses - b.Misses,
-		DRAMReads:    a.DRAMReads - b.DRAMReads,
-		DRAMWrites:   a.DRAMWrites - b.DRAMWrites,
-		Invalidates:  a.Invalidates - b.Invalidates,
-		SlotStallsPS: a.SlotStallsPS - b.SlotStallsPS,
-	}
 }
 
 func ratio(n, d uint64) float64 {
@@ -107,23 +61,37 @@ func ratio(n, d uint64) float64 {
 	return float64(n) / float64(d)
 }
 
-// buildResult converts a before/after counter pair to a Result.
-func (c Config) buildResult(before, after counters) Result {
+// result reads the measured phase's Result at the end of the run: the
+// counters resetStats zeroed at start, the simulated time since start, and
+// the cores' retirements beyond instrs0 and memOps0.
+func (s *System) result(start sim.Time, instrs0, memOps0 uint64) Result {
+	c := s.cfg
+	instrs, memOps := s.retired()
 	r := Result{
 		Scheme:        c.Scheme,
 		Benchmark:     c.Benchmark,
 		Nodes:         c.Nodes,
-		Duration:      after.time - before.time,
-		Instructions:  after.instrs - before.instrs,
-		MemOps:        after.memOps - before.memOps,
-		FAMReads:      after.famReads - before.famReads,
-		FAMWrites:     after.famWrites - before.famWrites,
-		FabricPackets: after.fabricPackets - before.fabricPackets,
+		Duration:      s.engine.Now() - start,
+		Instructions:  instrs - instrs0,
+		MemOps:        memOps - memOps0,
+		FAMReads:      s.fam.Reads(),
+		FAMWrites:     s.fam.Writes(),
+		FabricPackets: s.fab.Packets(),
 	}
-	for i := range after.nodes {
-		r.NodeStats = append(r.NodeStats, diffNode(after.nodes[i], before.nodes[i]))
-		r.STUStats = append(r.STUStats, diffSTU(after.stus[i], before.stus[i]))
-		r.TranslatorStats = append(r.TranslatorStats, diffTr(after.trs[i], before.trs[i]))
+	var l3 uint64
+	for _, n := range s.nodes {
+		var st stu.Stats
+		if u := n.STU(); u != nil {
+			st = u.Stats()
+		}
+		var tr translator.Stats
+		if t := n.Translator(); t != nil {
+			tr = t.Stats()
+		}
+		r.NodeStats = append(r.NodeStats, n.Stats())
+		r.STUStats = append(r.STUStats, st)
+		r.TranslatorStats = append(r.TranslatorStats, tr)
+		l3 += n.Hierarchy().L3Cache().Misses()
 	}
 
 	var famAT, famData uint64
@@ -138,7 +106,6 @@ func (c Config) buildResult(before, after counters) Result {
 		cycles := float64(r.Duration) / float64(c.CycleTime)
 		r.IPC = float64(r.Instructions) / cycles
 	}
-	l3 := after.l3Misses - before.l3Misses
 	if r.Instructions > 0 {
 		r.MPKI = float64(l3) / float64(r.Instructions) * 1000
 	}

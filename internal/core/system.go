@@ -11,9 +11,7 @@ import (
 	"deact/internal/memdev"
 	"deact/internal/node"
 	"deact/internal/sim"
-	"deact/internal/stu"
 	"deact/internal/trace"
-	"deact/internal/translator"
 	"deact/internal/workload"
 )
 
@@ -216,46 +214,27 @@ func (s *System) Nodes() int { return len(s.nodes) }
 // Engine returns the simulation engine.
 func (s *System) Engine() *sim.Engine { return s.engine }
 
-// counters captures every counter the Result diffing needs.
-type counters struct {
-	time          sim.Time
-	instrs        uint64
-	memOps        uint64
-	nodes         []node.Stats
-	stus          []stu.Stats
-	trs           []translator.Stats
-	famReads      uint64
-	famWrites     uint64
-	l3Misses      uint64
-	fabricPackets uint64
+// resetStats zeroes every counter a Result reads, so a read at the end of
+// the run covers only what follows the call. The cores' retired counts are
+// the exception: a core's instruction count carries its retirement budget,
+// so Run keeps a start value for them instead (see retired).
+func (s *System) resetStats() {
+	s.fab.ResetStats()
+	s.fam.ResetStats()
+	for _, n := range s.nodes {
+		n.ResetStats()
+	}
 }
 
-func (s *System) readCounters() counters {
-	sn := counters{
-		time:          s.engine.Now(),
-		famReads:      s.fam.Reads(),
-		famWrites:     s.fam.Writes(),
-		fabricPackets: s.fab.Packets(),
-	}
-	for ni, n := range s.nodes {
-		sn.nodes = append(sn.nodes, n.Stats())
-		if st := n.STU(); st != nil {
-			sn.stus = append(sn.stus, st.Stats())
-		} else {
-			sn.stus = append(sn.stus, stu.Stats{})
-		}
-		if tr := n.Translator(); tr != nil {
-			sn.trs = append(sn.trs, tr.Stats())
-		} else {
-			sn.trs = append(sn.trs, translator.Stats{})
-		}
-		sn.l3Misses += n.Hierarchy().L3Cache().Misses()
-		for _, c := range s.cores[ni] {
-			sn.instrs += c.Instructions()
-			sn.memOps += c.MemOps()
+// retired sums the instructions and memory ops every core has retired.
+func (s *System) retired() (instrs, memOps uint64) {
+	for _, row := range s.cores {
+		for _, c := range row {
+			instrs += c.Instructions()
+			memOps += c.MemOps()
 		}
 	}
-	return sn
+	return instrs, memOps
 }
 
 // ctxStride is the simulated-time slice between cooperative-cancellation
@@ -311,7 +290,9 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 			return Result{}, err
 		}
 	}
-	before := s.readCounters()
+	start := s.engine.Now()
+	instrs, memOps := s.retired()
+	s.resetStats()
 
 	for _, row := range s.cores {
 		for _, c := range row {
@@ -322,8 +303,7 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 	if err := s.runPhase(ctx); err != nil {
 		return Result{}, err
 	}
-	after := s.readCounters()
-	return s.cfg.buildResult(before, after), nil
+	return s.result(start, instrs, memOps), nil
 }
 
 // Recycle returns the system's large backing arrays to pool for its next

@@ -9,6 +9,14 @@ import (
 	"deact/internal/workload"
 )
 
+// The FAIL details of checks whose table holds nothing they can judge: a
+// claim about AT-sensitive benchmarks cannot pass on a set without one.
+const (
+	noSensitive   = "no AT-sensitive benchmark in the set"
+	noInsensitive = "no AT-insensitive benchmark in the set"
+	noGroup       = "no sensitivity group in the benchmark set"
+)
+
 // partition splits the column indices of benchmark labels into the
 // paper's AT-sensitive and insensitive sets (§V-C).
 func partition(labels []string) (sensitive, insensitive []int) {
@@ -55,6 +63,12 @@ func series(t stats.Table, name string) ([]float64, bool) {
 // checkFig3Ordering: sensitive benchmarks slow down more than insensitive.
 func checkFig3Ordering(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
 	sens, insens := partition(t.XLabels)
+	switch {
+	case len(sens) == 0:
+		return false, noSensitive, nil
+	case len(insens) == 0:
+		return false, noInsensitive, nil
+	}
 	slow := t.Series[0].Values
 	s, i := stats.Geomean(pick(slow, sens)), stats.Geomean(pick(slow, insens))
 	return s > i, fmt.Sprintf("sensitive geomean %.2f× vs insensitive %.2f×", s, i), nil
@@ -92,6 +106,9 @@ func checkFig4Blowup(_ context.Context, _ *Runner, t stats.Table) (bool, string,
 // that W's extra contiguous coverage is wasted under random placement).
 func checkFig9NBeatsW(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
 	sens, _ := partition(t.XLabels)
+	if len(sens) == 0 {
+		return false, noSensitive, nil
+	}
 	mean := func(row int) float64 { return stats.Mean(pick(t.Series[row].Values, sens)) / 100 }
 	i, w, n := mean(0), mean(1), mean(2)
 	ok := n > w && w < i+0.10
@@ -102,6 +119,9 @@ func checkFig9NBeatsW(_ context.Context, _ *Runner, t stats.Table) (bool, string
 // on the sensitive set where the STU cache thrashes.
 func checkFig10DeACTHigh(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
 	sens, _ := partition(t.XLabels)
+	if len(sens) == 0 {
+		return false, noSensitive, nil
+	}
 	gap, bench := worstGap(t, t.Series[0].Values, t.Series[1].Values, sens)
 	return gap > 0, fmt.Sprintf("smallest sensitive-set gap %.3f (%s)", gap, bench), nil
 }
@@ -116,12 +136,15 @@ func checkFig11Monotone(_ context.Context, _ *Runner, t stats.Table) (bool, stri
 // performance normalized to E-FAM, so the raw IPCs come from the default
 // runs Figure 12 submitted.
 func checkFig12Ordering(ctx context.Context, r *Runner, t stats.Table) (bool, string, error) {
+	sens, _ := partition(t.XLabels)
+	if len(sens) == 0 {
+		return false, noSensitive, nil
+	}
 	schemes := []core.Scheme{core.EFAM, core.IFAM, core.DeACTW, core.DeACTN}
 	rows, err := r.perBenchmarkSchemes(ctx, schemes, func(res core.Result) float64 { return res.IPC })
 	if err != nil {
 		return false, "", err
 	}
-	sens, _ := partition(t.XLabels)
 	var ipc [4]float64
 	for i, row := range rows {
 		ipc[i] = stats.Mean(pick(row, sens))
@@ -133,6 +156,9 @@ func checkFig12Ordering(ctx context.Context, r *Runner, t stats.Table) (bool, st
 
 // checkFig13Shrinks: DeACT speedup at the smallest STU > at the largest.
 func checkFig13Shrinks(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	if len(t.Series) == 0 {
+		return false, noGroup, nil
+	}
 	last := len(t.XLabels) - 1
 	small, large := columnGeomean(t, 0), columnGeomean(t, last)
 	return small > large, fmt.Sprintf("stu=%s: %.2f× vs stu=%s: %.2f×",
@@ -141,6 +167,9 @@ func checkFig13Shrinks(_ context.Context, _ *Runner, t stats.Table) (bool, strin
 
 // checkFig15Grows: speedup at the longest fabric latency > at the shortest.
 func checkFig15Grows(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	if len(t.Series) == 0 {
+		return false, noGroup, nil
+	}
 	last := len(t.XLabels) - 1
 	short, long := columnGeomean(t, 0), columnGeomean(t, last)
 	return long > short, fmt.Sprintf("fab=%s: %.2f× vs fab=%s: %.2f×",
@@ -149,6 +178,9 @@ func checkFig15Grows(_ context.Context, _ *Runner, t stats.Table) (bool, string,
 
 // checkPairsMonotone: 3 pairs ≥ 2 pairs ≥ 1 pair.
 func checkPairsMonotone(_ context.Context, _ *Runner, t stats.Table) (bool, string, error) {
+	if len(t.Series) == 0 {
+		return false, noGroup, nil
+	}
 	one, two, three := columnGeomean(t, 0), columnGeomean(t, 1), columnGeomean(t, 2)
 	return three >= two && two >= one, fmt.Sprintf("1/2/3 pairs: %.2f/%.2f/%.2f×", one, two, three), nil
 }

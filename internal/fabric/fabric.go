@@ -99,7 +99,5 @@ func (f *Fabric) Packets() uint64 { return f.packets }
 // Latency returns the configured one-way latency.
 func (f *Fabric) Latency() sim.Time { return f.cfg.Latency }
 
-// BusyTime returns the combined reservation time of both links.
-func (f *Fabric) BusyTime() sim.Time {
-	return f.links[ToFAM].BusyTime() + f.links[ToNode].BusyTime()
-}
+// ResetStats zeroes the packet counter; link reservations stay.
+func (f *Fabric) ResetStats() { f.packets = 0 }

@@ -122,14 +122,8 @@ func (d *Device) Writes() uint64 { return d.writes }
 // Accesses returns the total number of requests served.
 func (d *Device) Accesses() uint64 { return d.reads + d.writes }
 
-// BusyTime returns the aggregate bank busy time, for utilization reporting.
-func (d *Device) BusyTime() sim.Time {
-	var t sim.Time
-	for i := range d.banks {
-		t += d.banks[i].BusyTime()
-	}
-	return t
-}
+// ResetStats zeroes the access counters; bank reservations stay.
+func (d *Device) ResetStats() { d.reads, d.writes = 0, 0 }
 
 // Name returns the configured device name.
 func (d *Device) Name() string { return d.cfg.Name }

@@ -98,13 +98,8 @@ func TestPortBoundsThroughput(t *testing.T) {
 	}
 }
 
-func TestBusyTimeAccumulates(t *testing.T) {
+func TestDeviceAccessors(t *testing.T) {
 	d := New(nvmConfig())
-	d.Access(0, 0, false)
-	d.Access(0, 64, true)
-	if d.BusyTime() != sim.NS(210) {
-		t.Fatalf("busy = %v, want 210ns", d.BusyTime())
-	}
 	if d.Name() != "fam-nvm" || d.Banks() != 32 {
 		t.Fatal("accessors wrong")
 	}

@@ -212,16 +212,6 @@ func (t *TenantLatency) Merge(o TenantLatency) {
 	t.FAM.Merge(o.FAM)
 }
 
-// Sub returns t minus an earlier capture o of the same distributions, the
-// warmup-exclusion diff applied to every counter in Stats.
-func (t TenantLatency) Sub(o TenantLatency) TenantLatency {
-	return TenantLatency{
-		Translation: t.Translation.Sub(o.Translation),
-		Local:       t.Local.Sub(o.Local),
-		FAM:         t.FAM.Sub(o.FAM),
-	}
-}
-
 // Stats aggregates node activity for the paper's figures.
 type Stats struct {
 	// NodePTWalks counts node-level page-table walks (TLB misses).
@@ -659,6 +649,20 @@ func (n *Node) Bind(c sim.Clock) {
 
 // Stats returns the node's counters.
 func (n *Node) Stats() Stats { return n.stats }
+
+// ResetStats zeroes the node's counters and those of its STU, translator
+// and cache hierarchy, so a later read covers only what follows. Cached
+// state, mappings and reservations stay.
+func (n *Node) ResetStats() {
+	n.stats = Stats{}
+	if n.stuU != nil {
+		n.stuU.ResetStats()
+	}
+	if n.trans != nil {
+		n.trans.ResetStats()
+	}
+	n.hier.ResetStats()
+}
 
 // STU returns the node's STU (nil for E-FAM).
 func (n *Node) STU() *stu.STU { return n.stuU }

@@ -66,16 +66,6 @@ type PrefetchStats struct {
 	Errors uint64
 }
 
-// Sub returns s minus an earlier capture o (warmup exclusion).
-func (s PrefetchStats) Sub(o PrefetchStats) PrefetchStats {
-	return PrefetchStats{
-		Observed:  s.Observed - o.Observed,
-		Issued:    s.Issued - o.Issued,
-		PageStops: s.PageStops - o.PageStops,
-		Errors:    s.Errors - o.Errors,
-	}
-}
-
 // pfEntry is one PC's delta-detection state: the last block it touched,
 // the last stride between touches, and how many times in a row that
 // stride repeated.

@@ -46,8 +46,6 @@ type Server struct {
 	gaps      []gap // gaps[head:] is live: sorted, disjoint, before tail
 	head      int   // retired prefix length, compacted away by insertGap
 	watermark Time
-	busy      Time
-	uses      uint64
 }
 
 type gap struct{ start, end Time }
@@ -82,8 +80,6 @@ func (s *Server) Prune(w Time) {
 // start and completion times. When a clock is bound, now must not precede
 // the clock's current time.
 func (s *Server) Acquire(now, service Time) (start, done Time) {
-	s.uses++
-	s.busy += service
 	if service == 0 {
 		return now, now
 	}
@@ -209,13 +205,6 @@ func (s *Server) insertGap(i int, g gap) {
 // NextFree returns the end of the last booking — the earliest time a
 // request arriving after all current bookings could begin service.
 func (s *Server) NextFree() Time { return s.tail }
-
-// BusyTime returns the total time the server has been reserved. Pruning
-// does not affect it.
-func (s *Server) BusyTime() Time { return s.busy }
-
-// Uses returns the number of Acquire calls. Pruning does not affect it.
-func (s *Server) Uses() uint64 { return s.uses }
 
 // liveGaps returns the number of unretired idle windows (tests).
 func (s *Server) liveGaps() int { return len(s.gaps) - s.head }

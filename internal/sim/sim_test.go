@@ -305,12 +305,6 @@ func TestResourceSerializes(t *testing.T) {
 	if s3 != 500 || d3 != 510 {
 		t.Fatalf("third acquire = (%d,%d), want (500,510)", s3, d3)
 	}
-	if r.BusyTime() != 90 {
-		t.Fatalf("busy = %d, want 90", r.BusyTime())
-	}
-	if r.Uses() != 3 {
-		t.Fatalf("uses = %d, want 3", r.Uses())
-	}
 }
 
 func TestResourceReset(t *testing.T) {
@@ -320,7 +314,7 @@ func TestResourceReset(t *testing.T) {
 	r.Acquire(10, 10)
 	r.Acquire(50, 10)
 	r.Reset()
-	if r.NextFree() != 0 || r.BusyTime() != 0 || r.Uses() != 0 || r.liveGaps() != 0 {
+	if r.NextFree() != 0 || r.liveGaps() != 0 {
 		t.Fatal("reset did not clear state")
 	}
 	if r.clock != clk {
@@ -409,9 +403,6 @@ func TestResourceCalendarBounded(t *testing.T) {
 	if cap(r.gaps) > 128 {
 		t.Fatalf("backing array grew to %d despite compaction", cap(r.gaps))
 	}
-	if r.Uses() != 10000 {
-		t.Fatalf("uses = %d", r.Uses())
-	}
 }
 
 // TestResourcePruneRetiresOnlyFullyPast: the watermark retires gaps that
@@ -451,20 +442,19 @@ func TestResourceGapBookingAcrossWatermark(t *testing.T) {
 	}
 }
 
-// TestResourceCountersSurvivePruning: BusyTime, Uses and NextFree are
-// unaffected by calendar retirement.
+// TestResourceCountersSurvivePruning: NextFree is unaffected by calendar
+// retirement.
 func TestResourceCountersSurvivePruning(t *testing.T) {
 	var r Server
 	r.Acquire(0, 30)
 	r.Acquire(100, 70)
-	busy, uses, next := r.BusyTime(), r.Uses(), r.NextFree()
+	next := r.NextFree()
 	r.Prune(1000)
 	if r.liveGaps() != 0 {
 		t.Fatalf("live = %d, want 0", r.liveGaps())
 	}
-	if r.BusyTime() != busy || r.Uses() != uses || r.NextFree() != next {
-		t.Fatalf("counters changed by pruning: busy %d→%d uses %d→%d next %d→%d",
-			busy, r.BusyTime(), uses, r.Uses(), next, r.NextFree())
+	if r.NextFree() != next {
+		t.Fatalf("NextFree changed by pruning: %d→%d", next, r.NextFree())
 	}
 }
 
@@ -558,9 +548,6 @@ func contentionSequence(t *testing.T, seed int64) {
 		if front > 500 && clk.now < front-500 {
 			clk.now = front - 500
 		}
-	}
-	if srv.Uses() != 5000 {
-		t.Fatalf("seed %d: uses = %d", seed, srv.Uses())
 	}
 	if gaps := srv.liveGaps(); gaps > 1024 {
 		t.Fatalf("seed %d: server gap calendar grew to %d", seed, gaps)

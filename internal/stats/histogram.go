@@ -24,9 +24,10 @@ const HistBuckets = 48
 //   - The zero value is ready to use, and the struct contains only
 //     fixed-size arrays and integers, so a plain value copy (as
 //     node.Stats reads do for the whole Stats block) is a deep copy.
-//   - Counts are mergeable (Merge) and subtractable (Sub), because the
-//     measured phase is computed as end-of-run minus end-of-warmup, the
-//     same way every scalar counter in node.Stats is diffed.
+//   - Counts are mergeable (Merge), so per-node and per-tenant
+//     distributions aggregate in any order. The measured phase needs no
+//     subtraction: the simulator zeroes every counter, histograms
+//     included, at the end of warmup.
 //
 // Quantiles are estimated by ceil-rank selection over the buckets with
 // linear interpolation inside the selected bucket; the estimate always
@@ -77,20 +78,6 @@ func (h *Histogram) Merge(o Histogram) {
 	}
 	h.n += o.n
 	h.sum += o.sum
-}
-
-// Sub returns the histogram of the samples in h but not in o, where o is an
-// earlier capture of the same histogram (o's counts are bucket-wise ≤ h's).
-// This is how the measured-phase distribution is extracted: subtract the
-// end-of-warmup capture from the end-of-run capture.
-func (h Histogram) Sub(o Histogram) Histogram {
-	var d Histogram
-	for i := range h.counts {
-		d.counts[i] = h.counts[i] - o.counts[i]
-	}
-	d.n = h.n - o.n
-	d.sum = h.sum - o.sum
-	return d
 }
 
 // bucketBounds returns the inclusive value range [lo, hi] of bucket i.

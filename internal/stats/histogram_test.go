@@ -111,25 +111,6 @@ func TestHistogramMergeAssociative(t *testing.T) {
 	}
 }
 
-// TestHistogramSubInverts checks that Sub recovers exactly the samples
-// recorded after a value copy — the warmup-exclusion diff the runner does.
-func TestHistogramSubInverts(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	var h, wantTail Histogram
-	for i := 0; i < 500; i++ {
-		h.Record(uint64(r.Intn(1 << 20)))
-	}
-	warm := h
-	for i := 0; i < 800; i++ {
-		v := uint64(r.Intn(1 << 30))
-		h.Record(v)
-		wantTail.Record(v)
-	}
-	if got := h.Sub(warm); got != wantTail {
-		t.Fatalf("Sub(warmup copy) != measured-only histogram:\ngot  %+v\nwant %+v", got, wantTail)
-	}
-}
-
 // TestHistogramRecordAllocs asserts the hot-path contract directly, in
 // addition to the BenchmarkHistogramRecord guard (which only reports).
 func TestHistogramRecordAllocs(t *testing.T) {

@@ -225,6 +225,9 @@ func (s *STU) Recycle(a *arena.Arena) { s.cache.Recycle(a) }
 // Stats returns a copy of the accumulated counters.
 func (s *STU) Stats() Stats { return s.stats }
 
+// ResetStats zeroes the counters; the cache contents stay.
+func (s *STU) ResetStats() { s.stats = Stats{} }
+
 // Bind attaches the engine clock to the STU port so its reservation
 // calendar retires bookings entirely in the past (see sim.Clock).
 func (s *STU) Bind(c sim.Clock) { s.port.Bind(c) }
@@ -369,24 +372,6 @@ func (s *STU) TranslateAndVerify(now sim.Time, npPage addr.NPPage, want acm.Perm
 	}
 	t, d = s.decide(t, fp, want)
 	return t, fp, d, nil
-}
-
-// TranslationHitRate returns the I-FAM STU translation hit rate (Figure 10).
-func (s *STU) TranslationHitRate() float64 {
-	tot := s.stats.TranslationHits + s.stats.TranslationMisses
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.stats.TranslationHits) / float64(tot)
-}
-
-// ACMHitRate returns the metadata hit rate (Figure 9).
-func (s *STU) ACMHitRate() float64 {
-	tot := s.stats.ACMHits + s.stats.ACMMisses
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.stats.ACMHits) / float64(tot)
 }
 
 // InvalidateACM drops cached metadata for a FAM page (migration, §VI).

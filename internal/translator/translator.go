@@ -253,14 +253,8 @@ func (t *Translator) Corrupt(np addr.NPPage, fp addr.FPage) {
 // Stats returns a copy of the counters.
 func (t *Translator) Stats() Stats { return t.stats }
 
-// HitRate returns the FAM translation cache hit rate (Figure 10).
-func (t *Translator) HitRate() float64 {
-	tot := t.stats.Hits + t.stats.Misses
-	if tot == 0 {
-		return 0
-	}
-	return float64(t.stats.Hits) / float64(tot)
-}
+// ResetStats zeroes the counters; the cache contents stay.
+func (t *Translator) ResetStats() { t.stats = Stats{} }
 
 // Sets returns the number of cache sets (diagnostics).
 func (t *Translator) Sets() uint64 { return t.sets }

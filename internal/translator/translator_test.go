@@ -80,8 +80,8 @@ func TestMissThenUpdateThenHit(t *testing.T) {
 	if !hit || fp != 777 {
 		t.Fatalf("lookup after update = (%v,%v)", fp, hit)
 	}
-	if tr.HitRate() != 0.5 {
-		t.Fatalf("hit rate %v", tr.HitRate())
+	if st := tr.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", st.Hits, st.Misses)
 	}
 }
 
