@@ -53,19 +53,12 @@ func main() {
 // teardown) execute on error paths too, instead of being skipped by
 // os.Exit.
 func run(ctx context.Context) error {
-	out := flag.String("out", "EXPERIMENTS.md", "output file (- for stdout)")
-	// One bool flag per additive registry entry, named by its sweep name.
-	sectionFlags := map[string]*bool{}
-	for _, e := range experiments.Registry() {
-		if e.Additive {
-			sectionFlags[e.Sweep] = flag.Bool(e.Sweep, false,
-				fmt.Sprintf("append the %s — %s section; strictly additive to the base report", e.ID, e.PaperRef))
-		}
+	fs := flag.CommandLine
+	prof := cli.ProfilingFlags(fs, "the full report run")
+	inv, err := parseArgs(fs, os.Args[1:])
+	if err != nil {
+		return err
 	}
-	scale := cli.ScaleFlags(flag.CommandLine, 80_000, 60_000, 2)
-	runner := cli.RunnerFlags(flag.CommandLine)
-	prof := cli.ProfilingFlags(flag.CommandLine, "the full report run")
-	flag.Parse()
 
 	stopCPU, err := prof.Start("deact-report")
 	if err != nil {
@@ -73,22 +66,48 @@ func run(ctx context.Context) error {
 	}
 	defer stopCPU()
 
-	opts, err := runner.Options(scale)
-	if err != nil {
-		return err
-	}
-	opts.OnRunDone = cli.ProgressPrinter(os.Stderr)
-	var sections []string
-	for name, on := range sectionFlags {
-		if *on {
-			sections = append(sections, name)
-		}
-	}
-
-	if err := generate(ctx, opts, sections, *out); err != nil {
+	inv.opts.OnRunDone = cli.ProgressPrinter(os.Stderr)
+	if err := generate(ctx, inv.opts, inv.sections, inv.out); err != nil {
 		return err
 	}
 	return prof.WriteHeap()
+}
+
+// invocation is what the report flags ask for.
+type invocation struct {
+	out      string
+	opts     experiments.Options
+	sections []string
+}
+
+// parseArgs registers the report flags on fs and parses args into the
+// output path, the runner options and the requested additive sections.
+func parseArgs(fs *flag.FlagSet, args []string) (invocation, error) {
+	out := fs.String("out", "EXPERIMENTS.md", "output file (- for stdout)")
+	// One bool flag per additive registry entry, named by its sweep name.
+	sectionFlags := map[string]*bool{}
+	for _, e := range experiments.Registry() {
+		if e.Additive {
+			sectionFlags[e.Sweep] = fs.Bool(e.Sweep, false,
+				fmt.Sprintf("append the %s — %s section; strictly additive to the base report", e.ID, e.PaperRef))
+		}
+	}
+	scale := cli.ScaleFlags(fs, 80_000, 60_000, 2)
+	runner := cli.RunnerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return invocation{}, err
+	}
+	opts, err := runner.Options(scale)
+	if err != nil {
+		return invocation{}, err
+	}
+	inv := invocation{out: *out, opts: opts}
+	for name, on := range sectionFlags {
+		if *on {
+			inv.sections = append(inv.sections, name)
+		}
+	}
+	return inv, nil
 }
 
 // generate stages the whole report, plus the named additive sections, in

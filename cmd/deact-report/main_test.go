@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deact/internal/experiments"
@@ -45,5 +48,47 @@ func TestGenerateWritesOnSuccess(t *testing.T) {
 	}
 	if len(data) == 0 {
 		t.Fatal("empty report written")
+	}
+}
+
+// goldenFlags are the golden-report CI job's REPORT_FLAGS: the -short
+// scale, with every additive section so each is byte-held too.
+const goldenFlags = "-warmup 4000 -measure 4000 -cores 1 -benchmarks mcf,canl,sp,dc -parallelism 2 -capacity -prefetch -mlp"
+
+// TestGoldenReportShort renders the report in-process with the golden
+// flags and byte-compares it with testdata/golden-report-short.md, so a
+// change to any simulated number the report prints fails the plain test
+// run, not only the CI golden job. It takes about a second and runs under
+// -short too. After an intentional modeling change, regenerate the golden
+// with `go run ./cmd/deact-report -out testdata/golden-report-short.md`
+// and the flags above.
+func TestGoldenReportShort(t *testing.T) {
+	inv, err := parseArgs(flag.NewFlagSet("deact-report", flag.ContinueOnError), strings.Fields(goldenFlags))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := experiments.Report(context.Background(), &got, inv.opts, inv.sections...); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden-report-short.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(gl), len(wl)) {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("report drifted from testdata/golden-report-short.md at line %d:\n got: %s\nwant: %s", i+1, g, w)
+		}
 	}
 }

@@ -27,7 +27,9 @@
 //
 // Cached reports that the result was served from the -store directory
 // without simulating. Cached or not, result bytes are identical — the
-// store round-trips the canonical encoding exactly. Without -store the
+// store round-trips the canonical encoding exactly. Configs that differ
+// only in fields their scheme never reads (E-FAM's STUEntries, say) share
+// one fingerprint and so one stored result. Without -store the
 // service still runs (and dedups in memory); it just recomputes across
 // restarts and answers every /result lookup with 404.
 //

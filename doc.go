@@ -20,9 +20,10 @@
 // construction memory, core.WithTrace and core.WithTraceRecorder replay
 // and record access traces. Run identity is core.Config.Fingerprint(): a
 // canonical hash over every exported field (reflection-walked, so new
-// fields cannot be silently omitted) after normalizing derived fields.
-// experiments.Runner deduplicates on that fingerprint alone — callers Submit(ctx, cfg) and get a Future, or batch
-// with RunAll(ctx, cfgs); identical configs share one simulation and
+// fields cannot be silently omitted) after normalizing derived fields and
+// zeroing the fields the scheme never reads (E-FAM's STU size, say).
+// experiments.Runner validates each config, then deduplicates on that fingerprint alone — callers Submit(ctx, cfg) and get a Future, or batch
+// with RunAll(ctx, cfgs); configs that simulate identically share one simulation and
 // distinct configs can never alias one cache slot the way hand-written
 // string keys could. A deduplicated waiter that cancels unblocks with its
 // own ctx.Err() while the shared computation keeps running for the

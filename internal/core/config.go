@@ -50,6 +50,18 @@ const (
 // scaled ~16× down in capacity the same way the paper scales its own memory
 // sizes against application footprints (§IV footnote 3); all ratios
 // (local:FAM capacity, footprint:cache reach) are preserved.
+//
+// One rule covers the fields that matter only in some runs: normalize
+// scheme-dependent fields, and reject knobs whose own enabling switch is
+// off. A field the chosen scheme never reads — E-FAM's STU and translator
+// fields, I-FAM's translator fields, PairsPerWay and TrustReads outside
+// the schemes that read them — is accepted and left out of run identity
+// (Fingerprint), since sweeps legitimately vary STU fields across all four
+// schemes. Validate stays scheme-blind: such a field is still checked, so
+// a config's validity never depends on its scheme or on the configs it
+// merges with. A knob set while its own switch is off (WindowSize without
+// CoreOoO, PatternDegree without a Pattern, a prefetch knob without
+// PrefetchStreams) fails Validate.
 type Config struct {
 	// Scheme selects the virtual-memory organization.
 	Scheme Scheme
@@ -115,14 +127,16 @@ type Config struct {
 
 	// STUEntries/STUWays size the STU cache (1024/8; Figures 13 and the
 	// associativity sweep). PairsPerWay overrides DeACT-N packing
-	// (Figure 14).
+	// (Figure 14); no other scheme reads it. E-FAM has no STU and reads
+	// none of the four.
 	STUEntries  int
 	STUWays     int
 	PairsPerWay int
 	STULookup   sim.Time
 
 	// TranslationCacheBytes sizes DeACT's in-DRAM FAM translation cache
-	// (1MB in the paper, scaled by default).
+	// (1MB in the paper, scaled by default). Only the DeACT schemes build
+	// the translator, so only they read it and Outstanding.
 	TranslationCacheBytes uint64
 	// Outstanding is the outstanding-mapping-list depth (128).
 	Outstanding int
@@ -145,7 +159,9 @@ type Config struct {
 
 	// TrustReads enables the §III-A encrypted-memory optimization: reads
 	// skip access control (per-node encryption keys make stolen reads
-	// useless ciphertext). The read-trust ablation flips this.
+	// useless ciphertext). The read-trust ablation flips this. Only the
+	// DeACT schemes read it: I-FAM's coupled STU entry checks every
+	// access in the same lookup that translates it.
 	TrustReads bool
 
 	// Pattern overrides the benchmark profile's access-pattern generator:

@@ -11,8 +11,9 @@ import (
 // Fingerprint returns the canonical run identity of the configuration: a
 // hex-encoded 128-bit digest over every exported field, after
 // normalization. Two configs that would simulate identically (differing
-// only in fields Run derives, like Hierarchy.Cores) fingerprint equal;
-// any other exported-field difference produces a different fingerprint.
+// only in fields Run derives, like Hierarchy.Cores, or in fields the
+// scheme never reads, like E-FAM's STU size) fingerprint equal; any other
+// exported-field difference produces a different fingerprint.
 //
 // The experiment Runner keys its deduplication cache solely on this value,
 // so run identity can never drift from the configuration the way a
@@ -23,9 +24,40 @@ func (c Config) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// normalized returns the config with derived fields rewritten to the values
-// Run will actually use, so they cannot split or alias run identities.
+// normalized returns the config's run identity: its canonical spelling
+// with every field the scheme's code path never reads zeroed, so neither
+// a derived field nor a scheme-irrelevant one can split run identity. The
+// result is for hashing only — a zeroed E-FAM STU geometry does not pass
+// Validate.
+//
+// The zeroed fields follow from where each one is read. E-FAM builds
+// neither an STU (node.NewInArena: Scheme != EFAM) nor a translator. Only
+// the DeACT schemes build the translator and reserve its DRAM
+// (Scheme.UsesDeACT), and only DeACT-N reads PairsPerWay (stu.NewInArena,
+// OrgDeACTN). TrustReads is read only by stu.verify, which serves the
+// DeACT requests; I-FAM's TranslateAndVerify goes straight to decide.
 func (c Config) normalized() Config {
+	c = c.canonical()
+	switch c.Scheme {
+	case EFAM:
+		c.STUEntries, c.STUWays, c.STULookup = 0, 0, 0
+		c.PairsPerWay, c.TrustReads = 0, false
+		c.TranslationCacheBytes, c.Outstanding = 0, 0
+	case IFAM:
+		c.PairsPerWay, c.TrustReads = 0, false
+		c.TranslationCacheBytes, c.Outstanding = 0, 0
+	case DeACTW:
+		c.PairsPerWay = 0
+	}
+	return c
+}
+
+// canonical returns the config with derived fields rewritten to the values
+// Run will actually use, so their spellings cannot split or alias run
+// identities. Unlike normalized it keeps every field a scheme ignores, so
+// the canonical form of a valid config stays valid: it is what
+// MarshalJSON encodes, and a stored or echoed config replays as given.
+func (c Config) canonical() Config {
 	// nodeConfig overwrites the hierarchy's core count with CoresPerNode;
 	// a stale Hierarchy.Cores never reaches the simulation.
 	c.Hierarchy.Cores = c.CoresPerNode

@@ -103,46 +103,71 @@ func TestFingerprintEqualConfigsHashEqual(t *testing.T) {
 	}
 }
 
-// TestFingerprintCoversEveryField perturbs every exported leaf field of
-// Config (reflection-driven, so a newly added field cannot be silently
-// omitted) and requires the fingerprint to change — except for fields the
-// normalization deliberately derives from others.
-func TestFingerprintCoversEveryField(t *testing.T) {
-	// Hierarchy.Cores is overwritten with CoresPerNode before hashing (and
-	// before simulating), so perturbing it must NOT change run identity.
-	// Tenants normalizes 0 to 1 — both spellings mean "single-tenant" and
-	// simulate identically — and this test perturbs it from its default 0
-	// to 1, so the fingerprint must stay put. (Any value ≥ 2 does change
-	// identity; see TestFingerprintTenancyFieldsDistinct.)
-	normalized := map[string]bool{
-		"Config.Hierarchy.Cores": true,
-		"Config.Tenants":         true,
-	}
+// unreadFields is, per scheme, the set of Config fields that scheme's code
+// path never reads, written out by hand from node.NewInArena and the stu
+// package: E-FAM builds neither an STU nor a translator, I-FAM builds no
+// translator and never calls stu.verify (TrustReads) or packs DeACT-N
+// sub-ways (PairsPerWay), and DeACT-W does not pack sub-ways either. The
+// normalization must zero exactly these, and TestUnreadFieldsLeaveResultUnchanged
+// checks by simulation that each of them is in fact never read.
+var unreadFields = map[Scheme][]string{
+	EFAM: {"Config.STUEntries", "Config.STUWays", "Config.PairsPerWay", "Config.STULookup",
+		"Config.TranslationCacheBytes", "Config.Outstanding", "Config.TrustReads"},
+	IFAM:   {"Config.PairsPerWay", "Config.TranslationCacheBytes", "Config.Outstanding", "Config.TrustReads"},
+	DeACTW: {"Config.PairsPerWay"},
+	DeACTN: nil,
+}
 
-	base := DefaultConfig()
-	baseFP := base.Fingerprint()
-	var leaves []leafField
-	collectLeaves(t, reflect.TypeOf(base), "Config", nil, &leaves)
-	if len(leaves) < 30 {
-		t.Fatalf("only %d leaf fields found; Config reflection walk broken", len(leaves))
-	}
-	seen := map[string]string{"": baseFP}
-	for _, lf := range leaves {
-		got := perturb(t, base, lf).Fingerprint()
-		if normalized[lf.path] {
-			if got != baseFP {
-				t.Errorf("%s is normalized away but changed the fingerprint", lf.path)
+// TestFingerprintCoversEveryField perturbs every exported leaf field of
+// Config under each scheme (reflection-driven, so a newly added field
+// cannot be silently omitted) and requires the fingerprint to change —
+// except for fields the normalization deliberately derives from others and
+// the fields unreadFields lists for that scheme.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	for _, s := range Schemes() {
+		t.Run(s.String(), func(t *testing.T) {
+			// Hierarchy.Cores is overwritten with CoresPerNode before
+			// hashing (and before simulating), so perturbing it must NOT
+			// change run identity. Tenants normalizes 0 to 1 — both
+			// spellings mean "single-tenant" and simulate identically — and
+			// this test perturbs it from its default 0 to 1, so the
+			// fingerprint must stay put. (Any value ≥ 2 does change
+			// identity; see TestFingerprintTenancyFieldsDistinct.)
+			normalized := map[string]bool{
+				"Config.Hierarchy.Cores": true,
+				"Config.Tenants":         true,
 			}
-			continue
-		}
-		if got == baseFP {
-			t.Errorf("perturbing %s did not change the fingerprint", lf.path)
-		}
-		// No two single-field perturbations may alias each other either.
-		if prev, dup := seen[got]; dup {
-			t.Errorf("perturbing %s aliases perturbing %q", lf.path, prev)
-		}
-		seen[got] = lf.path
+			for _, f := range unreadFields[s] {
+				normalized[f] = true
+			}
+
+			base := DefaultConfig()
+			base.Scheme = s
+			baseFP := base.Fingerprint()
+			var leaves []leafField
+			collectLeaves(t, reflect.TypeOf(base), "Config", nil, &leaves)
+			if len(leaves) < 30 {
+				t.Fatalf("only %d leaf fields found; Config reflection walk broken", len(leaves))
+			}
+			seen := map[string]string{"": baseFP}
+			for _, lf := range leaves {
+				got := perturb(t, base, lf).Fingerprint()
+				if normalized[lf.path] {
+					if got != baseFP {
+						t.Errorf("%s is normalized away but changed the fingerprint", lf.path)
+					}
+					continue
+				}
+				if got == baseFP {
+					t.Errorf("perturbing %s did not change the fingerprint", lf.path)
+				}
+				// No two single-field perturbations may alias each other either.
+				if prev, dup := seen[got]; dup {
+					t.Errorf("perturbing %s aliases perturbing %q", lf.path, prev)
+				}
+				seen[got] = lf.path
+			}
+		})
 	}
 }
 

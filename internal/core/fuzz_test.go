@@ -11,7 +11,9 @@ import (
 // the boundary contract: decoding never panics; a decoded config either
 // passes Validate or fails it with a wrapped ErrInvalidConfig (a 400, never
 // a 500); and its canonical encoding decodes back to the same Fingerprint,
-// so the store, the Runner and the response agree on run identity.
+// so the store, the Runner and the response agree on run identity. The
+// encoding of a valid config is itself valid, so a stored or echoed config
+// replays as given.
 func FuzzConfigJSON(f *testing.F) {
 	canonical, err := json.Marshal(DefaultConfig())
 	if err != nil {
@@ -26,8 +28,9 @@ func FuzzConfigJSON(f *testing.F) {
 		if err := json.Unmarshal(body, &cfg); err != nil {
 			return
 		}
-		if err := cfg.Validate(); err != nil && !errors.Is(err, ErrInvalidConfig) {
-			t.Fatalf("Validate error does not wrap ErrInvalidConfig: %v", err)
+		valid := cfg.Validate()
+		if valid != nil && !errors.Is(valid, ErrInvalidConfig) {
+			t.Fatalf("Validate error does not wrap ErrInvalidConfig: %v", valid)
 		}
 		enc, err := json.Marshal(cfg)
 		if err != nil {
@@ -39,6 +42,11 @@ func FuzzConfigJSON(f *testing.F) {
 		}
 		if got, want := back.Fingerprint(), cfg.Fingerprint(); got != want {
 			t.Fatalf("fingerprint drifted across JSON round trip: got %s, want %s\n%s", got, want, enc)
+		}
+		if valid == nil {
+			if err := back.Validate(); err != nil {
+				t.Fatalf("canonical encoding of a valid config does not validate: %v\n%s", err, enc)
+			}
 		}
 	})
 }

@@ -24,14 +24,17 @@ func ParseScheme(s string) (Scheme, error) { return node.ParseScheme(s) }
 
 // MarshalJSON encodes the configuration in its canonical external form:
 // every exported field under its Go name, schemes as their lowercase
-// canonical names, and derived fields normalized exactly the way
-// Fingerprint normalizes them — so the serve API, the persistent result
-// store and the fingerprint walk all see one schema. Encoding is
-// deterministic (struct field order) and round-trips through UnmarshalJSON
-// to a config with an identical Fingerprint.
+// canonical names, and derived fields spelled the way Fingerprint spells
+// them — so the serve API, the persistent result store and the
+// fingerprint walk all see one schema. Fields the scheme never reads are
+// encoded as given, not zeroed, so a valid config encodes to a valid one
+// that replays (deact-sim -config) exactly; two encodings that differ only
+// there share one Fingerprint. Encoding is deterministic (struct field
+// order) and round-trips through UnmarshalJSON to a config with an
+// identical Fingerprint.
 func (c Config) MarshalJSON() ([]byte, error) {
 	type plain Config // strips the marshaler; field types keep theirs
-	return json.Marshal(plain(c.normalized()))
+	return json.Marshal(plain(c.canonical()))
 }
 
 // UnmarshalJSON decodes a canonical config. Unknown fields are rejected —

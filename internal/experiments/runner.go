@@ -185,7 +185,20 @@ type Future struct {
 // stops admitting the run if every attached waiter's context is cancelled
 // before a slot frees up, and an admitted run observes cancellation inside
 // core.Run's event loop once the last waiter detaches.
+//
+// cfg is validated before its identity is taken: Fingerprint ignores the
+// fields a scheme never reads, so an invalid config can share a valid
+// one's fingerprint. It must fail on its own, not join that run's flight
+// or hit its store entry, so an invalid cfg gets an already-failed Future
+// (wrapping core.ErrInvalidConfig) and is never registered.
 func (r *Runner) Submit(ctx context.Context, cfg core.Config) *Future {
+	if err := cfg.Validate(); err != nil {
+		done := make(chan struct{})
+		close(done)
+		e := &runEntry{cfg: cfg, done: done, cancel: func() {}, waiters: 1, finished: true,
+			err: fmt.Errorf("experiments: %s under %v: %w", cfg.Benchmark, cfg.Scheme, err)}
+		return &Future{r: r, e: e, ctx: ctx}
+	}
 	fp := cfg.Fingerprint()
 	r.mu.Lock()
 	// Attach to a live entry — or to a doomed one that nevertheless

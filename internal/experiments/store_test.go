@@ -165,3 +165,54 @@ func TestRunnerStoreMixedWarmCold(t *testing.T) {
 		t.Fatal("mixed pass did not persist its one cold run")
 	}
 }
+
+// TestSubmitValidatesBeforeIdentity: Fingerprint ignores the fields a
+// scheme never reads, so an invalid E-FAM config (an STU geometry whose set
+// count is not a power of two) shares its fingerprint with the valid
+// default. Submitted after the valid run finished, the alias must fail
+// with ErrInvalidConfig — on the same Runner, whose dedup map holds the
+// valid run, and on a fresh Runner over a store that holds its result —
+// and must never be answered by either.
+func TestSubmitValidatesBeforeIdentity(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var infos []RunInfo
+	opts := storeOptions(t, dir)
+	opts.OnRunDone = func(ri RunInfo) {
+		mu.Lock()
+		infos = append(infos, ri)
+		mu.Unlock()
+	}
+	r := New(opts)
+	valid := r.config(core.EFAM, "mcf", nil)
+	alias := r.config(core.EFAM, "mcf", func(c *core.Config) { c.STUEntries = 100 })
+	if alias.Fingerprint() != valid.Fingerprint() {
+		t.Fatal("the invalid alias does not share the valid config's fingerprint; nothing is tested")
+	}
+	if _, err := r.Run(ctx, valid); err != nil {
+		t.Fatal(err)
+	}
+	r.WaitIdle()
+
+	fresh := New(storeOptions(t, dir))
+	if _, ok := fresh.opts.Store.Get(valid); !ok {
+		t.Fatal("the store does not hold the valid result")
+	}
+	for name, runner := range map[string]*Runner{"same runner": r, "fresh runner over the store": fresh} {
+		res, err := runner.Run(ctx, alias)
+		if !errors.Is(err, core.ErrInvalidConfig) {
+			t.Errorf("%s: invalid alias returned err %v (Instructions %d), want ErrInvalidConfig",
+				name, err, res.Instructions)
+		}
+		runner.WaitIdle()
+		if completed, submitted := runner.Progress(); completed != submitted || submitted > 1 {
+			t.Errorf("%s: the invalid alias was registered: %d/%d runs", name, completed, submitted)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(infos) != 1 {
+		t.Errorf("progress hook saw %d runs, want only the valid one", len(infos))
+	}
+}
