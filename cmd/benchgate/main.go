@@ -32,8 +32,6 @@ import (
 	"os"
 	"regexp"
 	"sort"
-
-	"deact/internal/benchparse"
 )
 
 func main() {
@@ -67,12 +65,12 @@ func run(args []string, out io.Writer) int {
 		return 2
 	}
 
-	base, err := benchparse.ParseFile(fs.Arg(0))
+	base, err := parseFile(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(out, "benchgate:", err)
 		return 2
 	}
-	head, err := benchparse.ParseFile(fs.Arg(1))
+	head, err := parseFile(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintln(out, "benchgate:", err)
 		return 2
@@ -115,7 +113,7 @@ func run(args []string, out io.Writer) int {
 			continue
 		}
 		enforced++
-		bt, ht := benchparse.Median(b.TimeNS), benchparse.Median(h.TimeNS)
+		bt, ht := median(b.TimeNS), median(h.TimeNS)
 		delta := 100 * (ht - bt) / bt
 		status := "ok  "
 		if delta > *maxPct {
@@ -126,7 +124,7 @@ func run(args []string, out io.Writer) int {
 			status, name, bt, ht, delta, *maxPct)
 
 		if len(b.AllocsPerOp) > 0 && len(h.AllocsPerOp) > 0 {
-			ba, ha := benchparse.MedianInt(b.AllocsPerOp), benchparse.MedianInt(h.AllocsPerOp)
+			ba, ha := medianInt(b.AllocsPerOp), medianInt(h.AllocsPerOp)
 			status := "ok  "
 			if ha > ba {
 				status = "FAIL"

@@ -1,12 +1,12 @@
-// Package benchparse parses `go test -bench` output into per-benchmark
-// sample sets, for the CI benchmark-regression gate (cmd/benchgate). It
+package main
+
+// Parsing of `go test -bench` output into per-benchmark sample sets. It
 // understands the standard line format
 //
 //	BenchmarkName[/sub][-procs]  N  12345 ns/op [ 67 B/op  8 allocs/op ] [...]
 //
-// and aggregates repeated -count runs of the same benchmark, so callers can
-// gate on medians instead of single noisy samples.
-package benchparse
+// and aggregates repeated -count runs of the same benchmark, so the gate
+// compares medians instead of single noisy samples.
 
 import (
 	"bufio"
@@ -17,22 +17,22 @@ import (
 	"strings"
 )
 
-// Samples collects the per-run measurements of one benchmark.
-type Samples struct {
+// samples collects the per-run measurements of one benchmark.
+type samples struct {
 	TimeNS      []float64 // ns/op per run
 	BytesPerOp  []int64   // B/op per run (when -benchmem was used)
 	AllocsPerOp []int64   // allocs/op per run
 }
 
-// ParseFile reads a `go test -bench` output file.
-func ParseFile(path string) (map[string]*Samples, error) {
+// parseFile reads a `go test -bench` output file.
+func parseFile(path string) (map[string]*samples, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 
-	out := map[string]*Samples{}
+	out := map[string]*samples{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -42,7 +42,7 @@ func ParseFile(path string) (map[string]*Samples, error) {
 		}
 		agg := out[name]
 		if agg == nil {
-			agg = &Samples{}
+			agg = &samples{}
 			out[name] = agg
 		}
 		agg.TimeNS = append(agg.TimeNS, s.TimeNS...)
@@ -53,17 +53,17 @@ func ParseFile(path string) (map[string]*Samples, error) {
 		return nil, err
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("benchparse: no benchmark lines in %s", path)
+		return nil, fmt.Errorf("benchgate: no benchmark lines in %s", path)
 	}
 	return out, nil
 }
 
 // parseLine parses one benchmark result line. The GOMAXPROCS suffix (-8) is
 // stripped so runs from machines with different core counts compare.
-func parseLine(line string) (string, Samples, bool) {
+func parseLine(line string) (string, samples, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", Samples{}, false
+		return "", samples{}, false
 	}
 	name := fields[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
@@ -72,9 +72,9 @@ func parseLine(line string) (string, Samples, bool) {
 		}
 	}
 	if _, err := strconv.ParseUint(fields[1], 10, 64); err != nil {
-		return "", Samples{}, false
+		return "", samples{}, false
 	}
-	var s Samples
+	var s samples
 	seenTime := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, unit := fields[i], fields[i+1]
@@ -82,7 +82,7 @@ func parseLine(line string) (string, Samples, bool) {
 		case "ns/op":
 			t, err := strconv.ParseFloat(val, 64)
 			if err != nil {
-				return "", Samples{}, false
+				return "", samples{}, false
 			}
 			s.TimeNS = append(s.TimeNS, t)
 			seenTime = true
@@ -97,14 +97,14 @@ func parseLine(line string) (string, Samples, bool) {
 		}
 	}
 	if !seenTime {
-		return "", Samples{}, false
+		return "", samples{}, false
 	}
 	return name, s, true
 }
 
-// Median returns the median of xs (mean of the middle pair for even
+// median returns the median of xs (mean of the middle pair for even
 // lengths). xs must be non-empty; it is not modified.
-func Median(xs []float64) float64 {
+func median(xs []float64) float64 {
 	tmp := append([]float64(nil), xs...)
 	sort.Float64s(tmp)
 	n := len(tmp)
@@ -114,9 +114,9 @@ func Median(xs []float64) float64 {
 	return (tmp[n/2-1] + tmp[n/2]) / 2
 }
 
-// MedianInt returns the median of xs, rounding the even-length midpoint
+// medianInt returns the median of xs, rounding the even-length midpoint
 // toward the lower sample (conservative for "any increase fails" gates).
-func MedianInt(xs []int64) int64 {
+func medianInt(xs []int64) int64 {
 	tmp := append([]int64(nil), xs...)
 	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
 	n := len(tmp)

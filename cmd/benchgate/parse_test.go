@@ -1,22 +1,9 @@
-package benchparse
+package main
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-func writeTemp(t *testing.T, content string) string {
-	t.Helper()
-	p := filepath.Join(t.TempDir(), "bench.txt")
-	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
+import "testing"
 
 func TestParseFileAggregatesCounts(t *testing.T) {
-	p := writeTemp(t, `
+	p := write(t, t.TempDir(), "bench.txt", `
 goos: linux
 goarch: amd64
 pkg: deact/internal/core
@@ -28,7 +15,7 @@ BenchmarkEngine/handler-8        	121170255	        10.03 ns/op	       0 B/op	  
 PASS
 ok  	deact/internal/core	9.553s
 `)
-	got, err := ParseFile(p)
+	got, err := parseFile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +26,10 @@ ok  	deact/internal/core	9.553s
 	if len(s.TimeNS) != 3 || len(s.AllocsPerOp) != 3 || len(s.BytesPerOp) != 3 {
 		t.Fatalf("samples not aggregated: %+v", s)
 	}
-	if m := Median(s.TimeNS); m != 9785698 {
+	if m := median(s.TimeNS); m != 9785698 {
 		t.Fatalf("median time = %v, want 9785698", m)
 	}
-	if m := MedianInt(s.AllocsPerOp); m != 714 {
+	if m := medianInt(s.AllocsPerOp); m != 714 {
 		t.Fatalf("median allocs = %d, want 714", m)
 	}
 	if e, ok := got["BenchmarkEngine/handler"]; !ok || e.TimeNS[0] != 10.03 {
@@ -78,17 +65,17 @@ func TestParseLineKeepsUnsuffixedNames(t *testing.T) {
 }
 
 func TestMedianEvenLength(t *testing.T) {
-	if m := Median([]float64{1, 2, 3, 10}); m != 2.5 {
+	if m := median([]float64{1, 2, 3, 10}); m != 2.5 {
 		t.Fatalf("median = %v, want 2.5", m)
 	}
-	if m := MedianInt([]int64{1, 2, 3, 10}); m != 2 {
+	if m := medianInt([]int64{1, 2, 3, 10}); m != 2 {
 		t.Fatalf("int median = %d, want 2 (midpoint rounds down)", m)
 	}
 }
 
 func TestParseFileEmptyErrors(t *testing.T) {
-	p := writeTemp(t, "PASS\n")
-	if _, err := ParseFile(p); err == nil {
+	p := write(t, t.TempDir(), "bench.txt", "PASS\n")
+	if _, err := parseFile(p); err == nil {
 		t.Fatal("empty bench file accepted")
 	}
 }

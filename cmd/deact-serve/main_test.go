@@ -364,7 +364,9 @@ func TestServeResultLookup(t *testing.T) {
 // validation, so /run answers 400 instead of failing the simulation with a
 // 500 (or, for an overflowing prefetcher size, hanging a worker), and a
 // sweep holding one fails whole before any point starts. A field the
-// Config no longer has is an unknown field.
+// Config no longer has is an unknown field. A 1 ns fabric packet time is
+// below the default 2 ns FAM port, which the unqueued port cannot model,
+// and a FAM device without banks cannot be built.
 func TestServeRejectsBadGeometry(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 	for _, body := range []string{
@@ -383,6 +385,8 @@ func TestServeRejectsBadGeometry(t *testing.T) {
 		`{"PrefetchStreams":64,"PrefetchThreshold":2147483648}`,
 		`{"BrokerShards":2}`,
 		`{"Nodes":63,"Layout":{"ACMBits":8}}`,
+		`{"FabricPacketTime":1000}`,
+		`{"FAMCfg":{"Name":"fam","Banks":0,"ReadLatency":60000,"WriteLatency":150000,"PortLatency":2000}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
 		if err != nil {

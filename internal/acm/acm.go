@@ -102,13 +102,19 @@ func Decode(raw uint32, acmBits uint) Entry {
 	}
 }
 
-// slot is one stored per-page entry plus its presence marker (so a page
+// slot is one stored per-page entry packed into 4 bytes: the owner in bits
+// 0–15, the permission in bits 16–23 and a presence bit at 24, so a page
 // explicitly set to the zero Entry is distinguishable from an unallocated
-// page).
-type slot struct {
-	e  Entry
-	ok bool
-}
+// page (the zero slot). Every Check reads one slot from a chunk too large
+// for the host caches, and 4-byte slots make each 1GB region's chunk 1MB
+// where an {Entry, bool} struct took 1.5MB.
+type slot uint32
+
+const slotPresent slot = 1 << 24
+
+func packSlot(e Entry) slot { return slot(e.Owner) | slot(e.Perm)<<16 | slotPresent }
+
+func (v slot) entry() Entry { return Entry{Owner: uint16(v), Perm: Perm(uint8(v >> 16))} }
 
 // Store holds the metadata contents for one FAM pool.
 //
@@ -181,7 +187,7 @@ func (s *Store) Set(p addr.FPage, e Entry) error {
 	if _, err := Encode(e, s.layout.ACMBits); err != nil {
 		return err
 	}
-	s.chunkFor(p, true)[uint64(p)%addr.PagesPerHuge] = slot{e: e, ok: true}
+	s.chunkFor(p, true)[uint64(p)%addr.PagesPerHuge] = packSlot(e)
 	s.writes++
 	return nil
 }
@@ -189,7 +195,7 @@ func (s *Store) Set(p addr.FPage, e Entry) error {
 // Clear removes the entry for p (page freed).
 func (s *Store) Clear(p addr.FPage) {
 	if c := s.chunkFor(p, false); c != nil {
-		c[uint64(p)%addr.PagesPerHuge] = slot{}
+		c[uint64(p)%addr.PagesPerHuge] = 0
 	}
 	s.writes++
 }
@@ -198,7 +204,7 @@ func (s *Store) Clear(p addr.FPage) {
 // {Owner:0, Perm:PermNone}, which denies everyone.
 func (s *Store) Entry(p addr.FPage) Entry {
 	if c := s.chunkFor(p, false); c != nil {
-		return c[uint64(p)%addr.PagesPerHuge].e
+		return c[uint64(p)%addr.PagesPerHuge].entry()
 	}
 	return Entry{}
 }
@@ -206,7 +212,7 @@ func (s *Store) Entry(p addr.FPage) Entry {
 // Has reports whether p has an installed metadata entry.
 func (s *Store) Has(p addr.FPage) bool {
 	c := s.chunkFor(p, false)
-	return c != nil && c[uint64(p)%addr.PagesPerHuge].ok
+	return c != nil && c[uint64(p)%addr.PagesPerHuge] != 0
 }
 
 // MarkShared flags every 4KB sub-page of the 1GB region as shared (the
@@ -215,7 +221,7 @@ func (s *Store) Has(p addr.FPage) bool {
 func (s *Store) MarkShared(huge uint64, defaultPerm Perm) {
 	marker := SharedOwner(s.layout.ACMBits)
 	c := s.chunkFor(addr.FPage(huge*addr.PagesPerHuge), true)
-	fill := slot{e: Entry{Owner: marker, Perm: defaultPerm}, ok: true}
+	fill := packSlot(Entry{Owner: marker, Perm: defaultPerm})
 	for i := range c {
 		c[i] = fill
 	}

@@ -1,6 +1,7 @@
 package acm
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -180,5 +181,66 @@ func BenchmarkACMCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchDecision = s.Check(addr.FPage(i)%4096, uint16(i)%63, PermR)
+	}
+}
+
+// TestSlotPackingRoundTrips holds the 4-byte slot to the {Entry, bool}
+// struct it replaced: at the 8-, 16- and 18-bit ACM widths (the last
+// saturates the owner at 0xFFFF), every Set, Clear and MarkShared leaves
+// Entry and Has answering what a map of struct slots answers, including
+// an explicitly set zero Entry, which is present, against a cleared page,
+// which is not.
+func TestSlotPackingRoundTrips(t *testing.T) {
+	type refSlot struct {
+		e  Entry
+		ok bool
+	}
+	for _, bits := range []uint{8, 16, 18} {
+		l := layout()
+		l.ACMBits = bits
+		s := NewStore(l)
+		ref := map[addr.FPage]refSlot{}
+		rng := rand.New(rand.NewSource(int64(bits)))
+		maxOwner := int(SharedOwner(bits))
+		// Pages in three 1GB regions, so chunks materialize and stay sparse.
+		page := func() addr.FPage {
+			return addr.FPage(uint64(rng.Intn(3))*addr.PagesPerHuge + uint64(rng.Intn(64)))
+		}
+		for op := 0; op < 20000; op++ {
+			switch r := rng.Intn(100); {
+			case r < 60:
+				p := page()
+				e := Entry{Owner: uint16(rng.Intn(maxOwner + 1)), Perm: Perm(rng.Intn(4))}
+				switch rng.Intn(4) {
+				case 0:
+					e = Entry{}
+				case 1:
+					e.Owner = uint16(maxOwner) // the shared marker
+				}
+				if err := s.Set(p, e); err != nil {
+					t.Fatalf("bits %d: Set(%d, %+v): %v", bits, p, e, err)
+				}
+				ref[p] = refSlot{e: e, ok: true}
+			case r < 90:
+				p := page()
+				s.Clear(p)
+				delete(ref, p)
+			case r < 91:
+				huge := uint64(rng.Intn(3))
+				perm := Perm(rng.Intn(4))
+				s.MarkShared(huge, perm)
+				for i := range uint64(64) {
+					ref[addr.FPage(huge*addr.PagesPerHuge+i)] = refSlot{e: Entry{Owner: SharedOwner(bits), Perm: perm}, ok: true}
+				}
+			}
+			p := page()
+			want := ref[p]
+			if got := s.Entry(p); got != want.e {
+				t.Fatalf("bits %d op %d: Entry(%d) = %+v, reference %+v", bits, op, p, got, want.e)
+			}
+			if got := s.Has(p); got != want.ok {
+				t.Fatalf("bits %d op %d: Has(%d) = %v, reference %v", bits, op, p, got, want.ok)
+			}
+		}
 	}
 }

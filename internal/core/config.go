@@ -330,13 +330,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: Nodes %d needs more than the %d-bit ACM ID space (at most %d nodes)",
 			ErrInvalidConfig, c.Nodes, c.Layout.ACMBits, limit-1)
 	}
+	// FAM arrivals are paced by the shared to-FAM link, one FabricPacketTime
+	// apart at least, so the FAM port is modelled as a fixed delay (see
+	// memdev). A port slower than the link could queue; node.New refuses
+	// that pairing too.
+	if c.FAMCfg.PortLatency > c.FabricPacketTime {
+		return fmt.Errorf("%w: FAMCfg.PortLatency %d ps exceeds FabricPacketTime %d ps (the FAM port serves link-paced arrivals unqueued)",
+			ErrInvalidConfig, c.FAMCfg.PortLatency, c.FabricPacketTime)
+	}
 	// The rules NewSystem's constructors enforce, through the same functions
 	// they call: the node's own (LocalEveryN, and the translator under a
-	// DeACT scheme) and the geometries. Every scheme's STU geometry is
-	// checked, E-FAM's included, so a geometry's validity does not depend
-	// on the scheme.
+	// DeACT scheme), the geometries and the two memory devices. Every
+	// scheme's STU geometry is checked, E-FAM's included, so a geometry's
+	// validity does not depend on the scheme.
 	nc := c.nodeConfig(0)
-	for _, err := range [...]error{nc.Validate(), nc.Hierarchy.Validate(), nc.MMU.Validate(), nc.STU.Validate()} {
+	for _, err := range [...]error{nc.Validate(), nc.Hierarchy.Validate(), nc.MMU.Validate(), nc.STU.Validate(),
+		nc.DRAM.Validate(), c.FAMCfg.Validate()} {
 		if err != nil {
 			return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 		}

@@ -262,6 +262,10 @@ func TestValidateSentinelErrors(t *testing.T) {
 		{"window-without-ooo", func(c *Config) { c.WindowSize = 8 }},
 		{"latency-without-ooo", func(c *Config) { c.SchedulerLatency = 2 }},
 		{"nodes-exceed-acm-ids", func(c *Config) { c.Nodes, c.Layout.ACMBits = 63, 8 }},
+		{"fam-port-over-packet", func(c *Config) { c.FAMCfg.PortLatency = c.FabricPacketTime + 1 }},
+		{"zero-packet-time", func(c *Config) { c.FabricPacketTime = 0 }},
+		{"fam-no-banks", func(c *Config) { c.FAMCfg.Banks = 0 }},
+		{"dram-zero-latency", func(c *Config) { c.DRAMCfg.ReadLatency = 0 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
@@ -282,6 +286,11 @@ func TestValidateSentinelErrors(t *testing.T) {
 	widest.Nodes, widest.Layout.ACMBits = 62, 8 // the largest 8-bit ACM deployment
 	if err := widest.Validate(); err != nil {
 		t.Fatalf("62 nodes at 8-bit ACM rejected: %v", err)
+	}
+	paced := DefaultConfig()
+	paced.FAMCfg.PortLatency = paced.FabricPacketTime // the slowest port the link paces
+	if err := paced.Validate(); err != nil {
+		t.Fatalf("FAM port latency equal to the packet time rejected: %v", err)
 	}
 }
 

@@ -89,7 +89,8 @@ func (c Config) Validate() error {
 // a sorted ring: the head is always the earliest completion, so the
 // full-window stall ("wait for the earliest slot") and the drain of
 // completed references are O(1) per reference, with no per-op allocation.
-// Insertion keeps the ring sorted with a bounded memmove (the window is at
+// Completions mostly arrive in order, so insertion appends or prepends in
+// O(1) and otherwise shifts the shorter side of the ring (the window is at
 // most MaxOutstanding = 32 entries).
 type window struct {
 	buf  []sim.Time
@@ -113,10 +114,24 @@ func (w *window) idx(i int) int {
 	return j
 }
 
-// insert adds a completion time, keeping the ring sorted.
+// insert adds a completion time, keeping the ring sorted. The window must
+// not be full. A time at or past the last entry appends and one before the
+// first prepends; otherwise a binary search finds its place and the
+// shorter side of the ring moves one slot outward.
 func (w *window) insert(t sim.Time) {
-	// Binary search for the first element > t among the n sorted entries.
-	lo, hi := 0, w.n
+	n := w.n
+	w.n++
+	if n == 0 || t >= w.buf[w.idx(n-1)] {
+		w.buf[w.idx(n)] = t
+		return
+	}
+	if t < w.buf[w.head] {
+		w.headBack()
+		w.buf[w.head] = t
+		return
+	}
+	// buf[0] ≤ t < buf[n-1]: find the first entry > t, in [1, n-1].
+	lo, hi := 1, n-1
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if w.buf[w.idx(mid)] <= t {
@@ -125,12 +140,28 @@ func (w *window) insert(t sim.Time) {
 			hi = mid
 		}
 	}
-	// Shift entries lo..n-1 one slot toward the tail.
-	for i := w.n; i > lo; i-- {
-		w.buf[w.idx(i)] = w.buf[w.idx(i-1)]
+	if lo < n-lo {
+		// Move entries 0..lo-1 one slot toward the head.
+		w.headBack()
+		for i := 0; i < lo; i++ {
+			w.buf[w.idx(i)] = w.buf[w.idx(i+1)]
+		}
+	} else {
+		// Move entries lo..n-1 one slot toward the tail.
+		for i := n; i > lo; i-- {
+			w.buf[w.idx(i)] = w.buf[w.idx(i-1)]
+		}
 	}
 	w.buf[w.idx(lo)] = t
-	w.n++
+}
+
+// headBack moves the head back one slot, so every entry's logical position
+// rises by one.
+func (w *window) headBack() {
+	if w.head == 0 {
+		w.head = len(w.buf)
+	}
+	w.head--
 }
 
 // drain removes every completion at or before now.

@@ -99,5 +99,9 @@ func (f *Fabric) Packets() uint64 { return f.packets }
 // Latency returns the configured one-way latency.
 func (f *Fabric) Latency() sim.Time { return f.cfg.Latency }
 
+// PacketTime returns the configured per-packet serialization time: the
+// least spacing between two grants on one link direction.
+func (f *Fabric) PacketTime() sim.Time { return f.cfg.PacketTime }
+
 // ResetStats zeroes the packet counter; link reservations stay.
 func (f *Fabric) ResetStats() { f.packets = 0 }

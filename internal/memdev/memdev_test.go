@@ -1,6 +1,7 @@
 package memdev
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -123,5 +124,56 @@ func TestAccessMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkPacedPortNeverWaits holds the argument behind AccessSpaced. A
+// port calendar fed arrivals the way famRT feeds the FAM device — a grant
+// on one shared link plus a fixed latency, issued out of order by access
+// chains that start anywhere in a window ahead of the engine clock —
+// grants every request at its arrival whenever the link's packet time is
+// at least the port's service time, equality included. So Access and
+// AccessSpaced complete every request at the same time. With a packet
+// time below the port's, the same stream does queue at the port, so the
+// check is not vacuous.
+func TestLinkPacedPortNeverWaits(t *testing.T) {
+	const port = 2 * sim.Nanosecond
+	for _, packet := range []sim.Time{port, 50 * sim.Nanosecond, port - 1} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			clk := &benchClock{}
+			var link, calendar sim.Server
+			link.Bind(clk)
+			calendar.Bind(clk)
+			cfg := nvmConfig()
+			cfg.PortLatency = port
+			queued, spaced := New(cfg), New(cfg)
+			queued.Bind(clk)
+			spaced.Bind(clk)
+			waits := 0
+			for i := 0; i < 20000; i++ {
+				// Offered load about half the link's capacity.
+				clk.now += sim.Time(rng.Intn(int(4 * packet)))
+				// A chain issues its request up to 5µs ahead of the clock.
+				issue := clk.now + sim.Time(rng.Intn(int(5*sim.Microsecond)))
+				_, sent := link.Acquire(issue, packet)
+				arrive := sent + 500*sim.Nanosecond
+				if start, _ := calendar.Acquire(arrive, port); start != arrive {
+					waits++
+				}
+				a, w := uint64(rng.Intn(1<<20))<<6, rng.Intn(3) == 0
+				if packet >= port {
+					if q, s := queued.Access(arrive, a, w), spaced.AccessSpaced(arrive, a, w); q != s {
+						t.Fatalf("packet %d seed %d req %d: Access done %d, AccessSpaced done %d", packet, seed, i, q, s)
+					}
+				}
+			}
+			switch {
+			case packet >= port && waits != 0:
+				t.Fatalf("packet %d seed %d: %d of 20000 link-paced arrivals waited at the port", packet, seed, waits)
+			case packet < port && waits == 0:
+				t.Fatalf("packet %d seed %d: no arrival waited; the stream does not exercise the port", packet, seed)
+			}
+		}
 	}
 }

@@ -290,6 +290,10 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	if brk == nil || fab == nil || fam == nil {
 		return nil, fmt.Errorf("node: broker, fabric and FAM device required")
 	}
+	if fam.PortLatency() > fab.PacketTime() {
+		return nil, fmt.Errorf("node: FAM port latency %d ps exceeds the fabric packet time %d ps (famRT serves link-paced arrivals unqueued)",
+			fam.PortLatency(), fab.PacketTime())
+	}
 	n := &Node{
 		cfg:  cfg,
 		brk:  brk,
@@ -414,9 +418,12 @@ func (n *Node) backWithFAM(p addr.NPPage) error {
 }
 
 // famRT performs one 64B round trip to the FAM device over the fabric.
+// Arrivals at the device are paced by the shared to-FAM link, at least one
+// packet time apart, so the device port never queues (see memdev) and is
+// charged as a fixed delay; NewInArena enforces the bound that needs.
 func (n *Node) famRT(now sim.Time, fa addr.FAddr, write bool) sim.Time {
 	arrive := n.fab.Traverse(now, fabric.ToFAM)
-	done := n.fam.Access(arrive, uint64(fa), write)
+	done := n.fam.AccessSpaced(arrive, uint64(fa), write)
 	return n.fab.Traverse(done, fabric.ToNode)
 }
 

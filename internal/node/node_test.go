@@ -106,6 +106,29 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestNewRejectsFAMPortSlowerThanLink: famRT charges the FAM port as a
+// fixed delay, exact only while link-paced arrivals are a port service
+// apart, so New refuses a port slower than the fabric's packet time —
+// a zero packet time included — and accepts equality.
+func TestNewRejectsFAMPortSlowerThanLink(t *testing.T) {
+	for _, tc := range []struct {
+		packet sim.Time
+		ok     bool
+	}{{sim.NS(2), true}, {sim.NS(50), true}, {sim.NS(2) - 1, false}, {0, false}} {
+		brk, err := broker.New(testLayout(), 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab := fabric.New(fabric.Config{Latency: sim.NS(500), PacketTime: tc.packet})
+		fam := memdev.New(memdev.Config{Name: "fam", Banks: 32, ReadLatency: sim.NS(60),
+			WriteLatency: sim.NS(150), PortLatency: sim.NS(2)})
+		_, err = New(testConfig(1, IFAM), brk, fab, fam)
+		if (err == nil) != tc.ok {
+			t.Errorf("packet time %d ps with a 2 ns FAM port: New error %v, want accepted=%v", tc.packet, err, tc.ok)
+		}
+	}
+}
+
 func TestFirstTouchAllocatesAndCompletes(t *testing.T) {
 	for _, scheme := range []Scheme{EFAM, IFAM, DeACTW, DeACTN} {
 		r := newRig(t, scheme)

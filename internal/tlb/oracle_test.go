@@ -10,7 +10,9 @@ import (
 )
 
 // refPTW is the reference PTWCache is held to: the same array, LRU and
-// fills, but BestStartLevel looks for all three level keys in one sweep.
+// fills, but every lookup and fill is a linear sweep of the array (the
+// lookup finds all three level keys in one sweep) where PTWCache probes
+// its hash index.
 type refPTW struct {
 	keys, stamps       []uint64
 	tick, hits, misses uint64
@@ -72,10 +74,13 @@ func (p *refPTW) fill(key uint64, steps []pagetable.WalkStep) {
 	}
 }
 
-// TestPTWCacheMatchesSingleSweep drives random lookups and walk fills over
-// keys clustered so that every level hits, and requires the real cache to
-// return the reference's levels and counters and to hold the same entries
-// with the same LRU stamps — so both evict in the same order.
+// TestPTWCacheMatchesSingleSweep drives random lookups, walk fills and
+// the odd Flush, and requires the real cache to return the reference's
+// levels and counters and to hold the same entries with the same LRU
+// stamps — so both evict in the same order — with an index that finds
+// every resident key and nothing else. Keys come in phases: clustered so
+// that every level hits, or spread so wide that nearly every fill evicts
+// and the index deletes by backward shift on most fills.
 func TestPTWCacheMatchesSingleSweep(t *testing.T) {
 	for _, entries := range []int{4, 32} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -84,19 +89,35 @@ func TestPTWCacheMatchesSingleSweep(t *testing.T) {
 				ref := &refPTW{keys: make([]uint64, entries), stamps: make([]uint64, entries)}
 				rng := rand.New(rand.NewSource(seed))
 				steps := make([]pagetable.WalkStep, 0, pagetable.Levels)
+				spread := false
 				for op := 0; op < 20000; op++ {
-					// 4 regions at each of the three cached levels' granularity.
-					key := uint64(rng.Intn(4))<<27 | uint64(rng.Intn(4))<<18 |
-						uint64(rng.Intn(4))<<9 | uint64(rng.Intn(512))
-					if rng.Intn(3) == 0 {
+					if op%1000 == 0 {
+						spread = rng.Intn(3) == 0
+					}
+					// 4 regions at each of the three cached levels'
+					// granularity, or 64 when the phase is spread.
+					width := 4
+					if spread {
+						width = 64
+					}
+					key := uint64(rng.Intn(width))<<27 | uint64(rng.Intn(width))<<18 |
+						uint64(rng.Intn(width))<<9 | uint64(rng.Intn(512))
+					switch r := rng.Intn(300); {
+					case r == 0:
+						p.Flush()
+						clear(ref.keys)
+						clear(ref.stamps)
+					case r < 100:
 						steps = steps[:0]
 						for l := rng.Intn(pagetable.Levels); l < pagetable.Levels; l++ {
 							steps = append(steps, pagetable.WalkStep{Level: l})
 						}
 						p.FillFromWalk(key, steps)
 						ref.fill(key, steps)
-					} else if got, want := p.BestStartLevel(key), ref.bestStartLevel(key); got != want {
-						t.Fatalf("op %d: BestStartLevel(%#x) = %d, reference %d", op, key, got, want)
+					default:
+						if got, want := p.BestStartLevel(key), ref.bestStartLevel(key); got != want {
+							t.Fatalf("op %d: BestStartLevel(%#x) = %d, reference %d", op, key, got, want)
+						}
 					}
 					if p.Hits() != ref.hits || p.Misses() != ref.misses {
 						t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", op, p.Hits(), p.Misses(), ref.hits, ref.misses)
@@ -104,9 +125,34 @@ func TestPTWCacheMatchesSingleSweep(t *testing.T) {
 					if !slices.Equal(p.keys, ref.keys) || !slices.Equal(p.stamps, ref.stamps) {
 						t.Fatalf("op %d: entries %x stamps %v, reference %x %v", op, p.keys, p.stamps, ref.keys, ref.stamps)
 					}
+					checkPTWIndex(t, op, p)
 				}
 			})
 		}
+	}
+}
+
+// checkPTWIndex requires the index to hold exactly the resident entries,
+// each reachable by a probe from its key's home slot.
+func checkPTWIndex(t *testing.T, op int, p *PTWCache) {
+	t.Helper()
+	resident, indexed := 0, 0
+	for i, k := range p.keys {
+		if k == 0 {
+			continue
+		}
+		resident++
+		if got := p.find(k); got != i {
+			t.Fatalf("op %d: entry %d (key %#x) found at %d", op, i, k, got)
+		}
+	}
+	for _, v := range p.index {
+		if v != 0 {
+			indexed++
+		}
+	}
+	if indexed != resident {
+		t.Fatalf("op %d: index holds %d slots for %d resident entries", op, indexed, resident)
 	}
 }
 
@@ -201,6 +247,81 @@ func TestTLBMatchesValidBitReference(t *testing.T) {
 		}
 		if tl.Hits() != ref.hits || tl.Misses() != ref.misses {
 			t.Fatalf("seed %d: hits/misses %d/%d, reference %d/%d", seed, tl.Hits(), tl.Misses(), ref.hits, ref.misses)
+		}
+	}
+}
+
+// TestTLBMissFillMatchesRescan holds the miss-recorded fill to the
+// rescanning Insert. Every Lookup that misses is followed by an Insert of
+// the same key, with nothing between it and the fill or with an
+// Invalidate, a Flush, a Lookup or an Insert of another key in the same
+// set, and sometimes the fill is of a different key. After every call the
+// TLB must answer as the reference answers and hold the same entries with
+// the same LRU stamps, so a stale recorded victim shows up as a wrong way.
+func TestTLBMissFillMatchesRescan(t *testing.T) {
+	const entries, ways = 32, 4
+	const sets = entries / ways
+	for seed := int64(1); seed <= 6; seed++ {
+		tl := mustNew(t, entries, ways)
+		ref := &refTLB{setMask: sets - 1, ways: ways,
+			tags: make([]uint64, entries), values: make([]uint64, entries),
+			valid: make([]bool, entries), stamps: make([]uint64, entries)}
+		rng := rand.New(rand.NewSource(seed))
+		sameSet := func(key uint64) uint64 { return key&(sets-1) | uint64(rng.Intn(3*ways))*sets }
+		check := func(op int, what string) {
+			t.Helper()
+			for i := range entries {
+				if ref.valid[i] != (tl.tags[i] != emptyTag) ||
+					ref.valid[i] && (tl.tags[i] != ref.tags[i] || tl.values[i] != ref.values[i] || tl.stamps[i] != ref.stamps[i]) {
+					t.Fatalf("seed %d op %d (%s): way %d holds tag %d value %d stamp %d, reference valid=%v %d %d %d",
+						seed, op, what, i, tl.tags[i], tl.values[i], tl.stamps[i], ref.valid[i], ref.tags[i], ref.values[i], ref.stamps[i])
+				}
+			}
+			if tl.Hits() != ref.hits || tl.Misses() != ref.misses {
+				t.Fatalf("seed %d op %d (%s): hits/misses %d/%d, reference %d/%d", seed, op, what, tl.Hits(), tl.Misses(), ref.hits, ref.misses)
+			}
+		}
+		for op := 0; op < 30000; op++ {
+			key := uint64(rng.Intn(3 * entries))
+			v, ok := tl.Lookup(key)
+			if rv, rok := ref.lookup(key); v != rv || ok != rok {
+				t.Fatalf("seed %d op %d: Lookup(%d) = %d,%v, reference %d,%v", seed, op, key, v, ok, rv, rok)
+			}
+			check(op, "lookup")
+			if ok {
+				continue
+			}
+			between := "nothing"
+			switch rng.Intn(8) {
+			case 0:
+				between = "invalidate"
+				other := sameSet(key)
+				if got, want := tl.Invalidate(other), ref.invalidate(other); got != want {
+					t.Fatalf("seed %d op %d: Invalidate(%d) = %v, reference %v", seed, op, other, got, want)
+				}
+			case 1:
+				between = "flush"
+				tl.Flush()
+				clear(ref.valid)
+			case 2:
+				between = "lookup"
+				other := sameSet(key)
+				tl.Lookup(other)
+				ref.lookup(other)
+			case 3:
+				between = "insert"
+				other := sameSet(key)
+				tl.Insert(other, uint64(op)<<1)
+				ref.insert(other, uint64(op)<<1)
+			}
+			check(op, between)
+			fill := key
+			if rng.Intn(10) == 0 {
+				fill = sameSet(key)
+			}
+			tl.Insert(fill, uint64(op))
+			ref.insert(fill, uint64(op))
+			check(op, "fill after "+between)
 		}
 	}
 }

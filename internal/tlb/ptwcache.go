@@ -13,14 +13,20 @@ import "deact/internal/pagetable"
 type PTWCache struct {
 	// One fully associative LRU array shared by all levels, as in [8].
 	// Level-tagged keys always have a non-zero level in their low bits, so
-	// key 0 doubles as the empty marker and lookups are a single compare
-	// per entry.
-	entries int
-	keys    []uint64 // level-tagged keys; 0 = empty
-	stamps  []uint64 // LRU stamps; 0 for empty entries
-	tick    uint64
-	hits    uint64
-	misses  uint64
+	// key 0 doubles as the empty marker.
+	keys   []uint64 // level-tagged keys; 0 = empty
+	stamps []uint64 // LRU stamps; 0 for empty entries
+	// index is an open-addressed (linear-probing) hash of the resident
+	// keys: a slot holds an entry's position + 1, 0 for empty. It has at
+	// least four times as many slots as entries, so probe runs stay short
+	// and a lookup costs a probe or two instead of a sweep of every
+	// entry. Evictions delete by backward shift, so no tombstones build
+	// up.
+	index  []uint64
+	shift  uint // 64 - log2(len(index)), for the multiplicative hash
+	tick   uint64
+	hits   uint64
+	misses uint64
 }
 
 // NewPTWCache builds a PTW cache with the given entry count.
@@ -28,10 +34,17 @@ func NewPTWCache(entries int) *PTWCache {
 	if entries <= 0 {
 		entries = 1
 	}
+	bits := uint(1)
+	for 1<<bits < 4*entries {
+		bits++
+	}
+	// One allocation carries the keys, the stamps and the index.
+	buf := make([]uint64, 2*entries+1<<bits)
 	return &PTWCache{
-		entries: entries,
-		keys:    make([]uint64, entries),
-		stamps:  make([]uint64, entries),
+		keys:   buf[:entries:entries],
+		stamps: buf[entries : 2*entries : 2*entries],
+		index:  buf[2*entries:],
+		shift:  64 - bits,
 	}
 }
 
@@ -43,43 +56,37 @@ func levelKey(key uint64, level int) uint64 {
 	return (key>>shift)<<3 | uint64(level)
 }
 
+// home is lk's first probe slot (Fibonacci hashing).
+func (p *PTWCache) home(lk uint64) uint64 { return (lk * 0x9E3779B97F4A7C15) >> p.shift }
+
+// find returns the entry holding lk, or -1.
+func (p *PTWCache) find(lk uint64) int {
+	mask := uint64(len(p.index) - 1)
+	for s := p.home(lk); ; s = (s + 1) & mask {
+		v := p.index[s]
+		if v == 0 {
+			return -1
+		}
+		if p.keys[v-1] == lk {
+			return int(v - 1)
+		}
+	}
+}
+
 // BestStartLevel returns the deepest walk level the cache can skip to for
 // key (0 = no coverage, must start at the root). The deepest hit wins and
-// is the only entry touched. A first sweep looks for the level-3 key alone,
-// the common hit; only on a miss does a second sweep look for the level-2
-// and level-1 keys. Keys are unique in the array, so this touches the same
-// entry as one sweep over all three.
+// is the only entry touched.
 func (p *PTWCache) BestStartLevel(key uint64) int {
 	p.tick++
-	lk3 := levelKey(key, 3)
-	for i, k := range p.keys {
-		if k == lk3 {
-			return p.hit(i, 3)
+	for level := 3; level >= 1; level-- {
+		if i := p.find(levelKey(key, level)); i >= 0 {
+			p.stamps[i] = p.tick
+			p.hits++
+			return level
 		}
-	}
-	lk2 := levelKey(key, 2)
-	lk1 := levelKey(key, 1)
-	i1 := -1
-	for i, k := range p.keys {
-		switch k {
-		case lk2:
-			return p.hit(i, 2)
-		case lk1:
-			i1 = i
-		}
-	}
-	if i1 >= 0 {
-		return p.hit(i1, 1)
 	}
 	p.misses++
 	return 0
-}
-
-// hit records a BestStartLevel hit on entry i and returns its level.
-func (p *PTWCache) hit(i, level int) int {
-	p.stamps[i] = p.tick
-	p.hits++
-	return level
 }
 
 // FillFromWalk records the intermediate nodes touched by a completed walk so
@@ -97,30 +104,60 @@ func (p *PTWCache) FillFromWalk(key uint64, steps []pagetable.WalkStep) {
 	}
 }
 
+// insert makes lk resident and most recently used. A miss replaces the
+// entry with the smallest stamp, the lowest-indexed one on ties, so empty
+// entries fill first.
 func (p *PTWCache) insert(lk uint64) {
 	p.tick++
+	if i := p.find(lk); i >= 0 {
+		p.stamps[i] = p.tick
+		return
+	}
 	victim := 0
 	victimStamp := ^uint64(0)
-	for i := 0; i < p.entries; i++ {
-		if p.keys[i] == lk {
-			p.stamps[i] = p.tick
-			return
+	for i, stamp := range p.stamps {
+		if stamp < victimStamp {
+			victimStamp, victim = stamp, i
 		}
-		if p.stamps[i] < victimStamp {
-			victimStamp = p.stamps[i]
-			victim = i
-		}
+	}
+	if old := p.keys[victim]; old != 0 {
+		p.unindex(old)
 	}
 	p.keys[victim] = lk
 	p.stamps[victim] = p.tick
+	mask := uint64(len(p.index) - 1)
+	s := p.home(lk)
+	for p.index[s] != 0 {
+		s = (s + 1) & mask
+	}
+	p.index[s] = uint64(victim) + 1
+}
+
+// unindex deletes the resident key lk from the index, shifting later
+// members of its probe run back so every lookup still finds its key
+// without tombstones.
+func (p *PTWCache) unindex(lk uint64) {
+	mask := uint64(len(p.index) - 1)
+	hole := p.home(lk)
+	for p.keys[p.index[hole]-1] != lk {
+		hole = (hole + 1) & mask
+	}
+	for s := (hole + 1) & mask; p.index[s] != 0; s = (s + 1) & mask {
+		// The key at s may fill the hole unless its home lies cyclically
+		// in (hole, s]: then moving it would put it before its home.
+		if h := p.home(p.keys[p.index[s]-1]); (s-h)&mask >= (s-hole)&mask {
+			p.index[hole] = p.index[s]
+			hole = s
+		}
+	}
+	p.index[hole] = 0
 }
 
 // Flush empties the cache.
 func (p *PTWCache) Flush() {
-	for i := range p.keys {
-		p.keys[i] = 0
-		p.stamps[i] = 0
-	}
+	clear(p.keys)
+	clear(p.stamps)
+	clear(p.index)
 }
 
 // Hits returns the number of lookups that found any usable level.

@@ -34,6 +34,15 @@ type TLB struct {
 	tick    uint64
 	hits    uint64
 	misses  uint64
+
+	// The last miss, for the fill that usually follows it: Lookup's miss
+	// scan already visits every way, so it records the victim Insert
+	// would pick. While tick still equals missTick no tag or stamp has
+	// changed (Invalidate and Flush, which do not tick, clear missTick),
+	// so an Insert of missKey writes missWay without a rescan.
+	missKey  uint64
+	missWay  uint64
+	missTick uint64 // 0 = no recorded miss
 }
 
 // emptyTag marks an empty way, so a probe compares tags only. Keys are page
@@ -91,10 +100,13 @@ func (t *TLB) Recycle(a *arena.Arena) {
 
 func (t *TLB) setBase(key uint64) uint64 { return (key & t.setMask) * uint64(t.ways) }
 
-// Lookup searches for key, updating LRU state on hit.
+// Lookup searches for key, updating LRU state on hit. A miss records the
+// way a following Insert of key would fill.
 func (t *TLB) Lookup(key uint64) (value uint64, ok bool) {
 	base := t.setBase(key)
 	t.tick++
+	victim := base
+	victimStamp := ^uint64(0)
 	for w := 0; w < t.ways; w++ {
 		i := base + uint64(w)
 		if t.tags[i] == key {
@@ -102,13 +114,26 @@ func (t *TLB) Lookup(key uint64) (value uint64, ok bool) {
 			t.hits++
 			return t.values[i], true
 		}
+		if stamp := t.stamps[i]; stamp < victimStamp {
+			victimStamp, victim = stamp, i
+		}
 	}
 	t.misses++
+	t.missKey, t.missWay, t.missTick = key, victim, t.tick
 	return 0, false
 }
 
 // Insert installs key → value, evicting the set's LRU entry if needed.
 func (t *TLB) Insert(key, value uint64) {
+	if t.missTick == t.tick && t.missKey == key && t.missTick != 0 {
+		// Nothing changed since key missed: its recorded victim stands.
+		t.tick++
+		i := t.missWay
+		t.tags[i] = key
+		t.values[i] = value
+		t.stamps[i] = t.tick
+		return
+	}
 	base := t.setBase(key)
 	t.tick++
 	victim := base
@@ -140,6 +165,7 @@ func (t *TLB) Invalidate(key uint64) bool {
 		if t.tags[i] == key {
 			t.tags[i] = emptyTag
 			t.stamps[i] = 0
+			t.missTick = 0
 			return true
 		}
 	}
@@ -152,6 +178,7 @@ func (t *TLB) Flush() {
 		t.tags[i] = emptyTag
 	}
 	clear(t.stamps)
+	t.missTick = 0
 }
 
 // Hits returns the hit count.

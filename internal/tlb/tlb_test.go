@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -204,20 +205,77 @@ func TestTLBRoundTripQuick(t *testing.T) {
 	}
 }
 
-// BenchmarkTLBLookup is the per-reference MMU hit path: L1 and L2 lookups
-// over a working set that overflows L1 but fits L2.
+// BenchmarkTLBLookup drives the per-reference MMU path. "lookup" cycles a
+// 512-page working set that overflows both levels, so every call misses in
+// L1 and L2 without a fill. "miss-fill" is the simulator's shape: a skewed
+// stream of pages, each miss followed by the MMU fill the page walk ends
+// with, so the fills reuse the victims their misses recorded.
 func BenchmarkTLBLookup(b *testing.B) {
-	m, err := NewMMU(MMUConfig{L1Entries: 32, L1Ways: 4, L2Entries: 256, L2Ways: 8, PTWEntries: 32})
-	if err != nil {
-		b.Fatal(err)
+	newMMU := func(b *testing.B) *MMU {
+		m, err := NewMMU(MMUConfig{L1Entries: 32, L1Ways: 4, L2Entries: 256, L2Ways: 8, PTWEntries: 32})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
 	}
-	for i := uint64(0); i < 512; i++ {
-		m.Insert(i, i)
+	b.Run("lookup", func(b *testing.B) {
+		m := newMMU(b)
+		for i := uint64(0); i < 512; i++ {
+			m.Insert(i, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Lookup(uint64(i) % 512)
+		}
+	})
+	b.Run("miss-fill", func(b *testing.B) {
+		m := newMMU(b)
+		rng := rand.New(rand.NewSource(1))
+		keys := make([]uint64, 4096)
+		for i := range keys {
+			// Half the references go to 64 hot pages, the rest to 4096.
+			if rng.Intn(2) == 0 {
+				keys[i] = uint64(rng.Intn(64))
+			} else {
+				keys[i] = uint64(rng.Intn(4096))
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := keys[i%len(keys)]
+			if _, lvl := m.Lookup(k); lvl == MissBoth {
+				m.Insert(k, k)
+			}
+		}
+	})
+}
+
+// BenchmarkPTWCache is one page walk's use of the PTW cache: a lookup for
+// the deepest cached level, then the fill of the levels the walk read.
+// Page keys are skewed over 64 PTE pages in 16 level-2 regions, so lookups
+// hit at every level and fills both refresh and evict.
+func BenchmarkPTWCache(b *testing.B) {
+	p := NewPTWCache(32)
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, 4096)
+	for i := range keys {
+		region := uint64(rng.Intn(16))
+		if rng.Intn(2) == 0 {
+			region = uint64(rng.Intn(2))
+		}
+		keys[i] = region<<18 | uint64(rng.Intn(4))<<9 | uint64(rng.Intn(512))
+	}
+	all := make([]pagetable.WalkStep, pagetable.Levels)
+	for l := range all {
+		all[l].Level = l
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Lookup(uint64(i) % 512)
+		k := keys[i%len(keys)]
+		p.FillFromWalk(k, all[p.BestStartLevel(k):])
 	}
 }
 
