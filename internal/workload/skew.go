@@ -10,27 +10,36 @@
 // below each bucket's lower edge, so a query starts its count there and
 // scans forward over the few boundaries inside its own bucket.
 //
-// The boundaries are defined by a bisection over the *bit patterns* of the
-// candidate floats: non-negative float64s are ordered identically to their
-// bit patterns, so bisecting on bits has no epsilon. u^k is monotone, but
-// math.Pow is not at the ulp level: near a few boundaries (355 of the
-// ~417,000 in the 14 catalog and 150 random tables skew_test.go checks)
-// the computed step reads p, p-1, p across adjacent floats. There the
-// boundary is wherever the bisection's midpoint path lands, and the tabled
-// page differs from the pow path on about one float per such boundary.
-// The two agree at every boundary, its predecessor and every guide-bucket
-// edge, which the tests check along with random draws; the byte-diffed
-// golden report pins the tables as built.
+// The boundaries are defined by a plain bisection over the *bit patterns*
+// of the candidate floats (skewBounds): non-negative float64s are ordered
+// identically to their bit patterns, so bisecting on bits has no epsilon.
+// u^k is monotone, but math.Pow is not at the ulp level: near a few
+// boundaries (355 of ~417,000 over the 14 catalog tables and 150 random
+// (footprint, k) pairs) the computed step reads p, p-1, p across adjacent
+// floats. There the boundary is wherever the bisection's midpoint path
+// lands, and the tabled page differs from the pow path on about one float
+// per such boundary. The two agree at every boundary, its predecessor and
+// every guide-bucket edge, which the tests check along with random draws;
+// the byte-diffed golden report pins the tables as built.
 //
-// Construction replays that bisection's exact midpoint sequence but calls
-// math.Pow only for midpoints within skewWindowULPs of the analytic inverse
-// (p/footprint)^(1/k); the rest are decided by which side of the window
-// they lie on. That is about 6 pow evaluations per boundary instead of
-// ~52 (sssp: 6.08 against 52.1), and the tables are shared globally, so a profile's
-// table is built once per process.
+// The bisection costs ~52 math.Pow calls per boundary, so the catalog's
+// tables ship precomputed in skew_catalog.bin, one record per distinct
+// (FootprintPages, SkewExp) pair. A record stores each boundary as the
+// signed difference between its bits and the bits of the analytic inverse
+// c = (p/footprint)^(1/k), which fits a byte (every catalog offset lies
+// within ±6), so decoding costs one math.Pow per boundary. Any other pair
+// is bisected on first use. TestSkewCatalogMatchesBisection holds every
+// record to the bisection bit for bit, and
+//
+//	go test ./internal/workload -run TestSkewCatalog -update
+//
+// rewrites the file after a catalog edit. Tables are shared globally, so a
+// profile's table is built once per process.
 package workload
 
 import (
+	_ "embed"
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"sync"
@@ -114,33 +123,22 @@ func skewTableFor(footprint uint64, k float64) *skewTable {
 	return t
 }
 
-// skewWindowULPs is the half-width, in ulps around the analytic inverse
-// c = (p/footprint)^(1/k), inside which the table construction evaluates
-// math.Pow at a bisection midpoint; a midpoint outside it is decided by
-// its side of c. Measured on the 14 catalog tables plus 150 seeded random
-// (footprint ∈ [64, 4063], k ∈ (1, 4]) tables, as in skew_test.go: every
-// boundary lies within 7 ulps of c (57% at 0, 40% at 1, 22 boundaries
-// of ~417,000 beyond 4), and an 8-ulp window reproduces the plain
-// bisection bit-for-bit with no guard failing, as do 16 and 32. A 4-ulp
-// window needs the guard on 14 pages and mismatches 10 of those 164
-// tables without it; a 2-ulp window mismatches 68 unguarded and 1 even
-// with the guard. Each halving of the window saves about one math.Pow
-// call per boundary.
-const skewWindowULPs = 8
-
-// buildSkewTable builds the table for (footprint, k).
+// buildSkewTable builds the table for (footprint, k): decoded from
+// skew_catalog.bin when the file has the pair, bisected otherwise.
 func buildSkewTable(footprint uint64, k float64) *skewTable {
 	t := &skewTable{footprint: footprint}
-	t.bounds, _ = skewBounds(footprint, k)
+	var ok bool
+	if t.bounds, ok = catalogSkewBounds(footprint, k); !ok {
+		t.bounds = skewBounds(footprint, k)
+	}
 	t.buildGuide()
 	return t
 }
 
 // skewBounds returns the step boundaries of u ↦ uint64(footprint·u^k):
-// boundary p is where the plain bisection over bits in (lo, 1.0] lands,
-// starting from lo just below boundary p-1. It also returns how many pages
-// failed bisectNear's guard and were bisected plainly.
-func skewBounds(footprint uint64, k float64) (bounds []float64, fallbacks int) {
+// boundary p is where a bisection over bits in (lo, 1.0] for the first
+// u with step ≥ p lands, starting from lo just below boundary p-1.
+func skewBounds(footprint uint64, k float64) []float64 {
 	fpf := float64(footprint)
 	stepAt := func(bits uint64) uint64 {
 		return uint64(fpf * math.Pow(math.Float64frombits(bits), k))
@@ -148,15 +146,17 @@ func skewBounds(footprint uint64, k float64) (bounds []float64, fallbacks int) {
 	one := math.Float64bits(1.0)
 	// Pages above stepAt(1) are unreachable even at u = 1.
 	last := min(footprint, stepAt(one))
-	invK := 1 / k
-	bounds = make([]float64, 0, last)
+	bounds := make([]float64, 0, last)
 	lo := uint64(0) // invariant: stepAt(lo) < p
 	for p := uint64(1); p <= last; p++ {
-		c := math.Float64bits(math.Pow(float64(p)/fpf, invK))
-		hi, ok := bisectNear(stepAt, p, lo, one, c)
-		if !ok {
-			fallbacks++
-			hi = bisect(stepAt, p, lo, one)
+		hi := one // invariant: stepAt(hi) ≥ p
+		for lo+1 < hi {
+			mid := lo + (hi-lo)/2
+			if stepAt(mid) >= p {
+				hi = mid
+			} else {
+				lo = mid
+			}
 		}
 		if hi == one {
 			break // only u = 1 itself reaches p, and Float64() never draws 1
@@ -164,62 +164,46 @@ func skewBounds(footprint uint64, k float64) (bounds []float64, fallbacks int) {
 		bounds = append(bounds, math.Float64frombits(hi))
 		lo = hi - 1 // stepAt(hi-1) < p ≤ stepAt(next boundary)
 	}
-	return bounds, fallbacks
+	return bounds
 }
 
-// bisect returns the bits b in (lo, hi] where a bisection for the first
-// stepAt(b) ≥ p converges, given stepAt(lo) < p ≤ stepAt(hi).
-func bisect(stepAt func(uint64) uint64, p, lo, hi uint64) uint64 {
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		if stepAt(mid) >= p {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
+// skewCatalog holds the catalog's boundaries as a sequence of records,
+// little-endian: footprint (uint64), the bits of k (uint64), the boundary
+// count n (uint32), then n signed bytes, boundary p's bits minus the bits
+// of skewInverse(p, footprint, 1/k).
+//
+//go:embed skew_catalog.bin
+var skewCatalog []byte
+
+// skewRecordHeader is the byte length of a record's fixed fields.
+const skewRecordHeader = 8 + 8 + 4
+
+// skewInverse returns the analytic inverse (p/footprint)^(1/k), given
+// invK = 1/k: the float each catalog boundary is stored relative to.
+func skewInverse(p uint64, fpf, invK float64) float64 {
+	return math.Pow(float64(p)/fpf, invK)
 }
 
-// bisectNear returns what bisect(stepAt, p, lo, hi) returns, evaluating
-// stepAt only at midpoints within skewWindowULPs of c, the bits of the
-// analytic inverse for p: a midpoint below that window counts as
-// stepAt < p and one above it as stepAt ≥ p. math.Pow's ulp-level
-// wobble stays within a few ulps of the true boundary, so those sides hold
-// whenever c is close. If the boundary found lies in the outer half of the
-// window, c may not be close: bisectNear then checks stepAt just outside
-// the window and reports false, for the caller to fall back to bisect, if
-// either side contradicts the side assumed there.
-func bisectNear(stepAt func(uint64) uint64, p, lo, hi, c uint64) (uint64, bool) {
-	wlo, whi := c-min(c, skewWindowULPs), c+skewWindowULPs
-	lo0, hi0 := lo, hi
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		if mid-wlo <= whi-wlo { // wlo ≤ mid ≤ whi
-			if stepAt(mid) >= p {
-				hi = mid
-			} else {
-				lo = mid
-			}
+// catalogSkewBounds decodes the boundaries skew_catalog.bin records for
+// (footprint, k), or reports false when it has no record for the pair.
+func catalogSkewBounds(footprint uint64, k float64) ([]float64, bool) {
+	for data := skewCatalog; len(data) >= skewRecordHeader; {
+		n := int(binary.LittleEndian.Uint32(data[16:]))
+		rec := data[skewRecordHeader : skewRecordHeader+n]
+		if binary.LittleEndian.Uint64(data) != footprint ||
+			binary.LittleEndian.Uint64(data[8:]) != math.Float64bits(k) {
+			data = data[skewRecordHeader+n:]
 			continue
 		}
-		// Outside the window the side decides, without a branch: the
-		// side is a coin flip per step, which a predictor cannot learn.
-		// The bits of non-negative floats are below 1<<63, so mid-wlo is
-		// negative as an int64 exactly when mid < wlo.
-		below := uint64(int64(mid-wlo) >> 63) // all ones when mid < wlo
-		lo ^= (lo ^ mid) & below
-		hi = mid ^ (mid^hi)&below
-	}
-	if hi+skewWindowULPs/2 < c || hi > c+skewWindowULPs/2 {
-		if wlo > lo0+1 && stepAt(wlo-1) >= p {
-			return 0, false
+		fpf, invK := float64(footprint), 1/k
+		bounds := make([]float64, n)
+		for i, off := range rec {
+			c := math.Float64bits(skewInverse(uint64(i+1), fpf, invK))
+			bounds[i] = math.Float64frombits(c + uint64(int8(off)))
 		}
-		if whi+1 < hi0 && stepAt(whi+1) < p {
-			return 0, false
-		}
+		return bounds, true
 	}
-	return hi, true
+	return nil, false
 }
 
 // buildGuide fills the guide in one linear pass over the sorted bounds,

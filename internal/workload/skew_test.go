@@ -1,86 +1,105 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/binary"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"sort"
 	"testing"
 )
 
-// bisectSkewBounds is the plain bisection skewBounds emulates, kept as an
-// independent oracle: it calls math.Pow at every midpoint.
-func bisectSkewBounds(footprint uint64, k float64) []float64 {
-	fpf := float64(footprint)
-	stepAt := func(bits uint64) uint64 {
-		return uint64(fpf * math.Pow(math.Float64frombits(bits), k))
-	}
-	one := math.Float64bits(1.0)
-	bounds := make([]float64, 0, footprint)
-	lo := uint64(0) // invariant: stepAt(lo) < p
-	for p := uint64(1); p <= footprint; p++ {
-		if stepAt(one) < p {
-			break // p unreachable even at u = 1; so is everything after it
-		}
-		hi := one // invariant: stepAt(hi) ≥ p
-		for lo+1 < hi {
-			mid := lo + (hi-lo)/2
-			if stepAt(mid) >= p {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		if hi == one {
-			break // only u = 1 itself reaches p, and Float64() never draws 1
-		}
-		bounds = append(bounds, math.Float64frombits(hi))
-		lo = hi - 1
-	}
-	return bounds
-}
+// updateSkewCatalog makes TestSkewCatalogMatchesBisection rewrite
+// skew_catalog.bin from the bisection instead of checking it.
+var updateSkewCatalog = flag.Bool("update", false, "rewrite skew_catalog.bin from the bisection")
 
-// checkBoundsEqual fails unless skewBounds returns bounds bit-equal to
-// the oracle bisection's for (footprint, k) without falling back to the
-// plain bisection on any page: a page that falls back compares the oracle
-// with itself.
-func checkBoundsEqual(t *testing.T, name string, footprint uint64, k float64) {
-	t.Helper()
-	got, fallbacks := skewBounds(footprint, k)
-	want := bisectSkewBounds(footprint, k)
-	if fallbacks != 0 {
-		t.Fatalf("%s (footprint=%d k=%v): %d pages fell back to the plain bisection", name, footprint, k, fallbacks)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s (footprint=%d k=%v): %d bounds, oracle has %d", name, footprint, k, len(got), len(want))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s (footprint=%d k=%v): bound %d = %#x, oracle %#x", name, footprint, k, i,
-				math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
-	}
-}
+// skewRegenerate is the command that rewrites skew_catalog.bin.
+const skewRegenerate = "go test ./internal/workload -run TestSkewCatalog -update"
 
-// TestSkewTableMatchesBisection checks that the windowed construction
-// builds bit-for-bit the bounds of the plain bisection, for every catalog
-// profile and for seeded random (footprint, k) pairs.
-func TestSkewTableMatchesBisection(t *testing.T) {
+// TestSkewCatalogMatchesBisection checks that skew_catalog.bin holds, for
+// every skewed catalog profile, a record that decodes bit for bit to the
+// bisection's bounds, and nothing else: the file must equal what -update
+// writes, one record per distinct (footprint, k) pair in sorted order.
+func TestSkewCatalogMatchesBisection(t *testing.T) {
+	var pairs []skewKey
+	names := map[skewKey][]string{}
 	for _, name := range Names() {
 		p, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkBoundsEqual(t, name, p.FootprintPages, p.SkewExp)
+		if p.SkewExp <= 1 {
+			continue
+		}
+		key := skewKey{footprint: p.FootprintPages, k: p.SkewExp}
+		if names[key] == nil {
+			pairs = append(pairs, key)
+		}
+		names[key] = append(names[key], name)
 	}
-	pairs := 150
-	if testing.Short() {
-		pairs = 100
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].footprint != pairs[j].footprint {
+			return pairs[i].footprint < pairs[j].footprint
+		}
+		return pairs[i].k < pairs[j].k
+	})
+	var file []byte
+	for _, key := range pairs {
+		want := skewBounds(key.footprint, key.k)
+		rec, err := encodeSkewRecord(key.footprint, key.k, want)
+		if err != nil {
+			t.Fatalf("%v: %v", names[key], err)
+		}
+		file = append(file, rec...)
+		if *updateSkewCatalog {
+			continue
+		}
+		got, ok := catalogSkewBounds(key.footprint, key.k)
+		if !ok {
+			t.Fatalf("%v (footprint=%d k=%v): no record in skew_catalog.bin; regenerate it with %q",
+				names[key], key.footprint, key.k, skewRegenerate)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v (footprint=%d k=%v): %d bounds recorded, bisection has %d; regenerate skew_catalog.bin with %q",
+				names[key], key.footprint, key.k, len(got), len(want), skewRegenerate)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v (footprint=%d k=%v): bound %d decodes to %#x, bisection %#x; regenerate skew_catalog.bin with %q",
+					names[key], key.footprint, key.k, i, math.Float64bits(got[i]), math.Float64bits(want[i]), skewRegenerate)
+			}
+		}
 	}
-	r := rand.New(rand.NewSource(20))
-	for i := 0; i < pairs; i++ {
-		footprint := uint64(64 + r.Intn(4000))
-		k := 1 + 3*(1-r.Float64()) // (1, 4]
-		checkBoundsEqual(t, "random", footprint, k)
+	if *updateSkewCatalog {
+		if err := os.WriteFile("skew_catalog.bin", file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
+	if !bytes.Equal(skewCatalog, file) {
+		t.Fatalf("skew_catalog.bin (%d bytes) holds records for pairs outside the catalog or out of order (want %d bytes for %d pairs); regenerate it with %q",
+			len(skewCatalog), len(file), len(pairs), skewRegenerate)
+	}
+}
+
+// encodeSkewRecord returns the skew_catalog.bin record for bounds, the
+// bisection's boundaries for (footprint, k).
+func encodeSkewRecord(footprint uint64, k float64, bounds []float64) ([]byte, error) {
+	rec := binary.LittleEndian.AppendUint64(nil, footprint)
+	rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(k))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(bounds)))
+	fpf, invK := float64(footprint), 1/k
+	for i, b := range bounds {
+		off := int64(math.Float64bits(b) - math.Float64bits(skewInverse(uint64(i+1), fpf, invK)))
+		if off != int64(int8(off)) {
+			return nil, fmt.Errorf("bound %d lies %d ulps from the analytic inverse, beyond a signed byte", i, off)
+		}
+		rec = append(rec, byte(int8(off)))
+	}
+	return rec, nil
 }
 
 // TestSkewTableMatchesPow checks the tabled inversion against the direct pow
@@ -156,9 +175,10 @@ func TestSkewTableUniformIsNil(t *testing.T) {
 // skewBoundsSink keeps the benchmarked builds observable.
 var skewBoundsSink []float64
 
-// BenchmarkSkewTableBuild times building skew tables from scratch: sssp's
-// table (the catalog's largest), every catalog table, and sssp's table by
-// the plain bisection the construction emulates.
+// BenchmarkSkewTableBuild times what skewTableFor does on a miss: sssp's
+// table (the catalog's largest) and every catalog table, decoded from
+// skew_catalog.bin, and sssp's bounds by the bisection that decoding
+// replaces (what a pair outside the catalog pays).
 func BenchmarkSkewTableBuild(b *testing.B) {
 	sssp, err := Get("sssp")
 	if err != nil {
@@ -189,7 +209,7 @@ func BenchmarkSkewTableBuild(b *testing.B) {
 	b.Run("oracle", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			skewBoundsSink = bisectSkewBounds(sssp.FootprintPages, sssp.SkewExp)
+			skewBoundsSink = skewBounds(sssp.FootprintPages, sssp.SkewExp)
 		}
 	})
 }
