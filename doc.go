@@ -56,7 +56,9 @@
 // internal/arena) hands the large zeroed arrays a System is built from —
 // ACM chunk slabs, the broker owner table and free-pool map, translator
 // lines, cache line arrays, TLB and STU arrays, page-table arenas, OS
-// backing tables — from run to run, clearing instead of reallocating. The
+// backing tables — along with its contention calendars, random sources
+// and per-structure headers from run to run, clearing instead of
+// reallocating. The
 // experiments Runner keeps one pool per worker slot, so a full report's
 // hundreds of runs amortize construction down to the structures a config
 // actually resizes; recycled runs are bit-identical to fresh ones
@@ -104,7 +106,8 @@
 // a docs job (cmd/doccheck over README.md/ARCHITECTURE.md/ROADMAP.md/
 // CHANGES.md), a one-iteration -short -benchmem benchmark smoke (uploaded
 // as a build artifact), a benchmark-regression gate that reruns
-// BenchmarkEngine/BenchmarkCoreRun on the PR base and fails on >20%
+// BenchmarkEngine, BenchmarkCoreRun, BenchmarkCoreRunOoO and
+// BenchmarkSkewTableBuild on the PR base and fails on >20%
 // median time/op or any allocs/op growth (cmd/benchgate; benchstat
 // renders the human-readable delta), and a golden-report determinism job
 // that diffs a short-scale cmd/deact-report run against

@@ -142,26 +142,31 @@ func NewStore(layout addr.Layout) *Store {
 	return NewStoreInArena(nil, layout)
 }
 
-// NewStoreInArena is NewStore drawing the per-region chunk slabs — at 1MB
-// per touched region, the single largest allocation a run makes — from a.
-// A nil arena allocates normally.
+// NewStoreInArena is NewStore drawing the store, its region index, its
+// shared-region map and the per-region chunk slabs — at 1MB per touched
+// region, the single largest allocation a run makes — from a. A nil arena
+// allocates normally.
 func NewStoreInArena(a *arena.Arena, layout addr.Layout) *Store {
 	regions := (layout.FAMSize + addr.HugeSize - 1) / addr.HugeSize
-	return &Store{
-		layout: layout,
-		chunks: make([][]slot, regions),
-		shared: map[uint64]map[uint16]Perm{},
-		a:      a,
-	}
+	s := arena.Alloc[Store](a, "acm.Store")
+	s.layout = layout
+	s.chunks = arena.Slice[[]slot](a, "acm.chunks", int(regions))
+	s.shared = arena.Map[uint64, map[uint16]Perm](a, "acm.shared")
+	s.a = a
+	return s
 }
 
-// Recycle returns the materialized chunk slabs to a for the next run's
-// construction. The store must not be used afterwards.
+// Recycle returns the store, its region index, its shared-region map and
+// the materialized chunk slabs to a for the next run's construction. The
+// store must not be used afterwards.
 func (s *Store) Recycle(a *arena.Arena) {
 	for i, c := range s.chunks {
 		arena.Release(a, "acm.chunk", c)
 		s.chunks[i] = nil
 	}
+	arena.Release(a, "acm.chunks", s.chunks)
+	arena.ReleaseMap(a, "acm.shared", s.shared)
+	arena.Free(a, "acm.Store", s)
 }
 
 // chunkFor returns the chunk holding p, materializing it if create is set.

@@ -6,7 +6,8 @@
 // request buffers with Slice and hand them back with Release once the run's
 // System is torn down; the next run's identical geometry then reuses them
 // byte-for-byte. Maps (the broker's free-pool overrides) recycle the same
-// way through Map and ReleaseMap.
+// way through Map and ReleaseMap, per-structure headers through Alloc and
+// Free, and random sources through Rand and ReleaseRand.
 //
 // Buffers are keyed by a per-call-site tag and matched best-fit by
 // capacity, so a sweep that varies one structure's geometry still recycles
@@ -15,16 +16,24 @@
 // bit-identical to a freshly allocated one, and the golden-report CI job
 // holds that property.
 //
+// A fresh buffer under a page is padded to keep its cache lines to
+// itself, since pools of concurrently running simulations would otherwise
+// share lines (see isolated).
+//
 // An Arena is not safe for concurrent use. The experiment Runner keeps one
 // arena per worker-pool slot, giving each in-flight simulation a private
 // arena while consecutive runs on the same slot share one.
 package arena
 
-import "unsafe"
+import (
+	"math/rand"
+	"unsafe"
+)
 
-// maxPerTag bounds how many released buffers one tag retains. A system
-// releases at most a few dozen buffers per tag (one per cache instance,
-// page table, …); beyond that, Release keeps the largest.
+// maxPerTag bounds how many released buffers one tag retains, and how
+// many random sources an arena keeps. A system releases at most a few
+// dozen buffers per tag (one per cache instance, page table, …) and one
+// source per core; beyond that, Release keeps the largest.
 const maxPerTag = 64
 
 // buffer is one released slice or map, decomposed so that storing it
@@ -43,9 +52,11 @@ type buffer struct {
 	cap int            // slice capacity, or the map's size when released
 }
 
-// Arena is a tag-keyed free list of recycled slices and maps.
+// Arena is a tag-keyed free list of recycled slices and maps, plus a
+// free list of random sources.
 type Arena struct {
 	lists map[string][]buffer
+	rands []*rand.Rand
 }
 
 // New returns an empty arena.
@@ -62,8 +73,28 @@ func New() *Arena {
 // arena — the "pooling off" mode every constructor accepts — or a free
 // list with no fitting buffer allocates fresh.
 func Slice[T any](a *Arena, tag string, n int) []T {
+	b, reused := take[T](a, tag, n)
+	if reused {
+		clear(b)
+	}
+	return b
+}
+
+// Reclaim is Slice without the zeroing: a reused buffer comes back with
+// the elements it was released with, and any beyond them zero. It is for
+// elements that own arrays worth keeping — a device's calendars keep
+// their gap arrays, each at its own index — and the caller must reset
+// every element before use. Everywhere else, use Slice.
+func Reclaim[T any](a *Arena, tag string, n int) []T {
+	b, _ := take[T](a, tag, n)
+	return b
+}
+
+// take hands out the buffer Slice and Reclaim select, as it was released,
+// or a fresh one; reused reports which.
+func take[T any](a *Arena, tag string, n int) (b []T, reused bool) {
 	if a == nil {
-		return make([]T, n)
+		return make([]T, n), false
 	}
 	free := a.lists[tag]
 	best := -1
@@ -84,19 +115,38 @@ func Slice[T any](a *Arena, tag string, n int) []T {
 		}
 	}
 	if best < 0 {
-		return make([]T, n)
+		return isolated[T](n), false
 	}
-	b := unsafe.Slice((*T)(free[best].ptr), free[best].cap)
+	b = unsafe.Slice((*T)(free[best].ptr), free[best].cap)
 	free[best] = free[len(free)-1]
 	a.lists[tag] = free[:len(free)-1]
-	b = b[:n]
-	clear(b)
-	return b
+	return b[:n], true
 }
 
-// Release hands s back for future Slice calls under tag. The caller must
-// not touch s afterwards. A nil arena or a capacity-less slice is a no-op;
-// a full free list keeps the largest buffers.
+// cacheLine is the unit of false sharing on the hosts this runs on.
+const cacheLine = 64
+
+// isolated returns a new zeroed []T of length n for an arena. A buffer
+// under a page gets a line of padding on either side, outside the slice,
+// so it shares no cache line with another allocation. Pooled memory
+// outlives the run that allocated it, and the experiment Runner's worker
+// slots run on different cores at once: two slots' small buffers packed
+// into one line would be written from both cores on every access (false
+// sharing; a two-worker sweep measured ~7% more CPU without the padding).
+// Larger buffers span many lines and go unpadded, and so do empty ones,
+// which grow by append.
+func isolated[T any](n int) []T {
+	sz := unsafe.Sizeof(*new(T))
+	if n == 0 || sz == 0 || uintptr(n)*sz >= 4096 {
+		return make([]T, n)
+	}
+	pad := int((cacheLine + sz - 1) / sz)
+	return make([]T, pad+n+pad)[pad : pad+n : pad+n]
+}
+
+// Release hands s back for future Slice and Reclaim calls under tag. The
+// caller must not touch s afterwards. A nil arena or a capacity-less slice
+// is a no-op; a full free list keeps the largest buffers.
 func Release[T any](a *Arena, tag string, s []T) {
 	if a == nil || cap(s) == 0 {
 		return
@@ -139,6 +189,50 @@ func ReleaseMap[K comparable, V any](a *Arena, tag string, m map[K]V) {
 	b := buffer{typ: m, cap: len(m)}
 	clear(m)
 	a.put(tag, b)
+}
+
+// Alloc returns a pointer to a zeroed T, reusing a value handed back under
+// tag with Free: the per-structure headers of a system (a node, a device,
+// a TLB) recycle like its arrays. A nil arena allocates normally.
+func Alloc[T any](a *Arena, tag string) *T {
+	return &Slice[T](a, tag, 1)[0]
+}
+
+// Free zeroes *p, so a released header keeps nothing of its run reachable,
+// and hands it back for future Alloc calls under tag. The caller must not
+// touch *p afterwards. A nil arena is a no-op.
+func Free[T any](a *Arena, tag string, p *T) {
+	if a == nil || p == nil {
+		return
+	}
+	var zero T
+	*p = zero
+	Release(a, tag, unsafe.Slice(p, 1))
+}
+
+// Rand returns a generator in the state rand.New(rand.NewSource(seed))
+// starts in, reusing one handed back with ReleaseRand: re-seeding restarts
+// a source's stream exactly, so a recycled generator draws the same values
+// as a fresh one, without the ~5KB of source state a new one allocates. A
+// nil arena allocates normally.
+func Rand(a *Arena, seed int64) *rand.Rand {
+	if a == nil || len(a.rands) == 0 {
+		return rand.New(rand.NewSource(seed))
+	}
+	r := a.rands[len(a.rands)-1]
+	a.rands = a.rands[:len(a.rands)-1]
+	r.Seed(seed)
+	return r
+}
+
+// ReleaseRand hands r, which must come from Rand, back for future Rand
+// calls. The caller must not use r afterwards. A nil arena or a nil r is a
+// no-op, and so is a release beyond maxPerTag retained generators.
+func ReleaseRand(a *Arena, r *rand.Rand) {
+	if a == nil || r == nil || len(a.rands) >= maxPerTag {
+		return
+	}
+	a.rands = append(a.rands, r)
 }
 
 // put adds b to tag's free list; a full list keeps the largest buffers.

@@ -1,6 +1,9 @@
 package arena
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // sameBacking reports whether two slices share a backing array.
 func sameBacking(a, b []uint64) bool {
@@ -161,5 +164,82 @@ func TestExtend(t *testing.T) {
 	}
 	if shrunk := Extend(beyond, 5); len(shrunk) != 100 {
 		t.Fatal("Extend shrank the slice")
+	}
+}
+
+// TestRandReseedMatchesFresh: a generator handed back and re-seeded draws
+// the same first 10,000 values as rand.New(rand.NewSource(seed)), whatever
+// it drew before and whichever seed it last had.
+func TestRandReseedMatchesFresh(t *testing.T) {
+	a := New()
+	for _, seed := range []int64{42, 0, -7, 1 << 40, 42} {
+		r := Rand(a, seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for i := 0; i < 10000; i++ {
+			// Mix the draw kinds the simulator uses, so any state a
+			// previous stream left behind would show.
+			var got, want int64
+			switch i % 3 {
+			case 0:
+				got, want = r.Int63(), fresh.Int63()
+			case 1:
+				got, want = int64(r.Uint64()), int64(fresh.Uint64())
+			default:
+				got, want = int64(r.Intn(1000)), int64(fresh.Intn(1000))
+			}
+			if got != want {
+				t.Fatalf("seed %d draw %d: recycled %d, fresh %d", seed, i, got, want)
+			}
+		}
+		// Leave the generator mid-stream, then hand it back.
+		r.Float64()
+		ReleaseRand(a, r)
+	}
+	if len(a.rands) != 1 {
+		t.Fatalf("arena holds %d generators, want the one recycled through every seed", len(a.rands))
+	}
+}
+
+// TestAllocReusesFreedHeader: Free zeroes a header and Alloc hands the
+// same one back.
+func TestAllocReusesFreedHeader(t *testing.T) {
+	type header struct {
+		n int
+		p *int
+	}
+	a := New()
+	h := Alloc[header](a, "h")
+	h.n, h.p = 7, new(int)
+	Free(a, "h", h)
+	if *h != (header{}) {
+		t.Fatalf("Free left %+v", *h)
+	}
+	if got := Alloc[header](a, "h"); got != h {
+		t.Fatal("Alloc did not reuse the freed header")
+	}
+	if got := Alloc[header](nil, "h"); got == nil || *got != (header{}) {
+		t.Fatal("nil arena Alloc must return a fresh zero value")
+	}
+}
+
+// TestIsolatedKeepsPaddingOutside: an isolated buffer is exactly n zeroed
+// elements with no spare capacity, so neither indexing nor append can
+// reach the padding that keeps its cache lines to itself, and a pooled
+// Slice that allocates fresh returns one.
+func TestIsolatedKeepsPaddingOutside(t *testing.T) {
+	for _, n := range []int{1, 3, 100, 1000} {
+		b := isolated[uint64](n)
+		if len(b) != n || cap(b) != n {
+			t.Fatalf("n=%d: len %d cap %d", n, len(b), cap(b))
+		}
+		for i, v := range b {
+			if v != 0 {
+				t.Fatalf("n=%d: element %d is %d", n, i, v)
+			}
+		}
+	}
+	a := New()
+	if s := Slice[uint64](a, "t", 5); cap(s) != 5 {
+		t.Fatalf("pooled fresh Slice has cap %d, want 5", cap(s))
 	}
 }

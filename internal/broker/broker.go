@@ -55,24 +55,23 @@ func New(layout addr.Layout, seed int64) (*Broker, error) {
 	return NewInArena(nil, layout, seed)
 }
 
-// NewInArena is New drawing the owner table, the free-pool override map,
-// ACM chunk slabs and FAM page-table arenas from a. A nil arena allocates
-// normally.
+// NewInArena is New drawing the broker, its owner table, the free-pool
+// override map, the ACM store, the FAM page tables and the placement
+// source from a. A nil arena allocates normally.
 func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
 	usable := layout.UsableFAMPages()
-	b := &Broker{
-		layout:    layout,
-		meta:      acm.NewStoreInArena(a, layout),
-		rng:       rand.New(rand.NewSource(seed)),
-		freeCount: usable,
-		freeMods:  arena.Map[uint64, addr.FPage](a, "broker.freeMods"),
-		owner:     arena.Slice[uint16](a, "broker.owner", int(usable)),
-		nodeMaps:  map[uint16]*pagetable.Table{},
-		a:         a,
-	}
+	b := arena.Alloc[Broker](a, "broker.Broker")
+	b.layout = layout
+	b.meta = acm.NewStoreInArena(a, layout)
+	b.rng = arena.Rand(a, seed)
+	b.freeCount = usable
+	b.freeMods = arena.Map[uint64, addr.FPage](a, "broker.freeMods")
+	b.owner = arena.Slice[uint16](a, "broker.owner", int(usable))
+	b.nodeMaps = arena.Map[uint16, *pagetable.Table](a, "broker.nodeMaps")
+	b.a = a
 	// Shared 1GB regions are carved from the top of the usable area,
 	// growing downward; the random-allocation pool keeps everything below
 	// the carve boundary.
@@ -160,7 +159,7 @@ func (b *Broker) NodeTable(node uint16) (*pagetable.Table, error) {
 		b.owner[p] = node + 1
 		return uint64(p), nil
 	}
-	t, err := pagetable.NewInArena(b.a, fmt.Sprintf("fam-pt.%d", node), alloc)
+	t, err := pagetable.NewInArena(b.a, "pagetable.fam", fmt.Sprintf("fam-pt.%d", node), alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -168,18 +167,21 @@ func (b *Broker) NodeTable(node uint16) (*pagetable.Table, error) {
 	return t, nil
 }
 
-// Recycle returns the broker's large tables — the owner table, the
-// free-pool override map, the ACM chunk slabs, every node's FAM page-table
-// arena — to a for the next run's construction. The broker (and the tables
-// NodeTable handed out) must not be used afterwards.
+// Recycle returns the broker with its tables — the owner table, the
+// free-pool override map, the ACM store, every node's FAM page table and
+// the map holding them — and its random source to a for the next run's
+// construction. The broker (and the tables NodeTable handed out) must not
+// be used afterwards.
 func (b *Broker) Recycle(a *arena.Arena) {
 	arena.Release(a, "broker.owner", b.owner)
 	arena.ReleaseMap(a, "broker.freeMods", b.freeMods)
-	b.owner, b.freeMods = nil, nil
 	b.meta.Recycle(a)
 	for _, t := range b.nodeMaps {
 		t.Recycle(a)
 	}
+	arena.ReleaseMap(a, "broker.nodeMaps", b.nodeMaps)
+	arena.ReleaseRand(a, b.rng)
+	arena.Free(a, "broker.Broker", b)
 }
 
 // MapForNode allocates a FAM page for node and installs the system-level

@@ -80,8 +80,8 @@ func New(name string, sizeBytes uint64, ways int) (*Cache, error) {
 	return NewInArena(nil, name, sizeBytes, ways)
 }
 
-// NewInArena is New drawing the line arrays (tags, recency state, dirty
-// bits) from a, so a sweep's hundreds of systems recycle one
+// NewInArena is New drawing the cache and its line arrays (tags, recency
+// state, dirty bits) from a, so a sweep's hundreds of systems recycle one
 // set of allocations. A nil arena allocates normally.
 func NewInArena(a *arena.Arena, name string, sizeBytes uint64, ways int) (*Cache, error) {
 	return newCache(a, name, sizeBytes, ways, false)
@@ -96,15 +96,14 @@ func newCache(a *arena.Arena, name string, sizeBytes uint64, ways int, forceStam
 		return nil, err
 	}
 	n := sets * uint64(ways)
-	c := &Cache{
-		name:     name,
-		ways:     ways,
-		sets:     sets,
-		setMask:  sets - 1,
-		setShift: uint(bits.TrailingZeros64(sets)),
-		tags:     arena.Slice[uint64](a, "cache.tags", int(n)),
-		dirty:    arena.Slice[bool](a, "cache.dirty", int(n)),
-	}
+	c := arena.Alloc[Cache](a, "cache.Cache")
+	c.name = name
+	c.ways = ways
+	c.sets = sets
+	c.setMask = sets - 1
+	c.setShift = uint(bits.TrailingZeros64(sets))
+	c.tags = arena.Slice[uint64](a, "cache.tags", int(n))
+	c.dirty = arena.Slice[bool](a, "cache.dirty", int(n))
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
@@ -143,14 +142,14 @@ func MustNew(name string, sizeBytes uint64, ways int) *Cache {
 	return c
 }
 
-// recycle returns the cache's line arrays to a for the next run's
+// recycle returns the cache and its line arrays to a for the next run's
 // construction. The cache must not be used afterwards.
 func (c *Cache) recycle(a *arena.Arena) {
 	arena.Release(a, "cache.tags", c.tags)
 	arena.Release(a, "cache.dirty", c.dirty)
 	arena.Release(a, "cache.order", c.order)
 	arena.Release(a, "cache.used", c.used)
-	c.tags, c.dirty, c.order, c.used = nil, nil, nil, nil
+	arena.Free(a, "cache.Cache", c)
 }
 
 // Rank-word layout: nibble p of a set's order word holds the way index at

@@ -83,6 +83,10 @@ type Hierarchy struct {
 	wbBuf   []uint64 // reused writeback scratch, returned by Access
 }
 
+// wbCap is the writeback scratch's capacity: an access evicts at most one
+// L3 block, so it never grows.
+const wbCap = 1
+
 // NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return NewHierarchyInArena(nil, cfg)
@@ -94,20 +98,19 @@ func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{}
-	for i := 0; i < cfg.Cores; i++ {
-		l1, err := NewInArena(a, fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways)
-		if err != nil {
-			return nil, err
-		}
-		l2, err := NewInArena(a, fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways)
-		if err != nil {
-			return nil, err
-		}
-		h.l1 = append(h.l1, l1)
-		h.l2 = append(h.l2, l2)
-	}
+	h := arena.Alloc[Hierarchy](a, "cache.Hierarchy")
+	h.l1 = arena.Slice[*Cache](a, "cache.l1", cfg.Cores)
+	h.l2 = arena.Slice[*Cache](a, "cache.l2", cfg.Cores)
+	h.wbBuf = arena.Slice[uint64](a, "cache.writebacks", wbCap)[:0]
 	var err error
+	for i := range h.l1 {
+		if h.l1[i], err = NewInArena(a, fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways); err != nil {
+			return nil, err
+		}
+		if h.l2[i], err = NewInArena(a, fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways); err != nil {
+			return nil, err
+		}
+	}
 	h.l3, err = NewInArena(a, "l3", cfg.L3Size, cfg.L3Ways)
 	if err != nil {
 		return nil, err
@@ -116,8 +119,8 @@ func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error
 	return h, nil
 }
 
-// Recycle returns every cache's line arrays to a for the next run's
-// construction. The hierarchy must not be used afterwards.
+// Recycle returns the hierarchy, every cache and their line arrays to a
+// for the next run's construction. The hierarchy must not be used afterwards.
 func (h *Hierarchy) Recycle(a *arena.Arena) {
 	for i := range h.l1 {
 		h.l1[i].recycle(a)
@@ -125,7 +128,10 @@ func (h *Hierarchy) Recycle(a *arena.Arena) {
 	}
 	h.l3.recycle(a)
 	arena.Release(a, "cache.presence", h.present)
-	h.present = nil
+	arena.Release(a, "cache.l1", h.l1)
+	arena.Release(a, "cache.l2", h.l2)
+	arena.Release(a, "cache.writebacks", h.wbBuf)
+	arena.Free(a, "cache.Hierarchy", h)
 }
 
 // Access performs a load or store by core on the physical block containing

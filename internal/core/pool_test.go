@@ -104,3 +104,50 @@ func TestOptionsFormIsTheOnlyAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPooledRunAllocations holds the pooled construction floor: after one
+// warm-up run on a pool, a second pooled Run of the same config allocates
+// only its Result (three per-node stats slices) and a fixed handful of
+// small values per node and core — the method values and closures wiring
+// the components together, table and cache names, each core's generator.
+// Calendars, random sources, the engine and every per-structure header
+// come back from the pool, so the count does not grow with the run's
+// length; losing any of them costs at least one allocation per run. The
+// floors sit a little above the measured 14–16 and 35–37, which vary
+// with map layout; a -race runtime allocates on its own behalf, so there
+// they only have to hold within half again.
+func TestPooledRunAllocations(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		nodes, cores int
+		floor        float64
+	}{
+		{1, 1, 18},
+		{2, 2, 40},
+	} {
+		floor := tc.floor
+		if raceEnabled {
+			floor *= 1.5
+		}
+		for _, scheme := range []Scheme{IFAM, DeACTN} {
+			for _, model := range []string{CoreInOrder, CoreOoO} {
+				cfg := poolTestConfig(scheme, "mcf")
+				cfg.Nodes, cfg.CoresPerNode = tc.nodes, tc.cores
+				if model == CoreOoO {
+					cfg.CoreModel, cfg.WindowSize, cfg.SchedulerLatency = CoreOoO, 32, 2
+				}
+				name := fmt.Sprintf("%v/%s/%dx%d", scheme, model, tc.nodes, tc.cores)
+				pool := NewSystemPool()
+				// AllocsPerRun makes the warm-up run, then counts the second.
+				got := testing.AllocsPerRun(1, func() {
+					if _, err := Run(ctx, cfg, WithPool(pool)); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				})
+				if got > floor {
+					t.Errorf("%s: a warm pooled run allocated %.0f times, floor %.0f", name, got, floor)
+				}
+			}
+		}
+	}
+}

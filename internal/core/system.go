@@ -15,14 +15,20 @@ import (
 	"deact/internal/workload"
 )
 
-// SystemPool recycles the large construction-time allocations of a System
-// — cache line arrays, TLB and STU arrays, page-table arenas, the broker's
-// owner table and free-pool map, ACM chunk slabs, translator lines, OS
-// backing tables (~2.5MB zeroed per run) — across the hundreds of runs of
-// a sweep: build with NewSystem(cfg, WithPool(pool)), run, then Recycle,
-// and the next same-shaped system reuses the memory, clearing instead of
-// reallocating. Results are byte-identical to unpooled runs (recycled
-// buffers are zeroed on reuse; the golden-report CI job holds this).
+// SystemPool recycles the construction-time memory of a System across the
+// hundreds of runs of a sweep: the large arrays — cache line arrays, TLB
+// and STU arrays, page-table arenas, the broker's owner table and
+// free-pool map, ACM chunk slabs, translator lines, OS backing tables
+// (~2.5MB zeroed per run) — the contention calendars with their gap
+// arrays, the random sources of the generators, broker and translators
+// (re-seeded), the engine's event queue, and the per-structure headers
+// down to each node's ~10KB value. Build with NewSystem(cfg,
+// WithPool(pool)), run, then Recycle, and the next system reuses the
+// memory, clearing instead of reallocating: a warm pooled Run allocates
+// its Result and a few small closures and names per node
+// (TestPooledRunAllocations). Results are byte-identical to unpooled runs
+// (recycled buffers are zeroed or reset on reuse; the golden-report CI
+// job holds this).
 //
 // A pool is not safe for concurrent use: give each concurrently running
 // simulation its own (the experiments Runner keeps one per worker slot).
@@ -88,7 +94,8 @@ type System struct {
 	fab    *fabric.Fabric
 	fam    *memdev.Device
 	nodes  []*node.Node
-	cores  [][]*cpu.Core
+	cores  []*cpu.Core       // node-major: core ci of node ni is [ni*CoresPerNode+ci]
+	srcs   []workload.Source // core i's source, before any recorder tap
 }
 
 // NewSystem builds a system from cfg, applying any options.
@@ -136,23 +143,27 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 			o.recorder.Streams(), totalCores)
 	}
 
-	s := &System{cfg: cfg, engine: sim.NewEngine()}
+	s := arena.Alloc[System](a, "core.System")
+	s.cfg = cfg
+	s.engine = sim.NewEngineInArena(a)
 	s.brk, err = broker.NewInArena(a, cfg.Layout, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	s.fab = fabric.New(fabric.Config{Latency: cfg.FabricLatency, PacketTime: cfg.FabricPacketTime})
-	s.fam = memdev.New(cfg.FAMCfg)
+	s.fab = fabric.NewInArena(a, fabric.Config{Latency: cfg.FabricLatency, PacketTime: cfg.FabricPacketTime})
+	s.fam = memdev.NewInArena(a, "memdev.fam", cfg.FAMCfg)
+	s.nodes = arena.Slice[*node.Node](a, "core.nodes", cfg.Nodes)
+	s.cores = arena.Slice[*cpu.Core](a, "core.cores", totalCores)
+	s.srcs = arena.Slice[workload.Source](a, "core.sources", totalCores)
 
 	total := cfg.WarmupInstructions + cfg.MeasureInstructions
-	for ni := 0; ni < cfg.Nodes; ni++ {
+	for ni := range s.nodes {
 		// Node IDs start at 1; the broker reserves 0 for itself.
 		n, err := node.NewInArena(a, cfg.nodeConfig(uint16(ni+1)), s.brk, s.fab, s.fam)
 		if err != nil {
 			return nil, err
 		}
-		s.nodes = append(s.nodes, n)
-		var row []*cpu.Core
+		s.nodes[ni] = n
 		for ci := 0; ci < cfg.CoresPerNode; ci++ {
 			tenant := cfg.tenantFor(ni, ci)
 			globalCore := ni*cfg.CoresPerNode + ci
@@ -168,16 +179,17 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 				// leaves the catalog profile untouched (the skew model).
 				p.Pattern = cfg.Pattern
 				p.PatternDegree = cfg.PatternDegree
-				src, err = workload.NewSource(p, cfg.Seed+int64(ni)*100+int64(ci))
+				src, err = workload.NewSourceInArena(a, p, cfg.Seed+int64(ni)*100+int64(ci))
 				if err != nil {
 					return nil, err
 				}
 			}
+			s.srcs[globalCore] = src
 			src.SetTenant(tenant)
 			if o.recorder != nil {
 				src = o.recorder.Tap(globalCore, src)
 			}
-			c, err := cpu.New(cpu.Config{
+			s.cores[globalCore], err = cpu.NewInArena(a, cpu.Config{
 				ID: ci, CycleTime: cfg.CycleTime, IssueWidth: cfg.IssueWidth,
 				MaxOutstanding: cfg.MaxOutstanding, Instructions: total,
 				OoO:        cfg.CoreModel == CoreOoO,
@@ -186,9 +198,7 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, c)
 		}
-		s.cores = append(s.cores, row)
 	}
 	// Bind the engine clock into every contended resource: calendars prune
 	// themselves against the engine's current time (no future access chain
@@ -228,11 +238,9 @@ func (s *System) resetStats() {
 
 // retired sums the instructions and memory ops every core has retired.
 func (s *System) retired() (instrs, memOps uint64) {
-	for _, row := range s.cores {
-		for _, c := range row {
-			instrs += c.Instructions()
-			memOps += c.MemOps()
-		}
+	for _, c := range s.cores {
+		instrs += c.Instructions()
+		memOps += c.MemOps()
 	}
 	return instrs, memOps
 }
@@ -255,14 +263,13 @@ func (s *System) runPhase(ctx context.Context) error {
 		}
 		s.engine.Run(s.engine.Now() + ctxStride)
 	}
-	for ni, row := range s.cores {
-		for ci, c := range row {
-			if err := c.Err(); err != nil {
-				return fmt.Errorf("node %d core %d: %w", ni+1, ci, err)
-			}
-			if !c.Done() {
-				return fmt.Errorf("node %d core %d: engine drained before retirement", ni+1, ci)
-			}
+	for i, c := range s.cores {
+		ni, ci := i/s.cfg.CoresPerNode, i%s.cfg.CoresPerNode
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("node %d core %d: %w", ni+1, ci, err)
+		}
+		if !c.Done() {
+			return fmt.Errorf("node %d core %d: engine drained before retirement", ni+1, ci)
 		}
 	}
 	return nil
@@ -276,15 +283,11 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 	// to the warmup length, run, then extend for measurement.
 	warm := s.cfg.WarmupInstructions
 	if warm > 0 {
-		for _, row := range s.cores {
-			for _, c := range row {
-				c.SetBudget(warm)
-			}
+		for _, c := range s.cores {
+			c.SetBudget(warm)
 		}
-		for _, row := range s.cores {
-			for _, c := range row {
-				c.Start(s.engine)
-			}
+		for _, c := range s.cores {
+			c.Start(s.engine)
 		}
 		if err := s.runPhase(ctx); err != nil {
 			return Result{}, err
@@ -294,11 +297,9 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 	instrs, memOps := s.retired()
 	s.resetStats()
 
-	for _, row := range s.cores {
-		for _, c := range row {
-			c.SetBudget(warm + s.cfg.MeasureInstructions)
-			c.Start(s.engine)
-		}
+	for _, c := range s.cores {
+		c.SetBudget(warm + s.cfg.MeasureInstructions)
+		c.Start(s.engine)
 	}
 	if err := s.runPhase(ctx); err != nil {
 		return Result{}, err
@@ -306,10 +307,12 @@ func (s *System) Run(ctx context.Context) (Result, error) {
 	return s.result(start, instrs, memOps), nil
 }
 
-// Recycle returns the system's large backing arrays to pool for its next
-// construction. The system — including anything reached through it, such
-// as broker page tables — must not be used afterwards. A nil pool is a
-// no-op.
+// Recycle returns the system's construction-time memory to pool for its
+// next construction: the broker, nodes, fabric, FAM device, engine and
+// cores with everything they were built from, calendars and random
+// sources included. The system — including anything reached through it,
+// such as broker page tables — must not be used afterwards. A nil pool is
+// a no-op.
 func (s *System) Recycle(pool *SystemPool) {
 	a := pool.arenaOf()
 	if a == nil {
@@ -319,6 +322,17 @@ func (s *System) Recycle(pool *SystemPool) {
 	for _, n := range s.nodes {
 		n.Recycle(a)
 	}
+	for i, c := range s.cores {
+		c.Recycle(a)
+		workload.Recycle(a, s.srcs[i])
+	}
+	s.fab.Recycle(a)
+	s.fam.Recycle(a)
+	s.engine.Recycle(a)
+	arena.Release(a, "core.nodes", s.nodes)
+	arena.Release(a, "core.cores", s.cores)
+	arena.Release(a, "core.sources", s.srcs)
+	arena.Free(a, "core.System", s)
 }
 
 // Run builds and runs a system in one call — the unit of work the

@@ -24,6 +24,7 @@ package cpu
 import (
 	"fmt"
 
+	"deact/internal/arena"
 	"deact/internal/sim"
 	"deact/internal/workload"
 )
@@ -97,8 +98,6 @@ type window struct {
 	head int
 	n    int
 }
-
-func newWindow(capacity int) window { return window{buf: make([]sim.Time, capacity)} }
 
 // min returns the earliest outstanding completion. The window must be
 // non-empty.
@@ -206,13 +205,30 @@ type Core struct {
 // New builds a core driven by any workload source (generator or trace
 // replay).
 func New(cfg Config, gen workload.Source, access AccessFunc) (*Core, error) {
+	return NewInArena(nil, cfg, gen, access)
+}
+
+// NewInArena is New drawing the core and its window from a. A nil arena
+// allocates normally.
+func NewInArena(a *arena.Arena, cfg Config, gen workload.Source, access AccessFunc) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if gen == nil || access == nil {
 		return nil, fmt.Errorf("cpu: generator and access function required")
 	}
-	return &Core{cfg: cfg, gen: gen, access: access, win: newWindow(cfg.MaxOutstanding)}, nil
+	c := arena.Alloc[Core](a, "cpu.Core")
+	c.cfg, c.gen, c.access = cfg, gen, access
+	c.win = window{buf: arena.Slice[sim.Time](a, "cpu.window", cfg.MaxOutstanding)}
+	return c, nil
+}
+
+// Recycle returns the core and its window to a for the next run's
+// construction; the workload source is its owner's to recycle. The core
+// must not be used afterwards.
+func (c *Core) Recycle(a *arena.Arena) {
+	arena.Release(a, "cpu.window", c.win.buf)
+	arena.Free(a, "cpu.Core", c)
 }
 
 // Start schedules the core's next step on the engine. On a fresh core that

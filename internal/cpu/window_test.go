@@ -8,6 +8,9 @@ import (
 	"deact/internal/sim"
 )
 
+// newWindow returns an empty window of the given capacity.
+func newWindow(capacity int) window { return window{buf: make([]sim.Time, capacity)} }
+
 // TestWindowMatchesSortedMultiset drives the ring through random inserts —
 // mostly in completion order, some before the head, some in the middle,
 // with repeats — interleaved with drains, min reads and resets, and

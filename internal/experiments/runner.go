@@ -274,7 +274,7 @@ func (f *Future) release() {
 // acquisition first (admission stops on cancellation), then core.Run.
 func (r *Runner) execute(ectx context.Context, e *runEntry) {
 	defer r.wg.Done()
-	res, cached, err := r.compute(ectx, e.cfg)
+	res, cached, err := r.compute(ectx, e.cfg, e.fp)
 	r.finish(e, res, cached, err)
 }
 
@@ -286,15 +286,15 @@ func (r *Runner) execute(ectx context.Context, e *runEntry) {
 // With a Store configured, the persisted result — when present — is
 // returned before any of that machinery engages: no worker slot, no
 // simulation. cached reports that path.
-func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result, cached bool, err error) {
+func (r *Runner) compute(ectx context.Context, cfg core.Config, fp string) (res core.Result, cached bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("experiments: %s under %v: panic: %v", cfg.Benchmark, cfg.Scheme, p)
 		}
 	}()
 	if r.opts.Store != nil {
-		if hit, ok := r.opts.Store.Get(cfg); ok {
-			return hit, true, nil
+		if hit, ok := r.opts.Store.Lookup(fp); ok {
+			return hit.Result, true, nil
 		}
 	}
 	var pool *core.SystemPool
@@ -309,12 +309,12 @@ func (r *Runner) compute(ectx context.Context, cfg core.Config) (res core.Result
 	defer func() { r.sem <- pool }() // release the worker slot
 	res, err = coreRun(ectx, cfg, core.WithPool(pool))
 	if err != nil && !isCancellation(err) {
-		err = fmt.Errorf("experiments: %s under %v [cfg %s]: %w", cfg.Benchmark, cfg.Scheme, cfg.Fingerprint()[:8], err)
+		err = fmt.Errorf("experiments: %s under %v [cfg %s]: %w", cfg.Benchmark, cfg.Scheme, fp[:8], err)
 	}
 	if err == nil && r.opts.Store != nil {
 		// Best-effort persistence: a failed write costs a future miss,
 		// nothing else, and must not fail a simulation that succeeded.
-		_ = r.opts.Store.Put(cfg, res)
+		_ = r.opts.Store.PutAs(fp, cfg, res)
 	}
 	return res, false, err
 }

@@ -19,6 +19,7 @@ package fabric
 import (
 	"fmt"
 
+	"deact/internal/arena"
 	"deact/internal/sim"
 )
 
@@ -67,15 +68,42 @@ type Fabric struct {
 	cfg     Config
 	links   [2]sim.Server // indexed by Direction
 	packets uint64
+
+	// pooled is the arena buffer the links' calendars came from. The links
+	// are copied out of it and back, so Traverse indexes an array in the
+	// fabric itself rather than a slice.
+	pooled []sim.Server
 }
 
 // New builds a fabric. Invalid configs panic (they are validated by
 // core.Config first).
 func New(cfg Config) *Fabric {
+	return NewInArena(nil, cfg)
+}
+
+// NewInArena is New drawing the fabric and its links' calendars from a.
+// A nil arena allocates normally.
+func NewInArena(a *arena.Arena, cfg Config) *Fabric {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Fabric{cfg: cfg}
+	f := arena.Alloc[Fabric](a, "fabric.Fabric")
+	f.cfg = cfg
+	f.pooled = sim.NewServers(a, "fabric.links", len(f.links))
+	copy(f.links[:], f.pooled)
+	return f
+}
+
+// Recycle returns the fabric and its links' calendars to a for the next
+// run's construction. The fabric must not be used afterwards. A nil arena
+// is a no-op.
+func (f *Fabric) Recycle(a *arena.Arena) {
+	if a == nil {
+		return
+	}
+	copy(f.pooled, f.links[:])
+	sim.RecycleServers(a, "fabric.links", f.pooled)
+	arena.Free(a, "fabric.Fabric", f)
 }
 
 // Bind attaches the engine clock to both link directions (see sim.Clock).

@@ -33,6 +33,7 @@ package memdev
 import (
 	"fmt"
 
+	"deact/internal/arena"
 	"deact/internal/sim"
 )
 
@@ -71,6 +72,11 @@ type Device struct {
 	port     sim.Server
 	banks    []sim.Server
 	bankMask uint64 // len(banks)-1 when a power of two, else 0
+	// servers is the arena buffer the calendars came from: the port's
+	// slot, then the banks (banks is servers[1:]). The port is copied out
+	// of it and back, so Access books a field of the device itself.
+	servers []sim.Server
+	tag     string // the arena tag servers came from
 
 	reads  uint64
 	writes uint64
@@ -80,17 +86,42 @@ type Device struct {
 // configs are produced by core.Config validation, so a bad one here is a
 // programming error.
 func New(cfg Config) *Device {
+	return NewInArena(nil, "", cfg)
+}
+
+// NewInArena is New drawing the device and its calendars from a. The
+// calendars come from, and return to, the free list under tag, each with
+// the gap array it grew: devices of different roles (the FAM pool, a
+// node's DRAM) see different traffic, and under one tag they would trade
+// arrays and regrow. A nil arena allocates normally.
+func NewInArena(a *arena.Arena, tag string, cfg Config) *Device {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if cfg.InterleaveShift == 0 {
 		cfg.InterleaveShift = 6
 	}
-	d := &Device{cfg: cfg, banks: make([]sim.Server, cfg.Banks)}
+	d := arena.Alloc[Device](a, "memdev.Device")
+	d.cfg = cfg
+	d.tag = tag
+	d.servers = sim.NewServers(a, tag, 1+cfg.Banks)
+	d.port, d.banks = d.servers[0], d.servers[1:]
 	if n := uint64(cfg.Banks); n&(n-1) == 0 {
 		d.bankMask = n - 1
 	}
 	return d
+}
+
+// Recycle returns the device and its calendars, each with its gap array,
+// to a for the next run's construction. The device must not be used
+// afterwards. A nil arena is a no-op.
+func (d *Device) Recycle(a *arena.Arena) {
+	if a == nil {
+		return
+	}
+	d.servers[0] = d.port
+	sim.RecycleServers(a, d.tag, d.servers)
+	arena.Free(a, "memdev.Device", d)
 }
 
 // Bind attaches the engine clock to the port and every bank, enabling exact

@@ -255,7 +255,7 @@ type Node struct {
 	pt    *pagetable.Table
 	trans *translator.Translator
 	stuU  *stu.STU
-	osa   *osAllocator
+	osa   osAllocator
 	pf    *prefetcher // nil when disabled
 
 	// direct is the OS/broker-known NP→FAM backing, dense over the FAM
@@ -279,10 +279,10 @@ func New(cfg Config, brk *broker.Broker, fab *fabric.Fabric, fam *memdev.Device)
 	return NewInArena(nil, cfg, brk, fab, fam)
 }
 
-// NewInArena is New drawing the node's large construction-time arrays —
-// cache line arrays, the MMUs' and the STU's TLB arrays, the page-table
-// arena, the translator's line array and the OS direct-backing table —
-// from a. A nil arena allocates normally.
+// NewInArena is New drawing the node and its construction-time memory —
+// cache line arrays, the MMUs, the STU, the page table, the translator,
+// the local DRAM device with its calendars, the walk buffer and the OS
+// direct-backing table — from a. A nil arena allocates normally.
 func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabric, fam *memdev.Device) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -294,16 +294,17 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 		return nil, fmt.Errorf("node: FAM port latency %d ps exceeds the fabric packet time %d ps (famRT serves link-paced arrivals unqueued)",
 			fam.PortLatency(), fab.PacketTime())
 	}
-	n := &Node{
-		cfg:  cfg,
-		brk:  brk,
-		fab:  fab,
-		fam:  fam,
-		dram: memdev.New(cfg.DRAM),
-		// Length 0: backWithFAM extends (zeroing) on demand, so a recycled
-		// buffer regrows to its previous high-water mark allocation-free.
-		direct: arena.Slice[addr.FPage](a, "node.direct", 0),
-	}
+	// The node value (~10KB, most of it the per-tenant histograms)
+	// recycles like its arrays.
+	n := arena.Alloc[Node](a, "node.Node")
+	n.cfg = cfg
+	n.brk = brk
+	n.fab = fab
+	n.fam = fam
+	n.dram = memdev.NewInArena(a, "memdev.dram", cfg.DRAM)
+	// Length 0: backWithFAM extends (zeroing) on demand, so a recycled
+	// buffer regrows to its previous high-water mark allocation-free.
+	n.direct = arena.Slice[addr.FPage](a, "node.direct", 0)
 	if cfg.Prefetch.Enabled() {
 		n.pf = newPrefetcher(cfg.Prefetch)
 	}
@@ -313,13 +314,12 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	if err != nil {
 		return nil, err
 	}
-	n.walkPorts = make([]walkPort, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		m, err := tlb.NewMMUInArena(a, cfg.MMU)
-		if err != nil {
+	n.mmus = arena.Slice[*tlb.MMU](a, "node.mmus", cfg.Cores)
+	n.walkPorts = arena.Slice[walkPort](a, "node.walkPorts", cfg.Cores)
+	for i := range n.mmus {
+		if n.mmus[i], err = tlb.NewMMUInArena(a, cfg.MMU); err != nil {
 			return nil, err
 		}
-		n.mmus = append(n.mmus, m)
 		n.walkPorts[i] = walkPort{n: n, core: i}
 	}
 
@@ -333,31 +333,18 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 
 	// Node page table: kernel table pages follow the same 20/80 placement
 	// as data (the property that inflates I-FAM's nested walks).
-	n.pt, err = pagetable.NewInArena(a, fmt.Sprintf("node%d.pt", cfg.ID), func() (uint64, error) {
-		p, err := n.osa.Alloc()
-		if err != nil {
-			return 0, err
-		}
-		if cfg.Layout.InFAMZone(p.Addr()) {
-			if err := n.backWithFAM(p); err != nil {
-				return 0, err
-			}
-		}
-		return uint64(p), nil
-	})
+	n.pt, err = pagetable.NewInArena(a, "pagetable.node", fmt.Sprintf("node%d.pt", cfg.ID), n.tablePage)
 	if err != nil {
 		return nil, err
 	}
-	n.walker.Table = n.pt
+	n.walker = tlb.NewWalker(a, n.pt)
 
 	if cfg.Scheme != EFAM {
 		tbl, err := brk.NodeTable(cfg.ID)
 		if err != nil {
 			return nil, err
 		}
-		n.stuU, err = stu.NewInArena(a, cfg.STU, cfg.ID, cfg.Layout, brk.Meta(), tbl,
-			n.famAT,
-			func(np addr.NPPage) (addr.FPage, error) { return brk.MapForNode(cfg.ID, np) })
+		n.stuU, err = stu.NewInArena(a, cfg.STU, cfg.ID, cfg.Layout, brk.Meta(), tbl, n.famAT, n.mapFAM)
 		if err != nil {
 			return nil, err
 		}
@@ -373,9 +360,9 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	return n, nil
 }
 
-// Recycle returns the node's large arrays to a for the next run's
-// construction (the broker's tables are recycled by the broker, not here).
-// The node must not be used afterwards.
+// Recycle returns the node and its construction-time memory to a for the
+// next run's construction (the broker's tables are recycled by the broker,
+// not here). The node must not be used afterwards.
 func (n *Node) Recycle(a *arena.Arena) {
 	n.hier.Recycle(a)
 	for _, m := range n.mmus {
@@ -388,8 +375,12 @@ func (n *Node) Recycle(a *arena.Arena) {
 	if n.trans != nil {
 		n.trans.Recycle(a)
 	}
+	n.dram.Recycle(a)
+	n.walker.Recycle(a)
+	arena.Release(a, "node.mmus", n.mmus)
+	arena.Release(a, "node.walkPorts", n.walkPorts)
 	arena.Release(a, "node.direct", n.direct)
-	n.direct = nil
+	arena.Free(a, "node.Node", n)
 }
 
 // famZoneIndex converts a FAM-zone NP page to its dense direct[] index.
@@ -511,9 +502,9 @@ func (p *walkPort) Fault(vp uint64) (uint64, error) {
 	return uint64(np), err
 }
 
-// osFault performs the OS' first-touch allocation for vp.
-func (n *Node) osFault(vp addr.VPage) (addr.NPPage, error) {
-	n.stats.OSFaults++
+// allocPage takes the OS allocator's next page, backing it with FAM when
+// it falls in the FAM zone.
+func (n *Node) allocPage() (addr.NPPage, error) {
 	p, err := n.osa.Alloc()
 	if err != nil {
 		return 0, err
@@ -522,6 +513,27 @@ func (n *Node) osFault(vp addr.VPage) (addr.NPPage, error) {
 		if err := n.backWithFAM(p); err != nil {
 			return 0, err
 		}
+	}
+	return p, nil
+}
+
+// tablePage places one node page-table page.
+func (n *Node) tablePage() (uint64, error) {
+	p, err := n.allocPage()
+	return uint64(p), err
+}
+
+// mapFAM is the STU's broker fault service for the node's pages.
+func (n *Node) mapFAM(np addr.NPPage) (addr.FPage, error) {
+	return n.brk.MapForNode(n.cfg.ID, np)
+}
+
+// osFault performs the OS' first-touch allocation for vp.
+func (n *Node) osFault(vp addr.VPage) (addr.NPPage, error) {
+	n.stats.OSFaults++
+	p, err := n.allocPage()
+	if err != nil {
+		return 0, err
 	}
 	if err := n.pt.Map(uint64(vp), uint64(p)); err != nil {
 		return 0, err

@@ -24,8 +24,8 @@ type osAllocator struct {
 // newOSAllocator builds an allocator; reservedDRAMBytes (the DeACT
 // translation-cache region at the top of DRAM) is excluded from the local
 // zone.
-func newOSAllocator(l addr.Layout, reservedDRAMBytes uint64, localEveryN int) *osAllocator {
-	return &osAllocator{
+func newOSAllocator(l addr.Layout, reservedDRAMBytes uint64, localEveryN int) osAllocator {
+	return osAllocator{
 		layout:      l,
 		localLimit:  (l.DRAMSize - reservedDRAMBytes) / addr.PageSize,
 		famNext:     l.DRAMSize / addr.PageSize,

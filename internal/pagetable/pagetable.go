@@ -63,6 +63,7 @@ type Table struct {
 	name  string
 	alloc PageAllocator
 	nodes []tnode // arena; nodes[0] is the root
+	tag   string  // the arena tag nodes came from and returns to
 
 	mapped     uint64
 	tableNodes uint64
@@ -70,30 +71,35 @@ type Table struct {
 
 // New creates an empty table whose nodes are placed by alloc.
 func New(name string, alloc PageAllocator) (*Table, error) {
-	return NewInArena(nil, name, alloc)
+	return NewInArena(nil, "", name, alloc)
 }
 
-// NewInArena is New drawing the node arena from a, so a recycled table's
-// growth to its previous high-water mark allocates nothing. A nil arena
-// allocates normally.
-func NewInArena(a *arena.Arena, name string, alloc PageAllocator) (*Table, error) {
+// NewInArena is New drawing the table and its node arena from a, so a
+// recycled table's growth to its previous high-water mark allocates
+// nothing. The node arena comes from, and returns to, the free list under
+// tag: tables of different roles (a node's page table, the broker's FAM
+// page tables) grow to different sizes, and under one tag they would
+// compete for the largest buffer. A nil arena allocates normally.
+func NewInArena(a *arena.Arena, tag, name string, alloc PageAllocator) (*Table, error) {
 	if alloc == nil {
 		return nil, fmt.Errorf("pagetable %s: nil allocator", name)
 	}
+	t := arena.Alloc[Table](a, "pagetable.Table")
 	// Length 0: appended nodes are written whole, so stale recycled
 	// contents are never observable.
-	t := &Table{name: name, alloc: alloc, nodes: arena.Slice[tnode](a, "pagetable.nodes", 0)}
+	t.name, t.alloc, t.tag = name, alloc, tag
+	t.nodes = arena.Slice[tnode](a, tag, 0)
 	if _, err := t.newNode(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// Recycle returns the node arena to a for the next run's construction.
-// The table must not be used afterwards.
+// Recycle returns the table and its node arena to a for the next run's
+// construction. The table must not be used afterwards.
 func (t *Table) Recycle(a *arena.Arena) {
-	arena.Release(a, "pagetable.nodes", t.nodes)
-	t.nodes = nil
+	arena.Release(a, t.tag, t.nodes)
+	arena.Free(a, "pagetable.Table", t)
 }
 
 // newNode appends a fresh table node to the arena and returns its index.

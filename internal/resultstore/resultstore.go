@@ -237,7 +237,14 @@ func (s *Store) drop(fp string) {
 // stored. Persisting is idempotent: re-putting a fingerprint replaces the
 // entry with identical bytes.
 func (s *Store) Put(cfg core.Config, res core.Result) error {
-	fp := cfg.Fingerprint()
+	return s.PutAs(cfg.Fingerprint(), cfg, res)
+}
+
+// PutAs is Put for a caller that already holds cfg's fingerprint, such as
+// the experiments Runner, which keys its runs by it: the config is not
+// encoded a second time. fp must equal cfg.Fingerprint(); an entry filed
+// under any other address fails Lookup's check and is dropped as corrupt.
+func (s *Store) PutAs(fp string, cfg core.Config, res core.Result) error {
 	e := Entry{Model: s.model, Fingerprint: fp, Config: cfg, Result: res}
 	data, err := json.Marshal(e)
 	if err != nil {

@@ -297,3 +297,47 @@ func BenchmarkStoreHit(b *testing.B) {
 		}
 	}
 }
+
+// TestStorePutAsEqualsPut: PutAs with the config's own fingerprint files
+// the same bytes Put does; under any other address the entry fails
+// Lookup's binding check and is dropped.
+func TestStorePutAsEqualsPut(t *testing.T) {
+	cfg := storeTestConfig(core.IFAM, "mcf", 7)
+	res := mustRun(t, cfg)
+	fp := cfg.Fingerprint()
+	a, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put(cfg, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PutAs(fp, cfg, res); err != nil {
+		t.Fatal(err)
+	}
+	da, err := os.ReadFile(a.path(fp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := os.ReadFile(b.path(fp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(da, db) {
+		t.Fatal("PutAs wrote different bytes than Put")
+	}
+	other := storeTestConfig(core.IFAM, "mcf", 8).Fingerprint()
+	if err := b.PutAs(other, cfg, res); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Lookup(other); ok {
+		t.Fatal("an entry filed under a foreign fingerprint was served")
+	}
+	if b.Len() != 1 {
+		t.Fatalf("store indexes %d entries, want the one valid entry", b.Len())
+	}
+}

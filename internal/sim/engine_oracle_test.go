@@ -11,17 +11,15 @@ import (
 // before the handler runs, so every ScheduleHandler pushes. The stale-root
 // Engine is held to it.
 type refEngine struct {
-	now    Time
-	seq    uint64
-	queue  []event
-	fired  uint64
-	halted bool
+	now   Time
+	seq   uint64
+	queue []event
+	fired uint64
 }
 
 func (e *refEngine) Now() Time          { return e.now }
 func (e *refEngine) Fired() uint64      { return e.fired }
 func (e *refEngine) Pending() int       { return len(e.queue) }
-func (e *refEngine) Halt()              { e.halted = true }
 func (e *refEngine) less(i, j int) bool { return e.queue[i].before(e.queue[j]) }
 
 func (e *refEngine) ScheduleHandler(at Time, h Handler) {
@@ -62,8 +60,7 @@ func (e *refEngine) pop() event {
 }
 
 func (e *refEngine) Run(horizon Time) Time {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
+	for len(e.queue) > 0 {
 		if horizon != 0 && e.queue[0].at > horizon {
 			if horizon > e.now {
 				e.now = horizon
@@ -82,7 +79,6 @@ func (e *refEngine) Run(horizon Time) Time {
 type scheduler interface {
 	ScheduleHandler(at Time, h Handler)
 	Run(horizon Time) Time
-	Halt()
 	Now() Time
 	Fired() uint64
 	Pending() int
@@ -92,7 +88,7 @@ type scheduler interface {
 // logs the handler, the time and what Pending reports from inside the
 // handler, then draws from the world's RNG how many events to schedule
 // (zero, one or two), for which handlers (itself or others) and when
-// (often a tie with Now), and whether to Halt. Two worlds with the same
+// (often a tie with Now). Two worlds with the same
 // seed draw the same decisions for as long as their dispatches agree.
 type oracleWorld struct {
 	e        scheduler
@@ -138,9 +134,6 @@ func (h *oracleHandler) Handle(now Time) {
 			w.e.ScheduleHandler(at, target)
 		}
 	}
-	if w.rng.Intn(50) == 0 {
-		w.e.Halt()
-	}
 }
 
 func newOracleWorld(e scheduler, seed int64, handlers int) *oracleWorld {
@@ -155,8 +148,7 @@ func newOracleWorld(e scheduler, seed int64, handlers int) *oracleWorld {
 }
 
 // TestEngineMatchesPopThenPush drives handlers that schedule zero, one or
-// two events — their own and other handlers' — and sometimes Halt, under a
-// mix of unbounded and horizon-bounded Run calls, and requires the
+// two events — their own and other handlers' — under a mix of unbounded and horizon-bounded Run calls, and requires the
 // stale-root Engine to dispatch exactly what the pop-then-push reference
 // dispatches, in the same order, with the same Now, Fired and Pending
 // (also as seen from inside a handler) after every Run.

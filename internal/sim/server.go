@@ -1,5 +1,7 @@
 package sim
 
+import "deact/internal/arena"
+
 // Clock supplies the current simulated time. *Engine implements it; a
 // calendar bound to a clock uses it as a pruning watermark: no future request
 // can arrive before the engine's current time (access chains are computed
@@ -40,6 +42,11 @@ type Clock interface {
 // still reachable from the clock, which in a two-node I-FAM sssp run at
 // the default scale is ~16 of the ~70 live gaps an out-of-order Acquire
 // sees on average.
+//
+// A pooled system recycles the backing arrays across runs (NewServers,
+// RecycleServers). A recycled calendar starts empty and differs from a
+// fresh one only in capacity, which decides when insertGap prunes but
+// never what Acquire grants.
 type Server struct {
 	clock     Clock
 	tail      Time  // end of the last booking; everything at/after is free
@@ -51,17 +58,57 @@ type Server struct {
 type gap struct{ start, end Time }
 
 // maxLiveGaps bounds the live gap calendar: when a new gap would exceed it,
-// the oldest live gap is forgotten (no longer bookable), which can only
-// over-serialize the distant past. A clock-bound server whose clock keeps
-// up does not reach it: insertGap prunes before the array grows, so the
-// live range holds at most one array's worth of closed gaps. A two-node
-// I-FAM sssp run at the default scale hits it 0 times. The bound caps
-// memory for unbound servers and for clocks that lag far behind.
+// the server first retires what its clock allows, and only if that leaves
+// the bound reached is the oldest live gap forgotten (no longer bookable),
+// which can only over-serialize the distant past. Pruning first makes the
+// bound count only gaps a future arrival can still book, so whether it
+// fires, and which gap it drops, does not depend on how much closed
+// history the array happens to hold: a recycled calendar, whose larger
+// array prunes less often, drops exactly the gaps a fresh one drops. A
+// two-node I-FAM sssp run at the default scale hits it 0 times. The bound
+// caps memory for unbound servers and for clocks that lag far behind.
 const maxLiveGaps = 512
+
+// NewServers returns n empty, unbound servers. From a buffer released to
+// a under tag with RecycleServers, each server keeps the gap array the
+// server at its index had, so a device's calendars come back to the banks
+// that grew them and regrow to their high-water marks without allocating.
+// A nil arena allocates normally.
+func NewServers(a *arena.Arena, tag string, n int) []Server {
+	s := arena.Reclaim[Server](a, tag, n)
+	for i := range s {
+		s[i] = Server{gaps: s[i].gaps[:0]}
+	}
+	return s
+}
+
+// RecycleServers hands s back to a under tag, each server with its gap
+// array. The servers must not be used afterwards. A nil arena is a no-op.
+func RecycleServers(a *arena.Arena, tag string, s []Server) {
+	arena.Release(a, tag, s)
+}
 
 // Bind attaches the pruning clock. The caller guarantees that no subsequent
 // Acquire arrives earlier than the clock's Now() at call time.
 func (s *Server) Bind(c Clock) { s.clock = c }
+
+// pruneToClock retires what the bound clock allows (nothing when unbound).
+func (s *Server) pruneToClock() {
+	if s.clock != nil {
+		s.Prune(s.clock.Now())
+	}
+}
+
+// atBound prunes to the clock once the live range has reached
+// maxLiveGaps and reports whether it is still there: the bound fires on
+// reachable gaps only.
+func (s *Server) atBound() bool {
+	if len(s.gaps)-s.head < maxLiveGaps {
+		return false
+	}
+	s.pruneToClock()
+	return len(s.gaps)-s.head >= maxLiveGaps
+}
 
 // Prune retires gaps that closed at or before w; the watermark is monotone.
 // A gap straddling w stays bookable.
@@ -141,7 +188,7 @@ func (s *Server) pushGap(from, to Time) {
 	}
 	// Bound the live calendar by forgetting the oldest idle window: an O(1)
 	// head advance, no copy.
-	if len(s.gaps)-s.head >= maxLiveGaps {
+	if s.atBound() {
 		s.head++
 	}
 	s.insertGap(len(s.gaps), gap{start: from, end: to})
@@ -158,8 +205,9 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 		// An interior booking nets one extra live gap; honor the same
 		// live bound as pushGap (dropping the oldest window) so unbound
 		// servers stay bounded under split-heavy patterns too. Skip when
-		// the oldest live gap is the one being split.
-		if len(s.gaps)-s.head >= maxLiveGaps && s.head < i {
+		// the oldest live gap is the one being split (pruning cannot pass
+		// it: it closes after the arrival, hence after the clock).
+		if s.atBound() && s.head < i {
 			s.head++
 		}
 		s.gaps[i] = left
@@ -185,9 +233,7 @@ func (s *Server) bookInGap(i int, g gap, start, done Time) {
 // gaps[i] on closes after the clock, so pruning never advances head past i.
 func (s *Server) insertGap(i int, g gap) {
 	if len(s.gaps) == cap(s.gaps) {
-		if s.clock != nil {
-			s.Prune(s.clock.Now())
-		}
+		s.pruneToClock()
 		live := s.gaps[s.head:]
 		if s.head*4 >= len(s.gaps) {
 			s.gaps = s.gaps[:copy(s.gaps, live)]

@@ -14,6 +14,8 @@
 // core clock used throughout the paper one cycle is 500ps.
 package sim
 
+import "deact/internal/arena"
+
 // Time is a simulated timestamp in picoseconds.
 type Time uint64
 
@@ -81,14 +83,39 @@ type Engine struct {
 	queue []event // d-ary min-heap ordered by (at, seq)
 	// stale is set while queue[0] is the event being dispatched: the next
 	// ScheduleHandler replaces it, else Run pops it after the handler.
-	stale  bool
-	fired  uint64
-	halted bool
+	stale bool
+	fired uint64
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
 	return &Engine{}
+}
+
+// queueCap is the pooled event queue's initial capacity: a simulated
+// core has at most one event pending, so systems of up to 64 cores never
+// grow it (larger ones grow it by append).
+const queueCap = 64
+
+// NewEngineInArena is NewEngine drawing the engine and its event queue
+// from a. A nil arena allocates normally.
+func NewEngineInArena(a *arena.Arena) *Engine {
+	e := arena.Alloc[Engine](a, "sim.Engine")
+	if a != nil {
+		e.queue = arena.Slice[event](a, "sim.queue", queueCap)[:0]
+	}
+	return e
+}
+
+// Recycle hands the engine and its queue back to a for the next run. The
+// engine must not be used afterwards. A nil arena is a no-op.
+func (e *Engine) Recycle(a *arena.Arena) {
+	if a == nil {
+		return
+	}
+	clear(e.queue) // drop the handlers of events a cancelled run left
+	arena.Release(a, "sim.queue", e.queue)
+	arena.Free(a, "sim.Engine", e)
 }
 
 // Now returns the current simulated time.
@@ -180,19 +207,14 @@ func (e *Engine) pop() {
 	}
 }
 
-// Halt stops Run before the next event is dispatched. It is typically called
-// from inside an event handler once a simulation's exit criterion is met.
-func (e *Engine) Halt() { e.halted = true }
-
-// Run dispatches events in timestamp order until the queue drains, Halt is
-// called, or the optional horizon (non-zero) is reached. It returns the
-// final simulated time.
+// Run dispatches events in timestamp order until the queue drains or the
+// optional horizon (non-zero) is reached. It returns the final simulated
+// time.
 //
 // An event beyond the horizon stays in the queue (the head is peeked, not
 // popped), so a subsequent Run with a larger horizon dispatches it.
 func (e *Engine) Run(horizon Time) Time {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
+	for len(e.queue) > 0 {
 		if horizon != 0 && e.queue[0].at > horizon {
 			if horizon > e.now {
 				e.now = horizon

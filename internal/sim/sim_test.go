@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"deact/internal/arena"
 )
 
 // fn adapts a plain func to Handler, so tests can schedule closures.
@@ -63,26 +65,6 @@ func TestEngineAfter(t *testing.T) {
 	e.Run(0)
 	if at != 150 {
 		t.Fatalf("AfterHandler fired at %d, want 150", at)
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.ScheduleHandler(Time(i*10), fn(func(Time) {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		}))
-	}
-	e.Run(0)
-	if count != 3 {
-		t.Fatalf("halt ignored: %d events fired", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
 	}
 }
 
@@ -196,49 +178,6 @@ func TestEngineSameTimestampFIFOMixedAPIs(t *testing.T) {
 		if v != i {
 			t.Fatalf("FIFO tie-break violated at %d: %v", i, got)
 		}
-	}
-}
-
-// halter halts the engine on its nth dispatch.
-type halter struct {
-	e     *Engine
-	count int
-	at    int
-	fired *int
-}
-
-func (h *halter) Handle(Time) {
-	h.count++
-	*h.fired++
-	if h.count == h.at {
-		h.e.Halt()
-	}
-}
-
-// TestEngineHaltMidDispatchAndResume: Halt from inside a handler stops the
-// loop before the next dispatch, keeps the rest of the queue intact, and a
-// fresh Run resumes exactly where it stopped.
-func TestEngineHaltMidDispatchAndResume(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	h := &halter{e: e, at: 3, fired: &fired}
-	for i := 0; i < 10; i++ {
-		e.ScheduleHandler(Time(i*10), h)
-	}
-	e.Run(0)
-	if fired != 3 {
-		t.Fatalf("halt ignored: %d events fired", fired)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-	if e.Now() != 20 {
-		t.Fatalf("halted at %d, want 20", e.Now())
-	}
-	// Run again: the halted flag must reset and the queue drain.
-	e.Run(0)
-	if fired != 10 || e.Pending() != 0 {
-		t.Fatalf("resume incomplete: fired=%d pending=%d", fired, e.Pending())
 	}
 }
 
@@ -677,5 +616,138 @@ func TestTimeUnits(t *testing.T) {
 	}
 	if Nanosecond != 1000*Picosecond || Microsecond != 1000*Nanosecond || Millisecond != 1000*Microsecond {
 		t.Fatal("unit constants wrong")
+	}
+}
+
+// recycledStream drives one randomized Acquire stream against a fresh
+// server and a server whose gap array was recycled from an unrelated
+// earlier stream, each bound to its own clock moving in lockstep, and
+// requires identical grants. The stream cycles through three phases: the
+// clock trailing close behind the arrivals (gaps close and are pruned);
+// the clock stalled while in-order arrivals open gaps and interior
+// arrivals split them, often the oldest live gap, which pushes the live
+// range past maxLiveGaps; and the clock creeping forward a few gaps at a
+// time, closing the oldest gaps while the range is still past the bound.
+// A bound that counted closed gaps would fire differently on the two
+// servers, whose capacities prune at different times, and drop different
+// gaps. It returns how many steps left the reachable range at the bound.
+func recycledStream(t *testing.T, seed int64, a *arena.Arena) (atBound int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var fresh Server
+	servers := NewServers(a, "test.gaps", 1)
+	recycled := &servers[0]
+	if cap(recycled.gaps) == 0 {
+		t.Fatalf("seed %d: no recycled array on offer", seed)
+	}
+	fc, rc := &fakeClock{}, &fakeClock{}
+	fresh.Bind(fc)
+	recycled.Bind(rc)
+	for i := 0; i < 30000; i++ {
+		// The open gaps, the ones ending after the clock, of either
+		// server: they are the same unless the bound dropped differently.
+		src := &fresh
+		if rng.Intn(2) == 0 {
+			src = recycled
+		}
+		open := src.gaps[src.head:]
+		for len(open) > 0 && open[0].end <= fc.now+1 {
+			open = open[1:]
+		}
+		var now, svc Time
+		switch r := rng.Intn(8); {
+		case r < 4 && len(open) > 0:
+			// Split one of the oldest open gaps, mostly the oldest.
+			g := open[0]
+			if rng.Intn(4) == 0 {
+				g = open[rng.Intn(min(len(open), 8))]
+			}
+			lo := max(g.start, fc.now)
+			now = lo + Time(rng.Int63n(int64(g.end-lo)))
+			svc = 1 + Time(rng.Int63n(int64(g.end-now)))
+		case r < 5:
+			// Anywhere between the clock and the tail.
+			now = fc.now + Time(rng.Int63n(int64(fresh.tail-fc.now)+1))
+			svc = 1 + Time(rng.Intn(40))
+		default:
+			now, svc = fresh.tail+1+Time(rng.Intn(64)), 1+Time(rng.Intn(16))
+		}
+		fs, fd := fresh.Acquire(now, svc)
+		rs, rd := recycled.Acquire(now, svc)
+		if fs != rs || fd != rd {
+			t.Fatalf("seed %d step %d: recycled (%d,%d) != fresh (%d,%d) for Acquire(%d,%d)",
+				seed, i, rs, rd, fs, fd, now, svc)
+		}
+		if reachableGaps(&fresh, fc.now) >= maxLiveGaps {
+			atBound++
+		}
+		switch (i / 2000) % 3 {
+		case 0: // trailing
+			if fresh.tail > 2000 {
+				fc.now = max(fc.now, fresh.tail-2000)
+			}
+		case 2: // creeping: now and then close a few of the oldest open gaps
+			if len(open) > 0 && rng.Intn(16) == 0 {
+				fc.now = open[min(len(open), 1+rng.Intn(16))-1].end
+			}
+		}
+		rc.now = fc.now
+	}
+	RecycleServers(a, "test.gaps", servers)
+	return atBound
+}
+
+// TestRecycledServerMatchesFresh is the oracle for calendar recycling: a
+// Server reusing a gap array left by an unrelated earlier stream, with
+// whatever capacity that stream grew it to, grants exactly what a fresh
+// Server grants — including while the live range sits past maxLiveGaps.
+func TestRecycledServerMatchesFresh(t *testing.T) {
+	a := arena.New()
+	// The unrelated earlier stream: an unbound server whose arrivals keep
+	// splitting its oldest idle window, which the bound never trims, so
+	// its array grows several times past what the streams below need.
+	earlier := NewServers(a, "test.gaps", 1)
+	e := &earlier[0]
+	e.Acquire(0, 1)
+	e.Acquire(1<<40, 1)
+	for i := 0; i < 3000; i++ {
+		e.Acquire(e.gaps[e.head].end-2, 1)
+	}
+	if c := cap(e.gaps); c < 4*maxLiveGaps {
+		t.Fatalf("earlier stream grew its array to %d gaps only", c)
+	}
+	RecycleServers(a, "test.gaps", earlier)
+	atBound := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		atBound += recycledStream(t, seed, a)
+	}
+	if atBound == 0 {
+		t.Fatal("no stream pushed the reachable gaps to maxLiveGaps; the bound is not exercised")
+	}
+}
+
+// TestServerRecycleStartsEmpty: recycled servers keep only their
+// capacity, each at its own index — no tail, no live gaps, no watermark,
+// no clock until one is bound.
+func TestServerRecycleStartsEmpty(t *testing.T) {
+	a := arena.New()
+	s := NewServers(a, "test.gaps", 3)
+	caps := make([]int, len(s))
+	for i := range s {
+		s[i].Bind(&fakeClock{now: 500})
+		for j := Time(0); j < Time(10+40*i); j++ {
+			s[i].Acquire(1000+j*10, 5)
+		}
+		s[i].Prune(1200)
+		caps[i] = cap(s[i].gaps)
+	}
+	RecycleServers(a, "test.gaps", s)
+	r := NewServers(a, "test.gaps", 3)
+	for i := range r {
+		g := r[i]
+		if cap(g.gaps) != caps[i] || len(g.gaps) != 0 || g.head != 0 || g.tail != 0 || g.watermark != 0 || g.clock != nil {
+			t.Fatalf("recycled server %d not empty: cap %d (want %d) len %d head %d tail %d watermark %d clock %v",
+				i, cap(r[i].gaps), caps[i], len(r[i].gaps), r[i].head, r[i].tail, r[i].watermark, r[i].clock)
+		}
 	}
 }

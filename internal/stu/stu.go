@@ -159,6 +159,10 @@ type STU struct {
 	fault   func(np addr.NPPage) (addr.FPage, error) // broker allocation callback
 
 	port sim.Server
+	// pooled is the arena buffer the port's calendar came from; the port
+	// is copied out of it and back, so the hot path books a field of the
+	// STU itself.
+	pooled []sim.Server
 
 	// cache is the STU cache. I-FAM keys it by node page and stores the
 	// FAM page; DeACT-W and DeACT-N key it by acmTag and store nothing.
@@ -181,8 +185,8 @@ func New(cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
 	return NewInArena(nil, cfg, nodeID, layout, meta, table, fam, fault)
 }
 
-// NewInArena is New drawing the STU cache's entry arrays from a. A nil
-// arena allocates normally.
+// NewInArena is New drawing the STU, its cache, PTW cache, walk buffer and
+// port calendar from a. A nil arena allocates normally.
 func NewInArena(a *arena.Arena, cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
 	table *pagetable.Table, fam FAMAccessFunc,
 	fault func(np addr.NPPage) (addr.FPage, error)) (*STU, error) {
@@ -205,22 +209,32 @@ func NewInArena(a *arena.Arena, cfg Config, nodeID uint16, layout addr.Layout, m
 	if err != nil {
 		return nil, err
 	}
-	return &STU{
-		cfg:     cfg,
-		nodeID:  nodeID,
-		layout:  layout,
-		meta:    meta,
-		famRead: fam,
-		fault:   fault,
-		cache:   cache,
-		ptw:     tlb.NewPTWCache(cfg.PTWCacheEntries),
-		walker:  tlb.Walker{Table: table},
-	}, nil
+	s := arena.Alloc[STU](a, "stu.STU")
+	s.cfg = cfg
+	s.nodeID = nodeID
+	s.layout = layout
+	s.meta = meta
+	s.famRead = fam
+	s.fault = fault
+	s.cache = cache
+	s.ptw = tlb.NewPTWCacheInArena(a, cfg.PTWCacheEntries)
+	s.walker = tlb.NewWalker(a, table)
+	s.pooled = sim.NewServers(a, "stu.port", 1)
+	s.port = s.pooled[0]
+	return s, nil
 }
 
-// Recycle returns the STU cache's entry arrays to a for the next run's
-// construction. The STU must not be used afterwards.
-func (s *STU) Recycle(a *arena.Arena) { s.cache.Recycle(a) }
+// Recycle returns the STU, its cache, PTW cache, walk buffer and port
+// calendar to a for the next run's construction. The STU must not be used
+// afterwards.
+func (s *STU) Recycle(a *arena.Arena) {
+	s.cache.Recycle(a)
+	s.ptw.Recycle(a)
+	s.walker.Recycle(a)
+	s.pooled[0] = s.port
+	sim.RecycleServers(a, "stu.port", s.pooled)
+	arena.Free(a, "stu.STU", s)
+}
 
 // Stats returns a copy of the accumulated counters.
 func (s *STU) Stats() Stats { return s.stats }

@@ -33,8 +33,8 @@ func NewMMU(cfg MMUConfig) (*MMU, error) {
 	return NewMMUInArena(nil, cfg)
 }
 
-// NewMMUInArena is NewMMU drawing both TLBs' entry arrays from a. A nil
-// arena allocates normally.
+// NewMMUInArena is NewMMU drawing the MMU, both TLBs and the PTW cache
+// from a. A nil arena allocates normally.
 func NewMMUInArena(a *arena.Arena, cfg MMUConfig) (*MMU, error) {
 	l1, err := NewInArena(a, "l1", cfg.L1Entries, cfg.L1Ways)
 	if err != nil {
@@ -44,14 +44,18 @@ func NewMMUInArena(a *arena.Arena, cfg MMUConfig) (*MMU, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MMU{L1: l1, L2: l2, PTW: NewPTWCache(cfg.PTWEntries)}, nil
+	m := arena.Alloc[MMU](a, "tlb.MMU")
+	m.L1, m.L2, m.PTW = l1, l2, NewPTWCacheInArena(a, cfg.PTWEntries)
+	return m, nil
 }
 
-// Recycle returns both TLBs' entry arrays to a for the next run's
-// construction. The MMU must not be used afterwards.
+// Recycle returns the MMU, both TLBs and the PTW cache to a for the next
+// run's construction. The MMU must not be used afterwards.
 func (m *MMU) Recycle(a *arena.Arena) {
 	m.L1.Recycle(a)
 	m.L2.Recycle(a)
+	m.PTW.Recycle(a)
+	arena.Free(a, "tlb.MMU", m)
 }
 
 // LookupLevel identifies which TLB level served a translation.

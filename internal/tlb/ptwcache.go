@@ -1,6 +1,9 @@
 package tlb
 
-import "deact/internal/pagetable"
+import (
+	"deact/internal/arena"
+	"deact/internal/pagetable"
+)
 
 // PTWCache caches intermediate page-table levels so a walker can skip the
 // upper steps of a walk ([8]; 32 entries in the paper's configuration). An
@@ -23,7 +26,8 @@ type PTWCache struct {
 	// entry. Evictions delete by backward shift, so no tombstones build
 	// up.
 	index  []uint64
-	shift  uint // 64 - log2(len(index)), for the multiplicative hash
+	shift  uint     // 64 - log2(len(index)), for the multiplicative hash
+	buf    []uint64 // the one array keys, stamps and index are cut from
 	tick   uint64
 	hits   uint64
 	misses uint64
@@ -31,6 +35,12 @@ type PTWCache struct {
 
 // NewPTWCache builds a PTW cache with the given entry count.
 func NewPTWCache(entries int) *PTWCache {
+	return NewPTWCacheInArena(nil, entries)
+}
+
+// NewPTWCacheInArena is NewPTWCache drawing the cache and its array from
+// a. A nil arena allocates normally.
+func NewPTWCacheInArena(a *arena.Arena, entries int) *PTWCache {
 	if entries <= 0 {
 		entries = 1
 	}
@@ -38,14 +48,26 @@ func NewPTWCache(entries int) *PTWCache {
 	for 1<<bits < 4*entries {
 		bits++
 	}
-	// One allocation carries the keys, the stamps and the index.
-	buf := make([]uint64, 2*entries+1<<bits)
-	return &PTWCache{
-		keys:   buf[:entries:entries],
-		stamps: buf[entries : 2*entries : 2*entries],
-		index:  buf[2*entries:],
-		shift:  64 - bits,
+	// One array carries the keys, the stamps and the index.
+	buf := arena.Slice[uint64](a, "tlb.ptw", 2*entries+1<<bits)
+	p := arena.Alloc[PTWCache](a, "tlb.PTWCache")
+	p.buf = buf
+	p.keys = buf[:entries:entries]
+	p.stamps = buf[entries : 2*entries : 2*entries]
+	p.index = buf[2*entries:]
+	p.shift = 64 - bits
+	return p
+}
+
+// Recycle returns the cache and its array to a for the next run's
+// construction. The cache must not be used afterwards. A nil arena is a
+// no-op.
+func (p *PTWCache) Recycle(a *arena.Arena) {
+	if a == nil {
+		return
 	}
+	arena.Release(a, "tlb.ptw", p.buf)
+	arena.Free(a, "tlb.PTWCache", p)
 }
 
 // levelKey collapses a page-number key to the coverage granularity of a

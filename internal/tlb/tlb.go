@@ -69,33 +69,32 @@ func New(name string, entries, ways int) (*TLB, error) {
 	return NewInArena(nil, name, entries, ways)
 }
 
-// NewInArena is New drawing the entry arrays from a, so a TLB of a
-// recycled geometry allocates only its header. A nil arena allocates
+// NewInArena is New drawing the TLB and its entry arrays from a, so a TLB
+// of a recycled geometry allocates nothing. A nil arena allocates
 // normally.
 func NewInArena(a *arena.Arena, name string, entries, ways int) (*TLB, error) {
 	if err := geometry(name, entries, ways); err != nil {
 		return nil, err
 	}
-	t := &TLB{
-		setMask: uint64(entries/ways) - 1,
-		ways:    ways,
-		tags:    arena.Slice[uint64](a, "tlb.tags", entries),
-		values:  arena.Slice[uint64](a, "tlb.values", entries),
-		stamps:  arena.Slice[uint64](a, "tlb.stamps", entries),
-	}
+	t := arena.Alloc[TLB](a, "tlb.TLB")
+	t.setMask = uint64(entries/ways) - 1
+	t.ways = ways
+	t.tags = arena.Slice[uint64](a, "tlb.tags", entries)
+	t.values = arena.Slice[uint64](a, "tlb.values", entries)
+	t.stamps = arena.Slice[uint64](a, "tlb.stamps", entries)
 	for i := range t.tags {
 		t.tags[i] = emptyTag
 	}
 	return t, nil
 }
 
-// Recycle returns the entry arrays to a for the next run's construction.
-// The TLB must not be used afterwards.
+// Recycle returns the TLB and its entry arrays to a for the next run's
+// construction. The TLB must not be used afterwards.
 func (t *TLB) Recycle(a *arena.Arena) {
 	arena.Release(a, "tlb.tags", t.tags)
 	arena.Release(a, "tlb.values", t.values)
 	arena.Release(a, "tlb.stamps", t.stamps)
-	t.tags, t.values, t.stamps = nil, nil, nil
+	arena.Free(a, "tlb.TLB", t)
 }
 
 func (t *TLB) setBase(key uint64) uint64 { return (key & t.setMask) * uint64(t.ways) }

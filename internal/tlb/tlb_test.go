@@ -280,8 +280,8 @@ func BenchmarkPTWCache(b *testing.B) {
 }
 
 // TestNewInArenaReusesArrays: a TLB built after Recycle of the same
-// geometry takes all three entry arrays from the arena and allocates only
-// its header; without an arena it allocates the arrays too.
+// geometry takes its header and all three entry arrays from the arena and
+// allocates nothing; without an arena it allocates all four.
 func TestNewInArenaReusesArrays(t *testing.T) {
 	build := func(a *arena.Arena) func() {
 		return func() {
@@ -292,8 +292,8 @@ func TestNewInArenaReusesArrays(t *testing.T) {
 			tl.Recycle(a)
 		}
 	}
-	if n := testing.AllocsPerRun(10, build(arena.New())); n != 1 {
-		t.Fatalf("recycled TLB construction allocated %.0f times, want 1 (the header)", n)
+	if n := testing.AllocsPerRun(10, build(arena.New())); n != 0 {
+		t.Fatalf("recycled TLB construction allocated %.0f times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, build(nil)); n != 4 {
 		t.Fatalf("unpooled TLB construction allocated %.0f times, want 4 (header and three arrays)", n)

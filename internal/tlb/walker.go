@@ -3,6 +3,7 @@ package tlb
 import (
 	"errors"
 
+	"deact/internal/arena"
 	"deact/internal/pagetable"
 	"deact/internal/sim"
 )
@@ -30,6 +31,20 @@ var (
 type Walker struct {
 	Table *pagetable.Table
 	buf   []pagetable.WalkStep
+}
+
+// NewWalker returns a walker over table whose step buffer comes from a,
+// sized for the longest walk: Levels steps, a fault's retry included (the
+// retried steps replace the faulting one). A nil arena allocates normally.
+func NewWalker(a *arena.Arena, table *pagetable.Table) Walker {
+	return Walker{Table: table, buf: arena.Slice[pagetable.WalkStep](a, "tlb.walkSteps", pagetable.Levels)[:0]}
+}
+
+// Recycle returns the step buffer to a. The walker must not be used
+// afterwards.
+func (w *Walker) Recycle(a *arena.Arena) {
+	arena.Release(a, "tlb.walkSteps", w.buf)
+	w.buf = nil
 }
 
 // Walk resolves key. It starts at the deepest level ptw covers and charges

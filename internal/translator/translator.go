@@ -93,9 +93,10 @@ func New(cfg Config, dram *memdev.Device, seed int64) (*Translator, error) {
 	return NewInArena(nil, cfg, dram, seed)
 }
 
-// NewInArena is New drawing the line array — the second-largest single
-// allocation a DeACT system makes — and the outstanding-list slots from a.
-// A nil arena allocates normally.
+// NewInArena is New drawing the translator, its line array — the
+// second-largest single allocation a DeACT system makes — the
+// outstanding-list slots and the replacement source from a. A nil arena
+// allocates normally.
 func NewInArena(a *arena.Arena, cfg Config, dram *memdev.Device, seed int64) (*Translator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -104,23 +105,24 @@ func NewInArena(a *arena.Arena, cfg Config, dram *memdev.Device, seed int64) (*T
 		return nil, fmt.Errorf("translator: dram device required")
 	}
 	sets := cfg.CacheBytes / addr.BlockSize
-	t := &Translator{
-		cfg:   cfg,
-		dram:  dram,
-		rng:   rand.New(rand.NewSource(seed)),
-		sets:  sets,
-		lines: arena.Slice[entry](a, "translator.lines", int(sets*EntriesPerLine)),
-		slots: arena.Slice[sim.Time](a, "translator.slots", cfg.Outstanding),
-	}
+	t := arena.Alloc[Translator](a, "translator.Translator")
+	t.cfg = cfg
+	t.dram = dram
+	t.rng = arena.Rand(a, seed)
+	t.sets = sets
+	t.lines = arena.Slice[entry](a, "translator.lines", int(sets*EntriesPerLine))
+	t.slots = arena.Slice[sim.Time](a, "translator.slots", cfg.Outstanding)
 	return t, nil
 }
 
-// Recycle returns the translator's arrays to a for the next run's
-// construction. The translator must not be used afterwards.
+// Recycle returns the translator, its arrays and its replacement source to
+// a for the next run's construction. The translator must not be used
+// afterwards.
 func (t *Translator) Recycle(a *arena.Arena) {
 	arena.Release(a, "translator.lines", t.lines)
 	arena.Release(a, "translator.slots", t.slots)
-	t.lines, t.slots = nil, nil
+	arena.ReleaseRand(a, t.rng)
+	arena.Free(a, "translator.Translator", t)
 }
 
 // line returns the 4-entry cache line of a set.

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"deact/internal/addr"
+	"deact/internal/arena"
 )
 
 // patternBase carries the pieces every pattern generator shares: profile,
@@ -25,7 +26,7 @@ type patternBase struct {
 	tenant   uint8
 }
 
-func newPatternBase(p Profile, seed int64) (patternBase, error) {
+func newPatternBase(p Profile, rng *rand.Rand) (patternBase, error) {
 	if err := p.Validate(); err != nil {
 		return patternBase{}, err
 	}
@@ -34,7 +35,7 @@ func newPatternBase(p Profile, seed int64) (patternBase, error) {
 	}
 	return patternBase{
 		p:        p,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rng,
 		fpBlocks: p.FootprintPages * blocksPerPage,
 		meanGap:  1000/p.MemPer1000 - 1,
 	}, nil
@@ -50,6 +51,11 @@ func (b *patternBase) gap() int {
 }
 
 func (b *patternBase) SetTenant(t uint8) { b.tenant = t }
+
+// release hands the generator's random source back to a.
+func (b *patternBase) release(a *arena.Arena) {
+	arena.ReleaseRand(a, b.rng)
+}
 
 func (b *patternBase) op(block uint64, write, blocking bool, pc uint64, compute int) Op {
 	return Op{
@@ -87,8 +93,8 @@ type pointerChase struct {
 	payload uint64 // payload loads remaining before the next chase step
 }
 
-func newPointerChase(p Profile, seed int64) (*pointerChase, error) {
-	b, err := newPatternBase(p, seed)
+func newPointerChase(p Profile, seed int64, rng *rand.Rand) (*pointerChase, error) {
+	b, err := newPatternBase(p, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +141,8 @@ type graphFrontier struct {
 	rem          uint64 // edge visits remaining for the current vertex
 }
 
-func newGraphFrontier(p Profile, seed int64) (*graphFrontier, error) {
-	b, err := newPatternBase(p, seed)
+func newGraphFrontier(p Profile, rng *rand.Rand) (*graphFrontier, error) {
+	b, err := newPatternBase(p, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -193,8 +199,8 @@ type stencil struct {
 	sidx    uint64 // round-robin stream index
 }
 
-func newStencil(p Profile, seed int64) (*stencil, error) {
-	b, err := newPatternBase(p, seed)
+func newStencil(p Profile, rng *rand.Rand) (*stencil, error) {
+	b, err := newPatternBase(p, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"deact/internal/addr"
+	"deact/internal/arena"
 )
 
 // Op is one generated instruction window: Compute non-memory instructions
@@ -213,6 +214,11 @@ type Generator struct {
 // NewGenerator builds a deterministic generator for profile p. Each core
 // should use a distinct seed so the cores do not ride in lockstep.
 func NewGenerator(p Profile, seed int64) (*Generator, error) {
+	return newGenerator(p, rand.New(rand.NewSource(seed)))
+}
+
+// newGenerator builds a generator drawing from rng.
+func newGenerator(p Profile, rng *rand.Rand) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -221,7 +227,7 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 	}
 	return &Generator{
 		p:         p,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rng,
 		fpBlocks:  p.FootprintPages * blocksPerPage,
 		hotBlocks: p.HotPages * blocksPerPage,
 		meanGap:   1000/p.MemPer1000 - 1,
@@ -236,6 +242,11 @@ func (g *Generator) Profile() Profile { return g.p }
 // configuration, not stream state: it consumes no RNG draws, so a tagged
 // generator produces the identical reference stream as an untagged one.
 func (g *Generator) SetTenant(t uint8) { g.tenant = t }
+
+// release hands the generator's random source back to a.
+func (g *Generator) release(a *arena.Arena) {
+	arena.ReleaseRand(a, g.rng)
+}
 
 // uint64n returns a uniform value in [0, n) without modulo bias. Powers of
 // two take one masked draw; other bounds reject the (at most n-1 values
@@ -334,17 +345,33 @@ func (g *Generator) Next() Op {
 // on p.Pattern: the default skew Generator for "", or one of the v2
 // pattern generators. Each core should use a distinct seed.
 func NewSource(p Profile, seed int64) (Source, error) {
+	return NewSourceInArena(nil, p, seed)
+}
+
+// NewSourceInArena is NewSource drawing the source's random generator
+// from a, re-seeded: a recycled generator draws exactly the stream a fresh
+// one does. Recycle hands it back. A nil arena allocates normally.
+func NewSourceInArena(a *arena.Arena, p Profile, seed int64) (Source, error) {
 	switch p.Pattern {
 	case "", PatternSkew:
-		return NewGenerator(p, seed)
+		return newGenerator(p, arena.Rand(a, seed))
 	case PatternPointerChase:
-		return newPointerChase(p, seed)
+		return newPointerChase(p, seed, arena.Rand(a, seed))
 	case PatternGraphFrontier:
-		return newGraphFrontier(p, seed)
+		return newGraphFrontier(p, arena.Rand(a, seed))
 	case PatternStencil:
-		return newStencil(p, seed)
+		return newStencil(p, arena.Rand(a, seed))
 	default:
 		return nil, fmt.Errorf("workload: unknown pattern %q (have %v)", p.Pattern, Patterns())
+	}
+}
+
+// Recycle hands the random generator of a source built by
+// NewSourceInArena back to a; sources without one (a trace replay) have
+// nothing to return. The source must not be used afterwards.
+func Recycle(a *arena.Arena, src Source) {
+	if r, ok := src.(interface{ release(*arena.Arena) }); ok {
+		r.release(a)
 	}
 }
 
