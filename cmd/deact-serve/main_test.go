@@ -366,7 +366,9 @@ func TestServeResultLookup(t *testing.T) {
 // sweep holding one fails whole before any point starts. A field the
 // Config no longer has is an unknown field. A 1 ns fabric packet time is
 // below the default 2 ns FAM port, which the unqueued port cannot model,
-// and a FAM device without banks cannot be built.
+// and a FAM device without banks cannot be built. A FAM pool or a
+// node-physical space of more pages than a 32-bit page-table entry names
+// is refused before anything is sized by it.
 func TestServeRejectsBadGeometry(t *testing.T) {
 	ts := testServer(t, t.TempDir())
 	for _, body := range []string{
@@ -387,6 +389,8 @@ func TestServeRejectsBadGeometry(t *testing.T) {
 		`{"Nodes":63,"Layout":{"ACMBits":8}}`,
 		`{"FabricPacketTime":1000}`,
 		`{"FAMCfg":{"Name":"fam","Banks":0,"ReadLatency":60000,"WriteLatency":150000,"PortLatency":2000}}`,
+		`{"Layout":{"FAMSize":1125899906842624}}`,
+		`{"Layout":{"FAMZoneSize":17592186040320}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -220,6 +220,22 @@ func (s *Store) Has(p addr.FPage) bool {
 	return c != nil && c[uint64(p)%addr.PagesPerHuge] != 0
 }
 
+// Entries calls yield for every page that has an installed entry, in
+// ascending page order, until yield returns false. It reads only the
+// materialized chunks. yield may Set the entry of the page it is handed,
+// which rewrites it in place; any other mutation of the store during the
+// iteration is not allowed.
+func (s *Store) Entries(yield func(addr.FPage, Entry) bool) {
+	for ci, c := range s.chunks {
+		base := uint64(ci) * addr.PagesPerHuge
+		for i, v := range c {
+			if v != 0 && !yield(addr.FPage(base+uint64(i)), v.entry()) {
+				return
+			}
+		}
+	}
+}
+
 // MarkShared flags every 4KB sub-page of the 1GB region as shared (the
 // paper sets all sub-page node-ID fields to the shared marker when a page
 // becomes shared) with the given default permission.

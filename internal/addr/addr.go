@@ -113,6 +113,11 @@ type Layout struct {
 	ACMBits uint
 }
 
+// MaxPages bounds the FAM pool's page count and the node-physical space's
+// (DRAMSize + FAMZoneSize) page count: page tables store a page number + 1
+// in a 32-bit entry, so every page number must stay below 2^32 − 1.
+const MaxPages = 1<<32 - 1
+
 // Validate checks internal consistency.
 func (l Layout) Validate() error {
 	switch {
@@ -122,6 +127,12 @@ func (l Layout) Validate() error {
 		return fmt.Errorf("addr: FAMZoneSize %d must be a positive multiple of the page size", l.FAMZoneSize)
 	case l.FAMSize == 0 || l.FAMSize%PageSize != 0:
 		return fmt.Errorf("addr: FAMSize %d must be a positive multiple of the page size", l.FAMSize)
+	case l.TotalFAMPages() > MaxPages:
+		return fmt.Errorf("addr: FAMSize %d holds %d pages, more than the %d a page-table entry can name",
+			l.FAMSize, l.TotalFAMPages(), uint64(MaxPages))
+	case l.DRAMSize/PageSize+l.FAMZoneSize/PageSize > MaxPages:
+		return fmt.Errorf("addr: DRAMSize+FAMZoneSize spans %d pages, more than the %d a page-table entry can name",
+			l.DRAMSize/PageSize+l.FAMZoneSize/PageSize, uint64(MaxPages))
 	case l.ACMBits != 8 && l.ACMBits != 16 && l.ACMBits != 32:
 		return fmt.Errorf("addr: ACMBits %d must be 8, 16 or 32", l.ACMBits)
 	case l.MetadataBytes() >= l.FAMSize:

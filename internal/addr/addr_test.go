@@ -26,10 +26,29 @@ func TestLayoutValidate(t *testing.T) {
 		{DRAMSize: PageSize, FAMZoneSize: PageSize, FAMSize: 1 << 30, ACMBits: 7},
 		// Metadata swallows pool: tiny FAM with bitmap overhead.
 		{DRAMSize: PageSize, FAMZoneSize: PageSize, FAMSize: 2 * PageSize, ACMBits: 32},
+		// Page numbers a 32-bit page-table entry cannot name.
+		{DRAMSize: PageSize, FAMZoneSize: PageSize, FAMSize: 1 << 50, ACMBits: 16},
+		{DRAMSize: PageSize, FAMZoneSize: PageSize, FAMSize: (MaxPages + 1) * PageSize, ACMBits: 16},
+		{DRAMSize: PageSize, FAMZoneSize: MaxPages * PageSize, FAMSize: 1 << 30, ACMBits: 16},
+		{DRAMSize: 1 << 62, FAMZoneSize: 1 << 62, FAMSize: 1 << 30, ACMBits: 16},
 	}
 	for i, l := range bad {
 		if err := l.Validate(); err == nil {
 			t.Errorf("bad layout %d accepted", i)
+		}
+	}
+}
+
+// TestLayoutPageBoundIsInclusive: a pool or node-physical space of exactly
+// MaxPages pages is the largest one whose every page number + 1 fits a
+// 32-bit page-table entry, and it validates.
+func TestLayoutPageBoundIsInclusive(t *testing.T) {
+	for _, l := range []Layout{
+		{DRAMSize: PageSize, FAMZoneSize: PageSize, FAMSize: MaxPages * PageSize, ACMBits: 16},
+		{DRAMSize: PageSize, FAMZoneSize: (MaxPages - 1) * PageSize, FAMSize: 1 << 30, ACMBits: 16},
+	} {
+		if err := l.Validate(); err != nil {
+			t.Errorf("layout at the page bound rejected: %v", err)
 		}
 	}
 }

@@ -37,10 +37,14 @@ type Broker struct {
 	// shrunk by swap-remove, but only the slots disturbed by draws are
 	// stored, so building a broker is O(1) in the pool size and a run's
 	// footprint is O(pages actually allocated). freeAt/setFree implement
-	// the virtual indexing.
+	// the virtual indexing. Slots and pages fit 32 bits, since
+	// addr.Layout.Validate bounds the pool to addr.MaxPages pages.
+	//
+	// Ownership has no table of its own. A data page's owner is its ACM
+	// entry (shared markers excluded); a table page's owner is the node
+	// whose FAM page table holds it.
 	freeCount uint64                      // virtual pool length
-	freeMods  map[uint64]addr.FPage       // sparse overrides of the identity slot i → page i
-	owner     []uint16                    // per-page owning node + 1; 0 = unowned
+	freeMods  map[uint32]uint32           // sparse overrides of the identity slot i → page i
 	nodeMaps  map[uint16]*pagetable.Table // per-node FAM page tables
 	hugeNext  uint64                      // next 1GB region index for shared regions
 	randLimit uint64                      // pages >= randLimit belong to carved shared regions
@@ -55,9 +59,9 @@ func New(layout addr.Layout, seed int64) (*Broker, error) {
 	return NewInArena(nil, layout, seed)
 }
 
-// NewInArena is New drawing the broker, its owner table, the free-pool
-// override map, the ACM store, the FAM page tables and the placement
-// source from a. A nil arena allocates normally.
+// NewInArena is New drawing the broker, the free-pool override map, the
+// ACM store, the FAM page tables and the placement source from a. A nil
+// arena allocates normally.
 func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
@@ -68,8 +72,7 @@ func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error)
 	b.meta = acm.NewStoreInArena(a, layout)
 	b.rng = arena.Rand(a, seed)
 	b.freeCount = usable
-	b.freeMods = arena.Map[uint64, addr.FPage](a, "broker.freeMods")
-	b.owner = arena.Slice[uint16](a, "broker.owner", int(usable))
+	b.freeMods = arena.Map[uint32, uint32](a, "broker.freeMods")
 	b.nodeMaps = arena.Map[uint16, *pagetable.Table](a, "broker.nodeMaps")
 	b.a = a
 	// Shared 1GB regions are carved from the top of the usable area,
@@ -83,8 +86,8 @@ func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error)
 // freeAt reads virtual free-pool slot i. The identity permutation maps slot
 // i to page i.
 func (b *Broker) freeAt(i uint64) addr.FPage {
-	if p, ok := b.freeMods[i]; ok {
-		return p
+	if p, ok := b.freeMods[uint32(i)]; ok {
+		return addr.FPage(p)
 	}
 	return addr.FPage(i)
 }
@@ -92,10 +95,10 @@ func (b *Broker) freeAt(i uint64) addr.FPage {
 // setFree writes virtual free-pool slot i.
 func (b *Broker) setFree(i uint64, p addr.FPage) {
 	if uint64(p) == i {
-		delete(b.freeMods, i)
+		delete(b.freeMods, uint32(i))
 		return
 	}
-	b.freeMods[i] = p
+	b.freeMods[uint32(i)] = uint32(p)
 }
 
 // Meta exposes the access-control metadata store (read by the STU).
@@ -115,7 +118,7 @@ func (b *Broker) takeRandom() (addr.FPage, error) {
 		if i != last {
 			b.setFree(i, b.freeAt(last))
 		}
-		delete(b.freeMods, last)
+		delete(b.freeMods, uint32(last))
 		b.freeCount = last
 		// Skip pages consumed by shared regions carved after pool build.
 		if uint64(p) >= b.randLimit {
@@ -127,7 +130,8 @@ func (b *Broker) takeRandom() (addr.FPage, error) {
 }
 
 // AllocatePage hands node a freshly placed FAM page with full permissions
-// and records ownership in the metadata store.
+// and records ownership in the metadata store, the page's only ownership
+// record.
 func (b *Broker) AllocatePage(node uint16) (addr.FPage, error) {
 	if int(node) >= acm.MaxNodes(b.layout.ACMBits) {
 		return 0, fmt.Errorf("broker: node ID %d exceeds the %d-bit ACM ID space", node, b.layout.ACMBits)
@@ -136,7 +140,6 @@ func (b *Broker) AllocatePage(node uint16) (addr.FPage, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.owner[p] = node + 1
 	b.allocated++
 	if err := b.meta.Set(p, acm.Entry{Owner: node, Perm: acm.PermRWX}); err != nil {
 		return 0, err
@@ -145,19 +148,15 @@ func (b *Broker) AllocatePage(node uint16) (addr.FPage, error) {
 }
 
 // NodeTable returns (building on first use) node's FAM page table. Its
-// table nodes are FAM pages owned by the system (node ID 0 is reserved for
-// the broker itself in our configuration).
+// table nodes are FAM pages drawn from the random pool; they carry no ACM
+// entry, and the table holding them is their ownership record.
 func (b *Broker) NodeTable(node uint16) (*pagetable.Table, error) {
 	if t, ok := b.nodeMaps[node]; ok {
 		return t, nil
 	}
 	alloc := func() (uint64, error) {
 		p, err := b.takeRandom()
-		if err != nil {
-			return 0, err
-		}
-		b.owner[p] = node + 1
-		return uint64(p), nil
+		return uint64(p), err
 	}
 	t, err := pagetable.NewInArena(b.a, "pagetable.fam", fmt.Sprintf("fam-pt.%d", node), alloc)
 	if err != nil {
@@ -167,13 +166,12 @@ func (b *Broker) NodeTable(node uint16) (*pagetable.Table, error) {
 	return t, nil
 }
 
-// Recycle returns the broker with its tables — the owner table, the
-// free-pool override map, the ACM store, every node's FAM page table and
-// the map holding them — and its random source to a for the next run's
-// construction. The broker (and the tables NodeTable handed out) must not
-// be used afterwards.
+// Recycle returns the broker with its tables — the free-pool override
+// map, the ACM store, every node's FAM page table and the map holding them
+// — and its random source to a for the next run's construction. The
+// broker (and the tables NodeTable handed out) must not be used
+// afterwards.
 func (b *Broker) Recycle(a *arena.Arena) {
-	arena.Release(a, "broker.owner", b.owner)
 	arena.ReleaseMap(a, "broker.freeMods", b.freeMods)
 	b.meta.Recycle(a)
 	for _, t := range b.nodeMaps {
@@ -206,18 +204,24 @@ func (b *Broker) MapForNode(node uint16, npPage addr.NPPage) (addr.FPage, error)
 	return p, nil
 }
 
-// FreePage returns a page to the pool and clears its metadata. Only the
-// recorded owner may free.
+// FreePage returns a data page to the pool and clears its metadata. Only
+// the owner recorded in the page's ACM entry may free it; a shared page or
+// a page of a FAM page table is never freed this way.
 func (b *Broker) FreePage(node uint16, p addr.FPage) error {
-	if uint64(p) >= uint64(len(b.owner)) || b.owner[p] != node+1 {
+	if !b.meta.Has(p) || !b.ownedBy(b.meta.Entry(p), node) {
 		return fmt.Errorf("broker: node %d freeing page %d it does not own", node, p)
 	}
-	b.owner[p] = 0
 	b.meta.Clear(p)
 	b.setFree(b.freeCount, p)
 	b.freeCount++
 	b.allocated--
 	return nil
+}
+
+// ownedBy reports whether the ACM entry e names node as its data page's
+// owner. A shared marker names no node.
+func (b *Broker) ownedBy(e acm.Entry, node uint16) bool {
+	return e.Owner == node && !b.meta.IsSharedMarker(e)
 }
 
 // AllocateSharedRegion carves a 1GB region for sharing, marks all of its
@@ -258,14 +262,18 @@ func (b *Broker) SharedPageFor(node uint16, npPage addr.NPPage, huge, offset uin
 	return p, nil
 }
 
-// OwnedPages returns how many pages node currently owns (table nodes
-// included).
+// OwnedPages returns how many pages node currently owns: the data pages
+// whose ACM entry names it plus the table nodes of its FAM page table.
 func (b *Broker) OwnedPages(node uint16) uint64 {
 	var n uint64
-	for _, o := range b.owner {
-		if o == node+1 {
+	b.meta.Entries(func(_ addr.FPage, e acm.Entry) bool {
+		if b.ownedBy(e, node) {
 			n++
 		}
+		return true
+	})
+	if t, ok := b.nodeMaps[node]; ok {
+		n += t.TableNodes()
 	}
 	return n
 }
@@ -284,35 +292,37 @@ type MigrationCost struct {
 }
 
 // MigrateJob moves ownership of every page owned by from to to, rewriting
-// ACM entries and re-homing the FAM page table. The caller is responsible
-// for flushing node-side TLBs and translation caches (the invalidation
-// hooks live in the node and translator packages).
+// ACM entries and re-homing the FAM page table. A node holds one FAM page
+// table, so to may not already hold one of its own. The caller is
+// responsible for flushing node-side TLBs and translation caches (the
+// invalidation hooks live in the node and translator packages).
 func (b *Broker) MigrateJob(from, to uint16) (MigrationCost, error) {
 	if int(to) >= acm.MaxNodes(b.layout.ACMBits) {
 		return MigrationCost{}, fmt.Errorf("broker: destination node %d out of ID space", to)
 	}
-	var cost MigrationCost
-	for pi, o := range b.owner {
-		if o != from+1 {
-			continue
-		}
-		p := addr.FPage(pi)
-		b.owner[pi] = to + 1
-		// Page-table node pages carry no ACM entry of their own (the broker
-		// owns them); only data pages need ACM rewrites.
-		if !b.meta.Has(p) {
-			continue
-		}
-		e := b.meta.Entry(p)
-		if !b.meta.IsSharedMarker(e) {
-			e.Owner = to
-			if err := b.meta.Set(p, e); err != nil {
-				return cost, err
-			}
-			cost.ACMRewrites++
-		}
+	t, moving := b.nodeMaps[from]
+	if _, busy := b.nodeMaps[to]; moving && busy && from != to {
+		return MigrationCost{}, fmt.Errorf("broker: destination node %d already holds a FAM page table", to)
 	}
-	if t, ok := b.nodeMaps[from]; ok {
+	var cost MigrationCost
+	var err error
+	// Page-table node pages carry no ACM entry of their own; they move with
+	// their table. Only data pages need ACM rewrites.
+	b.meta.Entries(func(p addr.FPage, e acm.Entry) bool {
+		if !b.ownedBy(e, from) {
+			return true
+		}
+		e.Owner = to
+		if err = b.meta.Set(p, e); err != nil {
+			return false
+		}
+		cost.ACMRewrites++
+		return true
+	})
+	if err != nil {
+		return cost, err
+	}
+	if moving {
 		delete(b.nodeMaps, from)
 		b.nodeMaps[to] = t
 		cost.TranslationsMoved = t.Mapped()

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"deact/internal/addr"
 	"deact/internal/cache"
 	"deact/internal/node"
 	"deact/internal/stu"
@@ -147,6 +148,28 @@ func TestValidateCatchesNodeRules(t *testing.T) {
 			if !errors.Is(err, ErrInvalidConfig) {
 				t.Errorf("%s/%v: Validate = %v, want ErrInvalidConfig", tc.name, scheme, err)
 			}
+		}
+	}
+}
+
+// TestValidateBoundsPageCounts: a FAM pool or node-physical space with
+// more pages than a 32-bit page-table entry can name fails Validate with
+// ErrInvalidConfig, so a POST cannot ask NewSystem for a system sized by
+// an absurd pool. No system is built here: these configs only validate.
+func TestValidateBoundsPageCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"FAMSize 1<<50", func(c *Config) { c.Layout.FAMSize = 1 << 50 }},
+		{"FAMSize 2^32 pages", func(c *Config) { c.Layout.FAMSize = (addr.MaxPages + 1) * addr.PageSize }},
+		{"FAMZoneSize 2^32 pages", func(c *Config) { c.Layout.FAMZoneSize = addr.MaxPages * addr.PageSize }},
+		{"DRAMSize 1<<62", func(c *Config) { c.Layout.DRAMSize = 1 << 62 }},
+	} {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidConfig", tc.name, err)
 		}
 	}
 }

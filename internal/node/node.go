@@ -258,12 +258,14 @@ type Node struct {
 	osa   osAllocator
 	pf    *prefetcher // nil when disabled
 
-	// direct is the OS/broker-known NP→FAM backing, dense over the FAM
+	// direct is E-FAM's copy of the NP→FAM backing, dense over the FAM
 	// zone (index: NP page − first FAM-zone page), storing FAM page + 1 so
 	// the zero value means "unbacked". It sits on E-FAM's per-miss path,
-	// where a map lookup per access is measurable. The OS allocator hands
-	// out zone pages in bump order, so the array grows on demand to the
-	// allocated prefix instead of the whole zone.
+	// where it stands in for a 4-level FAM page-table lookup. The
+	// OS allocator hands out zone pages in bump order, so the array grows
+	// on demand to the allocated prefix instead of the whole zone. The
+	// other schemes never read it and keep it empty: the broker's FAM page
+	// table is their only record of the backing.
 	direct []addr.FPage
 
 	// walker walks the node page table on TLB misses; walkPorts[i]
@@ -302,9 +304,12 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 	n.fab = fab
 	n.fam = fam
 	n.dram = memdev.NewInArena(a, "memdev.dram", cfg.DRAM)
-	// Length 0: backWithFAM extends (zeroing) on demand, so a recycled
-	// buffer regrows to its previous high-water mark allocation-free.
-	n.direct = arena.Slice[addr.FPage](a, "node.direct", 0)
+	// Length 0: backWithFAM extends (zeroing) on demand under E-FAM, so a
+	// recycled buffer regrows to its previous high-water mark
+	// allocation-free.
+	if cfg.Scheme == EFAM {
+		n.direct = arena.Slice[addr.FPage](a, "node.direct", 0)
+	}
 	if cfg.Prefetch.Enabled() {
 		n.pf = newPrefetcher(cfg.Prefetch)
 	}
@@ -389,10 +394,14 @@ func (n *Node) famZoneIndex(p addr.NPPage) uint64 {
 	return uint64(p) - uint64(n.cfg.Layout.FAMZoneBase().Page())
 }
 
-// backWithFAM gives an NP FAM-zone page a real FAM backing via the broker
-// and records it for the OS (E-FAM uses it directly; the other schemes use
-// the broker-installed FAM page table).
+// backWithFAM gives an NP FAM-zone page a real FAM backing via the broker,
+// which installs it in the node's FAM page table. E-FAM also records it in
+// direct, which its per-access path reads.
 func (n *Node) backWithFAM(p addr.NPPage) error {
+	if n.cfg.Scheme != EFAM {
+		_, err := n.brk.MapForNode(n.cfg.ID, p)
+		return err
+	}
 	i := n.famZoneIndex(p)
 	if i >= uint64(len(n.direct)) {
 		n.direct = arena.Extend(n.direct, int(i)+1)

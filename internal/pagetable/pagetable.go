@@ -18,6 +18,13 @@
 // Table nodes live in one flat arena and link by index, not pointer: the
 // whole tree is a single pointer-free allocation the garbage collector
 // never scans, and a walk's per-level loads stay within one backing array.
+//
+// The modelled entries are 8 bytes (EntrySize; WalkStep.EntryAddr steps by
+// it), but the host stores 4 bytes per entry: an entry only ever holds a
+// 32-bit page number or child index, so a 512-entry node takes 2KB of host
+// memory for the 4KB page it models. Map therefore refuses values of
+// MaxValue+1 and above, and addr.Layout.Validate bounds every page number
+// the simulator maps to MaxValue.
 package pagetable
 
 import (
@@ -41,6 +48,10 @@ const EntrySize = 8
 // levelMask extracts one level's index.
 const levelMask = entriesPerNode - 1
 
+// MaxValue is the largest value Map accepts: a slot stores value + 1 in 32
+// bits, and 0 means "not present".
+const MaxValue = 1<<32 - 2
+
 // PageAllocator provides physical pages for table nodes. The node page
 // table allocates from node-physical space (so kernel tables follow the
 // same 20/80 DRAM/FAM split as data); the FAM page table allocates from the
@@ -54,11 +65,11 @@ type PageAllocator func() (pageNumber uint64, err error)
 // block.
 type tnode struct {
 	phys  uint64 // physical page number holding this 512-entry table
-	slots [entriesPerNode]uint64
+	slots [entriesPerNode]uint32
 }
 
-// Table is a 4-level radix page table mapping uint64 page numbers to uint64
-// page numbers.
+// Table is a 4-level radix page table mapping uint64 page numbers to page
+// numbers of at most MaxValue.
 type Table struct {
 	name  string
 	alloc PageAllocator
@@ -127,8 +138,12 @@ func entryAddr(phys uint64, idx uint16) uint64 {
 }
 
 // Map installs key → value, allocating intermediate nodes as needed.
-// Remapping an existing key overwrites the old value.
+// Remapping an existing key overwrites the old value. A value above
+// MaxValue is refused before any node is allocated.
 func (t *Table) Map(key, value uint64) error {
+	if value > MaxValue {
+		return fmt.Errorf("pagetable %s: value %#x exceeds the 32-bit entry (max %#x)", t.name, value, uint64(MaxValue))
+	}
 	ni := uint32(0)
 	for lvl := 0; lvl < Levels-1; lvl++ {
 		idx := index(key, lvl)
@@ -138,16 +153,16 @@ func (t *Table) Map(key, value uint64) error {
 			if err != nil {
 				return err
 			}
-			t.nodes[ni].slots[idx] = uint64(ci) + 1
-			child = uint64(ci) + 1
+			child = ci + 1
+			t.nodes[ni].slots[idx] = child
 		}
-		ni = uint32(child - 1)
+		ni = child - 1
 	}
 	idx := index(key, Levels-1)
 	if t.nodes[ni].slots[idx] == 0 {
 		t.mapped++
 	}
-	t.nodes[ni].slots[idx] = value + 1
+	t.nodes[ni].slots[idx] = uint32(value) + 1
 	return nil
 }
 
@@ -176,7 +191,7 @@ func (t *Table) descend(key uint64, stop int) (uint32, bool) {
 		if child == 0 {
 			return 0, false
 		}
-		ni = uint32(child - 1)
+		ni = child - 1
 	}
 	return ni, true
 }
@@ -191,14 +206,15 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	if v == 0 {
 		return 0, false
 	}
-	return v - 1, true
+	return uint64(v - 1), true
 }
 
 // WalkStep records one page-table memory reference.
 type WalkStep struct {
 	// Level is 0 (PGD) … 3 (PTE).
 	Level int
-	// EntryAddr is the physical address of the 8B entry read.
+	// EntryAddr is the physical address of the 8B entry read (the modelled
+	// entry size, whatever the host stores).
 	EntryAddr uint64
 	// NodePhys is the physical page number of the table node read.
 	NodePhys uint64
@@ -229,7 +245,7 @@ func (t *Table) WalkAppend(key uint64, startLevel int, buf []WalkStep) (steps []
 			startLevel = lvl
 			break
 		}
-		ni = uint32(child - 1)
+		ni = child - 1
 	}
 	steps = buf
 	for lvl := startLevel; lvl < Levels; lvl++ {
@@ -241,13 +257,13 @@ func (t *Table) WalkAppend(key uint64, startLevel int, buf []WalkStep) (steps []
 			if v == 0 {
 				return steps, 0, false
 			}
-			return steps, v - 1, true
+			return steps, uint64(v - 1), true
 		}
 		child := n.slots[idx]
 		if child == 0 {
 			return steps, 0, false
 		}
-		ni = uint32(child - 1)
+		ni = child - 1
 	}
 	return steps, 0, false
 }

@@ -190,11 +190,17 @@ func TestAllocatorFailurePropagates(t *testing.T) {
 }
 
 // Property: Map then Walk round-trips and a full walk is always ≤ 4 steps.
+// A value above MaxValue — among uint32s, only 0xFFFFFFFF — does not fit a
+// 32-bit entry as value + 1, and Map must refuse exactly that one.
 func TestMapWalkRoundTripQuick(t *testing.T) {
 	tbl, _ := New("t", seqAlloc(0))
 	f := func(key uint64, val uint32) bool {
 		key &= (1 << 36) - 1 // page numbers for 48-bit VAs
-		if err := tbl.Map(key, uint64(val)); err != nil {
+		err := tbl.Map(key, uint64(val))
+		if val == 0xFFFFFFFF {
+			return err != nil
+		}
+		if err != nil {
 			return false
 		}
 		steps, v, ok := tbl.Walk(key, 0)
@@ -202,5 +208,39 @@ func TestMapWalkRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	// quick draws 0xFFFFFFFF about once in 2^32 calls: check it directly.
+	if !f(7, 0xFFFFFFFF) {
+		t.Fatal("Map accepted 0xFFFFFFFF")
+	}
+}
+
+// TestMapValueDomain: MaxValue (2^32 − 2) round-trips through Map, Lookup
+// and Walk; MaxValue + 1 is refused before any node is allocated, leaving
+// Mapped and TableNodes as they were, and so is any wider value.
+func TestMapValueDomain(t *testing.T) {
+	tbl, _ := New("t", seqAlloc(0))
+	if err := tbl.Map(5, MaxValue); err != nil {
+		t.Fatalf("Map(MaxValue): %v", err)
+	}
+	if v, ok := tbl.Lookup(5); !ok || v != MaxValue {
+		t.Fatalf("Lookup = (%#x,%v), want (%#x,true)", v, ok, uint64(MaxValue))
+	}
+	if _, v, ok := tbl.Walk(5, 0); !ok || v != MaxValue {
+		t.Fatalf("Walk = (%#x,%v), want (%#x,true)", v, ok, uint64(MaxValue))
+	}
+	mapped, nodes := tbl.Mapped(), tbl.TableNodes()
+	// A key in a fresh top-level subtree would need three new nodes.
+	for _, v := range []uint64{MaxValue + 1, 1 << 32, 1<<64 - 1} {
+		if err := tbl.Map(1<<27, v); err == nil {
+			t.Errorf("Map accepted %#x", v)
+		}
+	}
+	if tbl.Mapped() != mapped || tbl.TableNodes() != nodes {
+		t.Fatalf("refused Map changed the table: mapped %d → %d, nodes %d → %d",
+			mapped, tbl.Mapped(), nodes, tbl.TableNodes())
+	}
+	if _, ok := tbl.Lookup(1 << 27); ok {
+		t.Fatal("refused key resolves")
 	}
 }
