@@ -25,10 +25,13 @@ func main() {
 	cfg.Benchmark = "pf"
 	cfg.Nodes = 2
 	cfg.CoresPerNode = 1
-	// Shared regions are fixed at 1GB (§III-A), so give the pool room for
-	// one: the scaled default pool is exactly 1GB and the metadata carve-out
-	// leaves no whole region free.
-	cfg.Layout.FAMSize = 4 << 30
+	// Shared regions are fixed at 1GB (§III-A), and the broker carves only
+	// a region none of whose pages it has handed out. The scaled default
+	// pool is exactly 1GB, and the metadata carve-out leaves no whole
+	// region in it. Building the system already places a few pages at
+	// random across the pool, so give it seven whole regions, most of
+	// which stay untouched.
+	cfg.Layout.FAMSize = 8 << 30
 
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

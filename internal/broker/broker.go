@@ -19,6 +19,7 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"deact/internal/acm"
 	"deact/internal/addr"
@@ -46,8 +47,7 @@ type Broker struct {
 	freeCount uint64                      // virtual pool length
 	freeMods  map[uint32]uint32           // sparse overrides of the identity slot i → page i
 	nodeMaps  map[uint16]*pagetable.Table // per-node FAM page tables
-	hugeNext  uint64                      // next 1GB region index for shared regions
-	randLimit uint64                      // pages >= randLimit belong to carved shared regions
+	carved    []bool                      // per whole 1GB region: carved for sharing; nil until the first carve
 	allocated uint64
 
 	a *arena.Arena // recycles table arenas for NodeTable calls made mid-run
@@ -75,11 +75,6 @@ func NewInArena(a *arena.Arena, layout addr.Layout, seed int64) (*Broker, error)
 	b.freeMods = arena.Map[uint32, uint32](a, "broker.freeMods")
 	b.nodeMaps = arena.Map[uint16, *pagetable.Table](a, "broker.nodeMaps")
 	b.a = a
-	// Shared 1GB regions are carved from the top of the usable area,
-	// growing downward; the random-allocation pool keeps everything below
-	// the carve boundary.
-	b.hugeNext = usable / addr.PagesPerHuge
-	b.randLimit = usable
 	return b, nil
 }
 
@@ -120,8 +115,8 @@ func (b *Broker) takeRandom() (addr.FPage, error) {
 		}
 		delete(b.freeMods, uint32(last))
 		b.freeCount = last
-		// Skip pages consumed by shared regions carved after pool build.
-		if uint64(p) >= b.randLimit {
+		// Skip pages of shared regions carved after pool build.
+		if h := p.Huge(); h < uint64(len(b.carved)) && b.carved[h] {
 			continue
 		}
 		return p, nil
@@ -154,16 +149,38 @@ func (b *Broker) NodeTable(node uint16) (*pagetable.Table, error) {
 	if t, ok := b.nodeMaps[node]; ok {
 		return t, nil
 	}
-	alloc := func() (uint64, error) {
-		p, err := b.takeRandom()
-		return uint64(p), err
-	}
-	t, err := pagetable.NewInArena(b.a, "pagetable.fam", fmt.Sprintf("fam-pt.%d", node), alloc)
+	t, err := pagetable.NewInArena(b.a, "pagetable.fam", famTableName(node), b)
 	if err != nil {
 		return nil, err
 	}
 	b.nodeMaps[node] = t
 	return t, nil
+}
+
+// AllocTablePage implements pagetable.PageAllocator for the FAM page
+// tables: it draws a table node from the random pool. The page gets no
+// ACM entry; the table holding it is its ownership record.
+func (b *Broker) AllocTablePage() (uint64, error) {
+	p, err := b.takeRandom()
+	return uint64(p), err
+}
+
+// famTableNames holds the FAM page tables' names, "fam-pt.<node>", for
+// the node IDs of runs of up to 16 nodes, so building a table formats no
+// string.
+var famTableNames = func() (names [17]string) {
+	for i := range names {
+		names[i] = "fam-pt." + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// famTableName returns node's FAM page-table name.
+func famTableName(node uint16) string {
+	if int(node) < len(famTableNames) {
+		return famTableNames[node]
+	}
+	return "fam-pt." + strconv.Itoa(int(node))
 }
 
 // Recycle returns the broker with its tables — the free-pool override
@@ -226,16 +243,42 @@ func (b *Broker) ownedBy(e acm.Entry, node uint16) bool {
 
 // AllocateSharedRegion carves a 1GB region for sharing, marks all of its
 // sub-pages with the shared ACM marker and the given default permission,
-// and returns its region index.
+// and returns its region index. It carves the highest whole region of the
+// usable pool that holds no handed-out page — no page with an ACM entry
+// (which rules out carved regions, whose pages all carry the shared
+// marker) and no FAM page-table node — so no page in use changes hands.
+// The random pool skips carved regions from then on.
 func (b *Broker) AllocateSharedRegion(defaultPerm acm.Perm) (uint64, error) {
-	if b.hugeNext == 0 {
-		return 0, fmt.Errorf("broker: no 1GB regions left for sharing")
+	regions := b.layout.UsableFAMPages() / addr.PagesPerHuge
+	busy := make([]bool, regions)
+	mark := func(p addr.FPage) {
+		if h := p.Huge(); h < regions {
+			busy[h] = true
+		}
 	}
-	b.hugeNext--
-	huge := b.hugeNext
-	b.randLimit = huge * addr.PagesPerHuge
-	b.meta.MarkShared(huge, defaultPerm)
-	return huge, nil
+	b.meta.Entries(func(p addr.FPage, _ acm.Entry) bool {
+		mark(p)
+		return true
+	})
+	for _, t := range b.nodeMaps {
+		t.TablePages(func(phys uint64) bool {
+			mark(addr.FPage(phys))
+			return true
+		})
+	}
+	for h := regions; h > 0; h-- {
+		huge := h - 1
+		if busy[huge] {
+			continue
+		}
+		if b.carved == nil {
+			b.carved = make([]bool, regions)
+		}
+		b.carved[huge] = true
+		b.meta.MarkShared(huge, defaultPerm)
+		return huge, nil
+	}
+	return 0, fmt.Errorf("broker: no 1GB region left for sharing: each of the %d is carved or holds a handed-out page", regions)
 }
 
 // Grant gives node a permission in a shared region's bitmap.

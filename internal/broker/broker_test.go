@@ -172,6 +172,109 @@ func TestSharedRegionsDoNotCollideWithRandomPool(t *testing.T) {
 	}
 }
 
+// handedOut lists, per whole region of b's usable pool, whether any page
+// the broker has handed out lies in it: a data page with an ACM entry or
+// a node of a FAM page table.
+func handedOut(b *Broker) []bool {
+	busy := make([]bool, b.Layout().UsableFAMPages()/addr.PagesPerHuge)
+	mark := func(p addr.FPage) {
+		if h := p.Huge(); h < uint64(len(busy)) {
+			busy[h] = true
+		}
+	}
+	b.Meta().Entries(func(p addr.FPage, _ acm.Entry) bool { mark(p); return true })
+	for _, t := range b.nodeMaps {
+		t.TablePages(func(phys uint64) bool { mark(addr.FPage(phys)); return true })
+	}
+	return busy
+}
+
+// TestSharedRegionSkipsHandedOutPages: carving a region must not take a
+// page the broker already handed out. Node 2's FAM page table and node 1's
+// data pages are placed first, until one of node 1's pages lands in the
+// top region; the broker must then carve the highest region holding none
+// of them, and node 1 keeps its access to every page it owns.
+func TestSharedRegionSkipsHandedOutPages(t *testing.T) {
+	// 8GB: seven whole regions, so a few draws leave some untouched.
+	l := layout()
+	l.FAMSize = 8 << 30
+	b, err := New(l, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := b.Layout().UsableFAMPages() / addr.PagesPerHuge
+	if _, err := b.NodeTable(2); err != nil {
+		t.Fatal(err)
+	}
+	var pages []addr.FPage
+	for len(pages) == 0 || pages[len(pages)-1].Huge() != regions-1 {
+		p, err := b.AllocatePage(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, p)
+	}
+	busy := handedOut(b)
+	want := -1
+	for h := len(busy) - 1; h >= 0; h-- {
+		if !busy[h] {
+			want = h
+			break
+		}
+	}
+	if want < 0 {
+		t.Fatalf("all %d regions hold a page after %d draws; the scenario needs a free one", regions, len(pages))
+	}
+	owned := b.OwnedPages(1)
+	huge, err := b.AllocateSharedRegion(acm.PermR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if huge != uint64(want) {
+		t.Fatalf("carved region %d, want %d, the highest holding no handed-out page (busy %v)", huge, want, busy)
+	}
+	for _, p := range pages {
+		if d := b.Meta().Check(p, 1, acm.PermRW); !d.Allowed {
+			t.Fatalf("page %d of node 1 lost its access to the carve: %s", p, d.DeniedReason)
+		}
+	}
+	if got := b.OwnedPages(1); got != owned {
+		t.Fatalf("OwnedPages(1) = %d after the carve, %d before", got, owned)
+	}
+}
+
+// TestSharedRegionRefusesWhenNoneFree: once every whole region is carved
+// or holds a handed-out page, AllocateSharedRegion errs and leaves the
+// metadata as it was.
+func TestSharedRegionRefusesWhenNoneFree(t *testing.T) {
+	b := newBroker(t)
+	regions := b.Layout().UsableFAMPages() / addr.PagesPerHuge
+	seen := map[uint64]bool{}
+	for uint64(len(seen)) < regions-1 {
+		p, err := b.AllocatePage(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Huge() < regions {
+			seen[p.Huge()] = true
+		}
+	}
+	for h := uint64(0); h < regions; h++ {
+		if !seen[h] {
+			if got, err := b.AllocateSharedRegion(acm.PermR); err != nil || got != h {
+				t.Fatalf("AllocateSharedRegion = %d, %v; want the one free region %d", got, err, h)
+			}
+		}
+	}
+	writes := b.Meta().Writes()
+	if _, err := b.AllocateSharedRegion(acm.PermR); err == nil {
+		t.Fatal("carved a region although each is carved or holds a page")
+	}
+	if b.Meta().Writes() != writes {
+		t.Fatal("a refused carve wrote metadata")
+	}
+}
+
 func TestMigrateJob(t *testing.T) {
 	b := newBroker(t)
 	var pages []addr.FPage

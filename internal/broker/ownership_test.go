@@ -218,38 +218,69 @@ func (o *ownershipRun) compareOwned(when string) {
 	}
 }
 
+// carve calls AllocateSharedRegion and checks its pick against the
+// reference: the highest whole region that holds no page the reference
+// has seen handed out, or an error when there is none.
+func (o *ownershipRun) carve() {
+	regions := o.b.Layout().UsableFAMPages() / addr.PagesPerHuge
+	want := -1
+	for h := int(regions) - 1; h >= 0 && want < 0; h-- {
+		free := true
+		for _, k := range o.ref.kind[uint64(h)*addr.PagesPerHuge : uint64(h+1)*addr.PagesPerHuge] {
+			if k != kindFree {
+				free = false
+				break
+			}
+		}
+		if free {
+			want = h
+		}
+	}
+	huge, err := o.b.AllocateSharedRegion(acm.PermR)
+	o.checkErr("AllocateSharedRegion", err, want < 0)
+	if err != nil {
+		return
+	}
+	if huge != uint64(want) {
+		o.t.Fatalf("AllocateSharedRegion carved region %d, reference picks %d", huge, want)
+	}
+	o.huge, o.shared = huge, true
+}
+
 // TestOwnershipMatchesDenseOwnerTable holds ownership read from the ACM and
 // the FAM page tables to a dense owner table updated op by op: random
 // AllocatePage, MapForNode, NodeTable, SharedPageFor, FreePage and
 // MigrateJob calls over a small pool, at 8- and 16-bit ACM widths, with
-// and without a shared region, from node IDs that include the largest
-// valid ID and the shared marker itself. OwnedPages per node, FreePage's
-// accept/deny and MigrationCost must agree with the reference throughout.
-//
-// Shared regions are carved before any page is drawn: carving a region
-// overwrites the ACM entries of pages already handed out inside it (see
-// AllocateSharedRegion), which an owner table of its own would not see.
+// no shared region, one carved before any page is drawn, and carves after
+// some are (shared=late), from node IDs that include the largest
+// valid ID and the shared marker itself. OwnedPages per node, the region
+// a carve picks, FreePage's accept/deny and MigrationCost must agree with
+// the reference throughout.
 func TestOwnershipMatchesDenseOwnerTable(t *testing.T) {
-	for trial := 0; trial < 4; trial++ {
+	for trial := 0; trial < 6; trial++ {
 		acmBits := []uint{16, 8}[trial%2]
-		shared := trial < 2
-		t.Run(fmt.Sprintf("acm%d/shared=%v", acmBits, shared), func(t *testing.T) {
-			// 3GB: region 1 can be carved and region 0 keeps the random pool.
-			l := addr.Layout{DRAMSize: 1 << 20, FAMZoneSize: 1 << 20, FAMSize: 3 << 30, ACMBits: acmBits}
+		shared := []string{"true", "false", "late"}[trial/2]
+		t.Run(fmt.Sprintf("acm%d/shared=%s", acmBits, shared), func(t *testing.T) {
+			// 8GB: seven whole regions, so a carve after a few draws
+			// still finds one that holds no page.
+			l := addr.Layout{DRAMSize: 1 << 20, FAMZoneSize: 1 << 20, FAMSize: 8 << 30, ACMBits: acmBits}
 			b, err := New(l, int64(trial))
 			if err != nil {
 				t.Fatal(err)
 			}
 			marker := acm.SharedOwner(acmBits)
 			o := &ownershipRun{t: t, rng: rand.New(rand.NewSource(int64(100 + trial))), b: b, ref: newRefOwnership(l),
-				nodes: []uint16{0, 1, 2, marker - 1, marker}, shared: shared}
-			if shared {
-				if o.huge, err = b.AllocateSharedRegion(acm.PermR); err != nil {
-					t.Fatal(err)
-				}
+				nodes: []uint16{0, 1, 2, marker - 1, marker}}
+			if shared == "true" {
+				o.carve()
 			}
 			const ops = 400
 			for i := 1; i <= ops; i++ {
+				// Late carves skip the regions pages landed in; by op 200
+				// every region is likely taken and the carve errs.
+				if shared == "late" && (i == 12 || i == 200) {
+					o.carve()
+				}
 				o.step()
 				if i%40 == 0 {
 					o.compareOwned(fmt.Sprintf("after op %d", i))

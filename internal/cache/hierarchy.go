@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"deact/internal/arena"
 )
@@ -87,6 +88,17 @@ type Hierarchy struct {
 // L3 block, so it never grows.
 const wbCap = 1
 
+// l1Names and l2Names name each core's private caches ("l1.<core>",
+// "l2.<core>"), so building a hierarchy formats no string.
+var l1Names, l2Names = cacheNames("l1."), cacheNames("l2.")
+
+func cacheNames(prefix string) (names [MaxCores]string) {
+	for i := range names {
+		names[i] = prefix + strconv.Itoa(i)
+	}
+	return names
+}
+
 // NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return NewHierarchyInArena(nil, cfg)
@@ -104,10 +116,10 @@ func NewHierarchyInArena(a *arena.Arena, cfg HierarchyConfig) (*Hierarchy, error
 	h.wbBuf = arena.Slice[uint64](a, "cache.writebacks", wbCap)[:0]
 	var err error
 	for i := range h.l1 {
-		if h.l1[i], err = NewInArena(a, fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways); err != nil {
+		if h.l1[i], err = NewInArena(a, l1Names[i], cfg.L1Size, cfg.L1Ways); err != nil {
 			return nil, err
 		}
-		if h.l2[i], err = NewInArena(a, fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways); err != nil {
+		if h.l2[i], err = NewInArena(a, l2Names[i], cfg.L2Size, cfg.L2Ways); err != nil {
 			return nil, err
 		}
 	}

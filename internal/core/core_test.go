@@ -335,6 +335,12 @@ func TestMultiNodeRuns(t *testing.T) {
 	}
 }
 
+// idleNodeStats is the node.Stats of a node that did nothing in a run of
+// cfg: zero counters and one empty latency set per tenant.
+func idleNodeStats(cfg Config) node.Stats {
+	return node.Stats{Tenants: make([]node.TenantLatency, cfg.TenantCount())}
+}
+
 // TestResetStatsZeroesResultCounters: after a run, resetStats leaves every
 // counter a Result reads at zero, so a Result covers exactly the phase
 // after the warmup boundary. Each counter is first required to be nonzero
@@ -355,7 +361,7 @@ func TestResetStatsZeroesResultCounters(t *testing.T) {
 		}
 		for i, n := range s.nodes {
 			switch {
-			case run.NodeStats[i] == node.Stats{}:
+			case reflect.DeepEqual(run.NodeStats[i], idleNodeStats(cfg)):
 				t.Fatalf("%v node %d: idle node", scheme, i)
 			case n.STU() != nil && run.STUStats[i] == stu.Stats{}:
 				t.Fatalf("%v node %d: idle STU", scheme, i)
@@ -371,7 +377,7 @@ func TestResetStatsZeroesResultCounters(t *testing.T) {
 		instrs, memOps := s.retired()
 		r := s.result(s.engine.Now(), instrs, memOps)
 		for i, n := range s.nodes {
-			if r.NodeStats[i] != (node.Stats{}) {
+			if !reflect.DeepEqual(r.NodeStats[i], idleNodeStats(cfg)) {
 				t.Errorf("%v node %d: node stats survive reset: %+v", scheme, i, r.NodeStats[i])
 			}
 			if r.STUStats[i] != (stu.Stats{}) {

@@ -1,14 +1,123 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 )
+
+// writeCanonical is the reference encoder Fingerprint's plan-driven one
+// must match byte for byte: a reflection walk that formats every exported
+// leaf field with fmt, tagged with its full path.
+func writeCanonical(w io.Writer, path string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		t := v.Type()
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				panic(fmt.Sprintf("core: Fingerprint: unexported field %s.%s cannot carry run identity", path, f.Name))
+			}
+			writeCanonical(w, path+"."+f.Name, v.Field(i))
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		fmt.Fprintf(w, "%s=%d;", path, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		fmt.Fprintf(w, "%s=%d;", path, v.Uint())
+	case reflect.Bool:
+		fmt.Fprintf(w, "%s=%t;", path, v.Bool())
+	case reflect.String:
+		fmt.Fprintf(w, "%s=%q;", path, v.String())
+	default:
+		panic(fmt.Sprintf("core: Fingerprint: unsupported field kind %s at %s", v.Kind(), path))
+	}
+}
+
+// referenceFingerprint is Fingerprint computed through writeCanonical.
+func referenceFingerprint(c Config) string {
+	h := sha256.New()
+	writeCanonical(h, "Config", reflect.ValueOf(c.normalized()))
+	return hex.EncodeToString(h.Sum(nil))[:32]
+}
+
+// randomize sets the leaf field lf of cfg to a random value of its kind:
+// integers across their whole range, strings with quotes, escapes,
+// non-ASCII and invalid UTF-8.
+func randomize(rng *rand.Rand, cfg *Config, lf leafField) {
+	v := reflect.ValueOf(cfg).Elem().FieldByIndex(lf.index)
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		x := rng.Int63() >> rng.Intn(63)
+		if rng.Intn(2) == 0 {
+			x = -x - int64(rng.Intn(2))
+		}
+		v.SetInt(x) // truncates to the field's width
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(rng.Uint64() >> rng.Intn(64))
+	case reflect.Bool:
+		v.SetBool(rng.Intn(2) == 0)
+	case reflect.String:
+		pieces := []string{"", "mcf", `"`, `\`, "\n", "\x00", "é", "\xff", "ok", " ", "\u2028", "`"}
+		var b []byte
+		for n := rng.Intn(4); n > 0; n-- {
+			b = append(b, pieces[rng.Intn(len(pieces))]...)
+		}
+		if rng.Intn(8) == 0 {
+			b = append(b, 0xff, 0xfe) // invalid UTF-8
+		}
+		v.SetString(string(b))
+	}
+}
+
+// TestFingerprintMatchesReferenceEncoder is the oracle for the plan-driven
+// encoder: over random configs, each drawn by setting every leaf field of
+// Config to a random value, the canonical bytes and the digest must equal
+// those of the fmt-based reference walk.
+func TestFingerprintMatchesReferenceEncoder(t *testing.T) {
+	var leaves []leafField
+	collectLeaves(t, reflect.TypeOf(Config{}), "Config", nil, &leaves)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		cfg := DefaultConfig()
+		for _, lf := range leaves {
+			if rng.Intn(3) == 0 {
+				randomize(rng, &cfg, lf)
+			}
+		}
+		if i%4 == 0 {
+			cfg.Scheme = Schemes()[rng.Intn(4)] // exercise every normalization
+		}
+		n := cfg.normalized()
+		var ref bytes.Buffer
+		writeCanonical(&ref, "Config", reflect.ValueOf(n))
+		if got := appendCanonical(nil, &n); !bytes.Equal(got, ref.Bytes()) {
+			t.Fatalf("config %d: canonical encoding differs from the reference:\n got %q\nwant %q", i, got, ref.Bytes())
+		}
+		if got, want := cfg.Fingerprint(), referenceFingerprint(cfg); got != want {
+			t.Fatalf("config %d: Fingerprint %s, reference %s", i, got, want)
+		}
+	}
+}
+
+// BenchmarkFingerprint measures one Fingerprint of the default config: the
+// Runner and the result store compute one per submitted run. Beside the
+// returned string it should allocate nothing.
+func BenchmarkFingerprint(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = cfg.Fingerprint()
+	}
+}
 
 // leafField identifies one exported leaf field of Config by its
 // FieldByIndex chain.

@@ -8,14 +8,16 @@ import (
 	"deact/internal/node"
 )
 
-// ModelVersion names the current simulation semantics. It is bumped
-// whenever a modeling change regenerates testdata/golden-report-short.md —
-// the same "intentional change" boundary the golden-report CI gate
-// enforces — and the persistent result store embeds it in every entry, so
-// results computed under older semantics auto-invalidate as cache misses
-// instead of being served stale. Pure refactors (byte-identical goldens)
-// must not bump it: the stored results are still exact.
-const ModelVersion = "one-broker"
+// ModelVersion names the current simulation semantics and the stored
+// Result encoding. It is bumped whenever a modeling change regenerates
+// testdata/golden-report-short.md — the same "intentional change"
+// boundary the golden-report CI gate enforces — and whenever the shape of
+// the stored Result changes. The persistent result store embeds it in
+// every entry, so results computed under older semantics, or stored in an
+// older shape, auto-invalidate as cache misses instead of being served
+// stale. Pure refactors (byte-identical goldens, unchanged Result
+// encoding) must not bump it: the stored results are still exact.
+const ModelVersion = "tenant-sized-results"
 
 // ParseScheme parses a scheme name in any accepted spelling ("deact-n",
 // "DeACT-N", "deactn", "deact", ...). It is the inverse of Scheme.Name and

@@ -107,23 +107,25 @@ func TestOptionsFormIsTheOnlyAPI(t *testing.T) {
 
 // TestPooledRunAllocations holds the pooled construction floor: after one
 // warm-up run on a pool, a second pooled Run of the same config allocates
-// only its Result (three per-node stats slices) and a fixed handful of
-// small values per node and core — the method values and closures wiring
-// the components together, table and cache names, each core's generator.
-// Calendars, random sources, the engine and every per-structure header
-// come back from the pool, so the count does not grow with the run's
-// length; losing any of them costs at least one allocation per run. The
-// floors sit a little above the measured 14–16 and 35–37, which vary
-// with map layout; a -race runtime allocates on its own behalf, so there
-// they only have to hold within half again.
+// only its Result — the three per-node stats slices and the one slice
+// every node's tenant latency sets are carved from. Calendars, random
+// sources, generators, the engine and every per-structure header come
+// back from the pool, components reach each other through interfaces
+// rather than method values, and names are formatted once, so the count
+// grows neither with the run's length nor with its nodes and cores;
+// losing any of them costs at least one allocation per run. The floor
+// sits a little above the measured 4 (an occasional 5 as a calendar's
+// gap array or a map outgrows its recycled capacity); a -race runtime
+// allocates on its own behalf, so there it only has to hold within half
+// again.
 func TestPooledRunAllocations(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		nodes, cores int
 		floor        float64
 	}{
-		{1, 1, 18},
-		{2, 2, 40},
+		{1, 1, 5},
+		{2, 2, 5},
 	} {
 		floor := tc.floor
 		if raceEnabled {

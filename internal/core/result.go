@@ -43,7 +43,8 @@ type Result struct {
 	ACMHitRate float64
 
 	// NodeStats, STUStats and TranslatorStats are the per-node raw
-	// counters of the measured phase.
+	// counters of the measured phase. Each node's Tenants holds one
+	// latency set per tenant of the run (Config.TenantCount).
 	NodeStats       []node.Stats
 	STUStats        []stu.Stats
 	TranslatorStats []translator.Stats
@@ -78,19 +79,23 @@ func (s *System) result(start sim.Time, instrs0, memOps0 uint64) Result {
 		FAMWrites:     s.fam.Writes(),
 		FabricPackets: s.fab.Packets(),
 	}
+	// Every node's tenant sets are carved from one backing slice, and
+	// each per-node slice is made at its final length.
+	tenants := c.TenantCount()
+	sets := make([]node.TenantLatency, len(s.nodes)*tenants)
+	r.NodeStats = make([]node.Stats, len(s.nodes))
+	r.STUStats = make([]stu.Stats, len(s.nodes))
+	r.TranslatorStats = make([]translator.Stats, len(s.nodes))
 	var l3 uint64
-	for _, n := range s.nodes {
-		var st stu.Stats
+	for i, n := range s.nodes {
+		r.NodeStats[i] = n.Stats()
+		r.NodeStats[i].Tenants = n.TenantLatencies(sets[i*tenants : (i+1)*tenants : (i+1)*tenants])
 		if u := n.STU(); u != nil {
-			st = u.Stats()
+			r.STUStats[i] = u.Stats()
 		}
-		var tr translator.Stats
 		if t := n.Translator(); t != nil {
-			tr = t.Stats()
+			r.TranslatorStats[i] = t.Stats()
 		}
-		r.NodeStats = append(r.NodeStats, n.Stats())
-		r.STUStats = append(r.STUStats, st)
-		r.TranslatorStats = append(r.TranslatorStats, tr)
 		l3 += n.Hierarchy().L3Cache().Misses()
 	}
 
@@ -154,11 +159,13 @@ func (r Result) String() string {
 // empty distributions.
 func (r Result) TenantLatency(t int) node.TenantLatency {
 	var agg node.TenantLatency
-	if t < 0 || t >= node.MaxTenants {
+	if t < 0 {
 		return agg
 	}
 	for i := range r.NodeStats {
-		agg.Merge(r.NodeStats[i].Tenants[t])
+		if ts := r.NodeStats[i].Tenants; t < len(ts) {
+			agg.Merge(ts[t])
+		}
 	}
 	return agg
 }

@@ -22,10 +22,10 @@ import (
 // (~2.5MB zeroed per run) — the contention calendars with their gap
 // arrays, the random sources of the generators, broker and translators
 // (re-seeded), the engine's event queue, and the per-structure headers
-// down to each node's ~10KB value. Build with NewSystem(cfg,
-// WithPool(pool)), run, then Recycle, and the next system reuses the
-// memory, clearing instead of reallocating: a warm pooled Run allocates
-// its Result and a few small closures and names per node
+// down to each node's ~10KB value and each core's generator. Build with
+// NewSystem(cfg, WithPool(pool)), run, then Recycle, and the next system
+// reuses the memory, clearing instead of reallocating: a warm pooled Run
+// allocates only its Result, four slices whatever its nodes and cores
 // (TestPooledRunAllocations). Results are byte-identical to unpooled runs
 // (recycled buffers are zeroed or reset on reuse; the golden-report CI
 // job holds this).
@@ -53,7 +53,7 @@ func (p *SystemPool) arenaOf() *arena.Arena {
 // RunOption configures how a System is built and run. Options compose:
 // core.Run(ctx, cfg, WithPool(pool), WithTraceRecorder(rec)) builds a
 // pooled system and records the Op streams it consumes.
-type RunOption func(*runOptions)
+type RunOption func(runOptions) runOptions
 
 type runOptions struct {
 	pool     *SystemPool
@@ -65,7 +65,7 @@ type runOptions struct {
 // normally). After the run, Recycle hands the memory back for the pool's
 // next construction.
 func WithPool(pool *SystemPool) RunOption {
-	return func(o *runOptions) { o.pool = pool }
+	return func(o runOptions) runOptions { o.pool = pool; return o }
 }
 
 // WithTrace replays t instead of synthesizing workloads: core i consumes
@@ -73,7 +73,7 @@ func WithPool(pool *SystemPool) RunOption {
 // must carry cfg.TraceID == t.ID() — replay runs fingerprint per trace —
 // and the trace must have exactly Nodes×CoresPerNode streams.
 func WithTrace(t *trace.Trace) RunOption {
-	return func(o *runOptions) { o.trace = t }
+	return func(o runOptions) runOptions { o.trace = t; return o }
 }
 
 // WithTraceRecorder taps every core's workload source so rec captures the
@@ -81,7 +81,7 @@ func WithTrace(t *trace.Trace) RunOption {
 // changes nothing about the run itself; encode or save rec afterwards. A
 // recording run cannot replay a trace at the same time.
 func WithTraceRecorder(rec *trace.Recorder) RunOption {
-	return func(o *runOptions) { o.recorder = rec }
+	return func(o runOptions) runOptions { o.recorder = rec; return o }
 }
 
 // System is one fully assembled FAM system: a shared broker, fabric and
@@ -102,7 +102,7 @@ type System struct {
 func NewSystem(cfg Config, opts ...RunOption) (*System, error) {
 	var o runOptions
 	for _, opt := range opts {
-		opt(&o)
+		o = opt(o)
 	}
 	return newSystem(cfg, o)
 }
@@ -194,7 +194,7 @@ func newSystem(cfg Config, o runOptions) (*System, error) {
 				MaxOutstanding: cfg.MaxOutstanding, Instructions: total,
 				OoO:        cfg.CoreModel == CoreOoO,
 				WindowSize: cfg.WindowSize, SchedulerLatency: cfg.SchedulerLatency,
-			}, src, n.Access)
+			}, src, n)
 			if err != nil {
 				return nil, err
 			}
@@ -343,7 +343,7 @@ func (s *System) Recycle(pool *SystemPool) {
 func Run(ctx context.Context, cfg Config, opts ...RunOption) (Result, error) {
 	var o runOptions
 	for _, opt := range opts {
-		opt(&o)
+		o = opt(o)
 	}
 	s, err := newSystem(cfg, o)
 	if err != nil {

@@ -29,9 +29,19 @@ import (
 	"deact/internal/workload"
 )
 
-// AccessFunc performs one memory reference through the node's full memory
-// system and returns its completion time. Implemented by the node package.
+// Memory performs one memory reference through the node's full memory
+// system and returns its completion time. *node.Node implements it.
+type Memory interface {
+	Access(now sim.Time, coreID int, op workload.Op) (sim.Time, error)
+}
+
+// AccessFunc adapts a function to Memory.
 type AccessFunc func(now sim.Time, coreID int, op workload.Op) (sim.Time, error)
+
+// Access calls f.
+func (f AccessFunc) Access(now sim.Time, coreID int, op workload.Op) (sim.Time, error) {
+	return f(now, coreID, op)
+}
 
 // Config describes one core.
 type Config struct {
@@ -182,7 +192,7 @@ func (w *window) reset() { w.head, w.n = 0, 0 }
 type Core struct {
 	cfg    Config
 	gen    workload.Source
-	access AccessFunc
+	mem    Memory
 	engine *sim.Engine
 
 	win    window   // in-flight independent references, sorted by completion
@@ -203,22 +213,22 @@ type Core struct {
 }
 
 // New builds a core driven by any workload source (generator or trace
-// replay).
-func New(cfg Config, gen workload.Source, access AccessFunc) (*Core, error) {
-	return NewInArena(nil, cfg, gen, access)
+// replay) whose references go through mem.
+func New(cfg Config, gen workload.Source, mem Memory) (*Core, error) {
+	return NewInArena(nil, cfg, gen, mem)
 }
 
 // NewInArena is New drawing the core and its window from a. A nil arena
 // allocates normally.
-func NewInArena(a *arena.Arena, cfg Config, gen workload.Source, access AccessFunc) (*Core, error) {
+func NewInArena(a *arena.Arena, cfg Config, gen workload.Source, mem Memory) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if gen == nil || access == nil {
-		return nil, fmt.Errorf("cpu: generator and access function required")
+	if gen == nil || mem == nil {
+		return nil, fmt.Errorf("cpu: generator and memory required")
 	}
 	c := arena.Alloc[Core](a, "cpu.Core")
-	c.cfg, c.gen, c.access = cfg, gen, access
+	c.cfg, c.gen, c.mem = cfg, gen, mem
 	c.win = window{buf: arena.Slice[sim.Time](a, "cpu.window", cfg.MaxOutstanding)}
 	return c, nil
 }
@@ -276,7 +286,7 @@ func (c *Core) step(now sim.Time) {
 	cycles := (uint64(op.Compute) + uint64(c.cfg.IssueWidth)) / uint64(c.cfg.IssueWidth)
 	issueAt := now + sim.Time(cycles)*c.cfg.CycleTime
 
-	done, err := c.access(issueAt, c.cfg.ID, op)
+	done, err := c.mem.Access(issueAt, c.cfg.ID, op)
 	if err != nil {
 		c.err = err
 		c.retire(issueAt)
@@ -343,7 +353,7 @@ func (c *Core) stepOoO(now sim.Time) {
 		}
 	}
 
-	done, err := c.access(issueAt, c.cfg.ID, op)
+	done, err := c.mem.Access(issueAt, c.cfg.ID, op)
 	if err != nil {
 		c.err = err
 		c.retire(issueAt)

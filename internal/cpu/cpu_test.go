@@ -47,7 +47,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestCoreRetiresBudget(t *testing.T) {
 	e := sim.NewEngine()
-	fixed := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+	var fixed AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 		return now + sim.NS(10), nil
 	}
 	c, err := New(cfg(10000), testGen(t, 0), fixed)
@@ -75,7 +75,7 @@ func TestBlockingSerializesLatency(t *testing.T) {
 	// than all-independent stream.
 	run := func(chase float64) sim.Time {
 		e := sim.NewEngine()
-		acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+		var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 			return now + sim.NS(500), nil
 		}
 		c, _ := New(cfg(20000), testGen(t, chase), acc)
@@ -94,7 +94,7 @@ func TestWindowLimitStalls(t *testing.T) {
 	// With a 1-entry window, even independent accesses serialize.
 	run := func(window int) sim.Time {
 		e := sim.NewEngine()
-		acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+		var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 			return now + sim.NS(1000), nil
 		}
 		c := cfg(5000)
@@ -114,7 +114,7 @@ func TestWindowLimitStalls(t *testing.T) {
 func TestAccessErrorAbortsRun(t *testing.T) {
 	e := sim.NewEngine()
 	calls := 0
-	acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+	var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 		calls++
 		if calls == 3 {
 			return 0, errors.New("access denied by STU")
@@ -137,7 +137,7 @@ func TestAccessErrorAbortsRun(t *testing.T) {
 
 func TestBlockedOpsCounted(t *testing.T) {
 	e := sim.NewEngine()
-	acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) { return now, nil }
+	var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) { return now, nil }
 	c, _ := New(cfg(5000), testGen(t, 0.5), acc)
 	c.Start(e)
 	e.Run(0)
@@ -148,7 +148,7 @@ func TestBlockedOpsCounted(t *testing.T) {
 
 func TestSetBudgetResumesAfterRetirement(t *testing.T) {
 	e := sim.NewEngine()
-	acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+	var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 		return now + sim.NS(5), nil
 	}
 	c, _ := New(cfg(1000), testGen(t, 0), acc)
@@ -215,7 +215,7 @@ func TestRetireWaitsForOutstanding(t *testing.T) {
 	e := sim.NewEngine()
 	const lat = sim.Time(1_000_000) // 1µs per access, far beyond the step gaps
 	var lastDone sim.Time
-	acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+	var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 		lastDone = now + lat
 		return lastDone, nil
 	}
@@ -235,7 +235,7 @@ func TestRetireWaitsForOutstanding(t *testing.T) {
 func TestCoreDeterministicAcrossRuns(t *testing.T) {
 	run := func() *Core {
 		e := sim.NewEngine()
-		acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+		var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 			return now + sim.Time(op.Addr%977), nil
 		}
 		c, _ := New(cfg(20000), testGen(t, 0.3), acc)
@@ -254,7 +254,7 @@ func TestCoreDeterministicAcrossRuns(t *testing.T) {
 
 func TestSetBudgetKeepsAbortError(t *testing.T) {
 	e := sim.NewEngine()
-	acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+	var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 		return 0, errors.New("denied")
 	}
 	c, _ := New(cfg(100), testGen(t, 0), acc)

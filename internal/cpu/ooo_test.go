@@ -42,7 +42,7 @@ func TestOoOWindowOneMatchesInOrder(t *testing.T) {
 	for _, chase := range []float64{0, 0.3, 1.0} {
 		run := func(c Config) *Core {
 			e := sim.NewEngine()
-			acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+			var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 				return now + sim.NS(40) + sim.Time(op.Addr%977), nil
 			}
 			core, err := New(c, testGen(t, chase), acc)
@@ -103,7 +103,7 @@ func TestOoORunAheadBoundedByWindow(t *testing.T) {
 	ops[0].Blocking = true
 	var chainDone sim.Time
 	earlyIssues := 0
-	acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+	var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 		if op.Blocking {
 			chainDone = now + chainLat
 			return chainDone, nil
@@ -136,7 +136,7 @@ func TestOoORunAheadBoundedByWindow(t *testing.T) {
 func TestOoOWiderWindowRunsFaster(t *testing.T) {
 	run := func(window int) sim.Time {
 		e := sim.NewEngine()
-		acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+		var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 			return now + sim.NS(200) + sim.Time(op.Addr%503), nil
 		}
 		core, err := New(ooocfg(20000, window, 0), testGen(t, 0.5), acc)
@@ -159,7 +159,7 @@ func TestOoOWiderWindowRunsFaster(t *testing.T) {
 func TestOoOSchedulerLatencySerializes(t *testing.T) {
 	run := func(schedLat int) sim.Time {
 		e := sim.NewEngine()
-		acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+		var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 			return now + sim.NS(100), nil
 		}
 		core, err := New(ooocfg(10000, 1, schedLat), testGen(t, 1.0), acc)
@@ -184,7 +184,7 @@ func TestOoOSchedulerLatencySerializes(t *testing.T) {
 // chain register carried across retirement would delay the first resumed
 // load.
 func TestOoORetireDrainsScheduler(t *testing.T) {
-	acc := func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
+	var acc AccessFunc = func(now sim.Time, id int, op workload.Op) (sim.Time, error) {
 		return now + sim.NS(50), nil
 	}
 	src := &tapSource{Source: testGen(t, 1.0)}

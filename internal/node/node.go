@@ -4,7 +4,7 @@
 // node-physical space, and — depending on the scheme — the DeACT FAM
 // translator or the I-FAM/E-FAM access paths to the fabric-attached memory.
 //
-// The node implements the cpu.AccessFunc contract: every memory reference
+// The node implements the cpu.Memory contract: every memory reference
 // is charged through TLB → node page table walk (on miss) → caches →
 // local DRAM or the scheme-specific FAM path.
 //
@@ -17,6 +17,7 @@ package node
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"deact/internal/acm"
@@ -181,9 +182,9 @@ func (c Config) Validate() error {
 }
 
 // MaxTenants is the maximum number of distinct tenants a run can tag
-// traffic with. It bounds the fixed per-tenant histogram array in Stats:
-// fixed arrays (not slices) keep Stats a plain value, so reading it is a
-// deep copy and recording stays allocation-free.
+// traffic with. It bounds the node's fixed per-tenant recording array, so
+// recording stays allocation-free; Stats.Tenants carries only the sets of
+// the run's own tenants.
 const MaxTenants = 8
 
 // TenantLatency is one tenant's latency distributions on a node, split the
@@ -238,9 +239,10 @@ type Stats struct {
 	Prefetch PrefetchStats
 
 	// Tenants holds per-tenant latency distributions, indexed by
-	// workload.Op.Tenant. Single-tenant runs record everything under
-	// index 0.
-	Tenants [MaxTenants]TenantLatency
+	// workload.Op.Tenant, one set per tenant of the run. Single-tenant runs
+	// record everything under index 0. Node.Stats leaves it nil;
+	// Node.TenantLatencies fills it.
+	Tenants []TenantLatency
 }
 
 // Node is one compute node.
@@ -274,6 +276,9 @@ type Node struct {
 	walkPorts []walkPort
 
 	stats Stats
+	// tenants records each tenant's latency distributions (indexed by
+	// workload.Op.Tenant); TenantLatencies copies the run's share out.
+	tenants [MaxTenants]TenantLatency
 }
 
 // New builds a node attached to the shared broker, fabric and FAM device.
@@ -338,7 +343,7 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 
 	// Node page table: kernel table pages follow the same 20/80 placement
 	// as data (the property that inflates I-FAM's nested walks).
-	n.pt, err = pagetable.NewInArena(a, "pagetable.node", fmt.Sprintf("node%d.pt", cfg.ID), n.tablePage)
+	n.pt, err = pagetable.NewInArena(a, "pagetable.node", pageTableName(cfg.ID), n)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +354,7 @@ func NewInArena(a *arena.Arena, cfg Config, brk *broker.Broker, fab *fabric.Fabr
 		if err != nil {
 			return nil, err
 		}
-		n.stuU, err = stu.NewInArena(a, cfg.STU, cfg.ID, cfg.Layout, brk.Meta(), tbl, n.famAT, n.mapFAM)
+		n.stuU, err = stu.NewInArena(a, cfg.STU, cfg.ID, cfg.Layout, brk.Meta(), tbl, n, n)
 		if err != nil {
 			return nil, err
 		}
@@ -427,14 +432,15 @@ func (n *Node) famRT(now sim.Time, fa addr.FAddr, write bool) sim.Time {
 	return n.fab.Traverse(done, fabric.ToNode)
 }
 
-// famAT is the STU's FAM access path; every call is translation metadata
-// traffic (FAM page-table steps, ACM blocks, bitmaps).
-func (n *Node) famAT(now sim.Time, fa addr.FAddr, write bool) sim.Time {
+// MetadataAccess implements stu.FAMPath, the STU's FAM access path; every
+// call is translation metadata traffic (FAM page-table steps, ACM blocks,
+// bitmaps).
+func (n *Node) MetadataAccess(now sim.Time, fa addr.FAddr, write bool) sim.Time {
 	n.stats.FAMAT++
 	return n.famRT(now, fa, write)
 }
 
-// Access implements cpu.AccessFunc: one full memory reference. The op's
+// Access implements cpu.Memory: one full memory reference. The op's
 // tenant tag selects which per-tenant histogram set observes the
 // reference's translation and access latency; recording is observation
 // only (no RNG draws, no timing effect), so tagged and untagged runs are
@@ -444,7 +450,7 @@ func (n *Node) Access(now sim.Time, coreID int, op workload.Op) (sim.Time, error
 	if tid >= MaxTenants { // out-of-contract tags clamp rather than corrupt
 		tid = MaxTenants - 1
 	}
-	ts := &n.stats.Tenants[tid]
+	ts := &n.tenants[tid]
 	npPage, t, err := n.translate(now, coreID, op.Addr.Page())
 	if err != nil {
 		return t, err
@@ -526,15 +532,35 @@ func (n *Node) allocPage() (addr.NPPage, error) {
 	return p, nil
 }
 
-// tablePage places one node page-table page.
-func (n *Node) tablePage() (uint64, error) {
+// AllocTablePage implements pagetable.PageAllocator for the node page
+// table: it places one table page the way the OS places data.
+func (n *Node) AllocTablePage() (uint64, error) {
 	p, err := n.allocPage()
 	return uint64(p), err
 }
 
-// mapFAM is the STU's broker fault service for the node's pages.
-func (n *Node) mapFAM(np addr.NPPage) (addr.FPage, error) {
+// MapFAM implements stu.Mapper, the STU's broker fault service for the
+// node's pages.
+func (n *Node) MapFAM(np addr.NPPage) (addr.FPage, error) {
 	return n.brk.MapForNode(n.cfg.ID, np)
+}
+
+// pageTableNames holds the node page tables' names, "node<id>.pt", for
+// the node IDs of runs of up to 16 nodes, so building a node formats no
+// string.
+var pageTableNames = func() (names [17]string) {
+	for i := range names {
+		names[i] = "node" + strconv.Itoa(i) + ".pt"
+	}
+	return names
+}()
+
+// pageTableName returns node id's page-table name.
+func pageTableName(id uint16) string {
+	if int(id) < len(pageTableNames) {
+		return pageTableNames[id]
+	}
+	return "node" + strconv.Itoa(int(id)) + ".pt"
 }
 
 // osFault performs the OS' first-touch allocation for vp.
@@ -675,14 +701,23 @@ func (n *Node) Bind(c sim.Clock) {
 	}
 }
 
-// Stats returns the node's counters.
+// Stats returns the node's counters, without the per-tenant latency
+// distributions (Tenants is nil).
 func (n *Node) Stats() Stats { return n.stats }
+
+// TenantLatencies copies the latency distributions of tenants 0 to
+// len(dst)-1 into dst and returns it. len(dst) is at most MaxTenants.
+func (n *Node) TenantLatencies(dst []TenantLatency) []TenantLatency {
+	copy(dst, n.tenants[:len(dst)])
+	return dst
+}
 
 // ResetStats zeroes the node's counters and those of its STU, translator
 // and cache hierarchy, so a later read covers only what follows. Cached
 // state, mappings and reservations stay.
 func (n *Node) ResetStats() {
 	n.stats = Stats{}
+	n.tenants = [MaxTenants]TenantLatency{}
 	if n.stuU != nil {
 		n.stuU.ResetStats()
 	}

@@ -54,9 +54,17 @@ const MaxValue = 1<<32 - 2
 
 // PageAllocator provides physical pages for table nodes. The node page
 // table allocates from node-physical space (so kernel tables follow the
-// same 20/80 DRAM/FAM split as data); the FAM page table allocates from the
-// broker's FAM pool.
-type PageAllocator func() (pageNumber uint64, err error)
+// same 20/80 DRAM/FAM split as data), through *node.Node; the FAM page
+// table allocates from the broker's FAM pool, through *broker.Broker.
+type PageAllocator interface {
+	AllocTablePage() (pageNumber uint64, err error)
+}
+
+// AllocFunc adapts a function to PageAllocator.
+type AllocFunc func() (pageNumber uint64, err error)
+
+// AllocTablePage calls f.
+func (f AllocFunc) AllocTablePage() (uint64, error) { return f() }
 
 // tnode is one 512-entry table page. Interior nodes store child arena
 // indices + 1 in slots (0 = no child); leaf (PTE-level) nodes store mapped
@@ -117,7 +125,7 @@ func (t *Table) Recycle(a *arena.Arena) {
 // Callers must not hold *tnode pointers across this call (the arena may
 // move); they re-index through t.nodes.
 func (t *Table) newNode() (uint32, error) {
-	p, err := t.alloc()
+	p, err := t.alloc.AllocTablePage()
 	if err != nil {
 		return 0, fmt.Errorf("pagetable %s: allocating table node: %w", t.name, err)
 	}
@@ -284,6 +292,16 @@ func (t *Table) Mapped() uint64 { return t.mapped }
 
 // TableNodes returns the number of physical pages consumed by table nodes.
 func (t *Table) TableNodes() uint64 { return t.tableNodes }
+
+// TablePages calls yield with the physical page of every table node, root
+// first, until yield returns false.
+func (t *Table) TablePages(yield func(phys uint64) bool) {
+	for i := range t.nodes {
+		if !yield(t.nodes[i].phys) {
+			return
+		}
+	}
+}
 
 // RootPhys returns the physical page of the root table (the CR3 analogue).
 func (t *Table) RootPhys() uint64 { return t.nodes[0].phys }

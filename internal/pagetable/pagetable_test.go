@@ -9,11 +9,11 @@ import (
 // seqAlloc hands out sequential page numbers starting at base.
 func seqAlloc(base uint64) PageAllocator {
 	next := base
-	return func() (uint64, error) {
+	return AllocFunc(func() (uint64, error) {
 		p := next
 		next++
 		return p, nil
-	}
+	})
 }
 
 func TestNewRequiresAllocator(t *testing.T) {
@@ -168,12 +168,12 @@ func TestNodePhysAt(t *testing.T) {
 }
 
 func TestAllocatorFailurePropagates(t *testing.T) {
-	fails := func() (uint64, error) { return 0, errors.New("pool exhausted") }
+	var fails AllocFunc = func() (uint64, error) { return 0, errors.New("pool exhausted") }
 	if _, err := New("t", fails); err == nil {
 		t.Fatal("root allocation failure ignored")
 	}
 	count := 0
-	flaky := func() (uint64, error) {
+	var flaky AllocFunc = func() (uint64, error) {
 		count++
 		if count > 1 {
 			return 0, errors.New("pool exhausted")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"deact/internal/core"
+	"deact/internal/node"
 )
 
 // FuzzLookup feeds arbitrary bytes to the store as an on-disk entry file
@@ -41,6 +42,14 @@ func FuzzLookup(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"Model":"bogus"}`))
+	// A well-bound envelope whose node holds two tenant sets for a
+	// single-tenant config: a result no run produces.
+	twoSets, err := json.Marshal(Entry{Model: core.ModelVersion, Fingerprint: fp, Config: cfg,
+		Result: core.Result{Instructions: 100, NodeStats: []node.Stats{{Tenants: make([]node.TenantLatency, 2)}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(twoSets)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -56,6 +65,9 @@ func FuzzLookup(f *testing.F) {
 			// A hit must be a bit-exact, correctly addressed envelope.
 			if e.Fingerprint != fp || e.Config.Fingerprint() != fp {
 				t.Fatalf("hit with broken binding: %+v", e)
+			}
+			if !tenantShaped(e) {
+				t.Fatalf("hit with misshaped tenant sets: %+v", e.Result.NodeStats)
 			}
 			var want Entry
 			if json.Unmarshal(data, &want) != nil {

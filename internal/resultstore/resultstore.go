@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"deact/internal/core"
+	"deact/internal/node"
 )
 
 // DefaultMaxBytes caps the store footprint when Open is given 0: enough
@@ -169,7 +170,8 @@ func (s *Store) path(fp string) string { return filepath.Join(s.dir, fp+".json")
 
 // Get returns the stored result for cfg, if a valid entry exists. Any
 // read or decode failure — missing file, truncated write survivor,
-// corrupted bytes, mismatched fingerprint — is a cache miss, never an
+// corrupted bytes, mismatched fingerprint, a node holding other than its
+// config's number of tenant latency sets — is a cache miss, never an
 // error: the caller simulates and re-persists.
 func (s *Store) Get(cfg core.Config) (core.Result, bool) {
 	e, ok := s.Lookup(cfg.Fingerprint())
@@ -194,12 +196,24 @@ func (s *Store) Lookup(fp string) (Entry, bool) {
 	// Bind the payload to its address and semantics: a renamed file, a
 	// foreign entry or a stale model tag must miss, and the embedded
 	// config must actually hash to the address it is filed under.
-	if e.Model != s.model || e.Fingerprint != fp || e.Config.Fingerprint() != fp {
+	if e.Model != s.model || e.Fingerprint != fp || e.Config.Fingerprint() != fp || !tenantShaped(e) {
 		s.drop(fp)
 		return Entry{}, false
 	}
 	s.touch(fp, int64(len(data)))
 	return e, true
+}
+
+// tenantShaped reports whether every node of e's result holds exactly
+// one latency set per tenant of its config, as a run produces.
+func tenantShaped(e Entry) bool {
+	want := e.Config.TenantCount()
+	for _, ns := range e.Result.NodeStats {
+		if len(ns.Tenants) != want || len(ns.Tenants) > node.MaxTenants {
+			return false
+		}
+	}
+	return true
 }
 
 // touch marks fp most recently used (indexing it if scan never saw it)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"deact/internal/core"
+	"deact/internal/node"
 )
 
 // storeTestConfig is a small-but-real run; tenants=2 populates the
@@ -339,5 +340,98 @@ func TestStorePutAsEqualsPut(t *testing.T) {
 	}
 	if b.Len() != 1 {
 		t.Fatalf("store indexes %d entries, want the one valid entry", b.Len())
+	}
+}
+
+// TestStoreDropsMisshapedTenantSets: an entry whose nodes hold other than
+// their config's number of tenant latency sets, or more than
+// node.MaxTenants, is a result no run produces. It is a miss, and its
+// file is reclaimed.
+func TestStoreDropsMisshapedTenantSets(t *testing.T) {
+	st, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := storeTestConfig(core.DeACTN, "mcf", 42) // two tenants
+	res := mustRun(t, cfg)
+	oversized := cfg
+	oversized.Tenants = node.MaxTenants + 1
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		sets []int // per node
+	}{
+		{"too-few", cfg, []int{1}},
+		{"too-many", cfg, []int{3}},
+		{"none", cfg, []int{0}},
+		{"one-node-off", cfg, []int{2, 1}},
+		{"over-max", oversized, []int{node.MaxTenants + 1}},
+	} {
+		r := res
+		r.NodeStats = nil
+		for _, n := range tc.sets {
+			r.NodeStats = append(r.NodeStats, node.Stats{Tenants: make([]node.TenantLatency, n)})
+		}
+		fp := tc.cfg.Fingerprint()
+		body, err := json.Marshal(Entry{Model: core.ModelVersion, Fingerprint: fp, Config: tc.cfg, Result: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.path(fp), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Lookup(fp); ok {
+			t.Errorf("%s: misshaped entry served", tc.name)
+		}
+		if _, statErr := os.Stat(st.path(fp)); !os.IsNotExist(statErr) {
+			t.Errorf("%s: misshaped entry not reclaimed", tc.name)
+		}
+	}
+}
+
+// TestStoredEntryEqualsFreshRuns: a stored entry, read back through a
+// fresh handle, decodes deeply equal to a fresh unpooled run and to a
+// warm pooled run of its config, at one and at four tenants, whose nodes
+// hold one and four latency sets.
+func TestStoredEntryEqualsFreshRuns(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenants := range []int{1, 4} {
+		cfg := storeTestConfig(core.IFAM, "canl", 3)
+		cfg.Nodes = 2
+		cfg.Tenants = tenants
+		unpooled := mustRun(t, cfg)
+		pool := core.NewSystemPool()
+		var pooled core.Result
+		for i := 0; i < 2; i++ { // the second run is built from recycled memory
+			if pooled, err = core.Run(context.Background(), cfg, core.WithPool(pool)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Put(cfg, unpooled); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := fresh.Get(cfg)
+		if !ok {
+			t.Fatalf("tenants %d: stored entry missed", tenants)
+		}
+		for i, ns := range got.NodeStats {
+			if len(ns.Tenants) != tenants {
+				t.Fatalf("tenants %d: node %d holds %d latency sets", tenants, i, len(ns.Tenants))
+			}
+		}
+		if !reflect.DeepEqual(got, unpooled) {
+			t.Errorf("tenants %d: stored entry differs from the unpooled run", tenants)
+		}
+		if !reflect.DeepEqual(got, pooled) {
+			t.Errorf("tenants %d: stored entry differs from the pooled run", tenants)
+		}
 	}
 }

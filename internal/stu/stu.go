@@ -128,11 +128,34 @@ func (c Config) pairsPerWay() int {
 	return 2
 }
 
-// FAMAccessFunc performs one 64B access to the FAM device across the fabric
-// and returns its completion time. The STU uses it for page-table, ACM and
+// FAMPath performs one 64B access to the FAM device across the fabric and
+// returns its completion time. The STU uses it for page-table, ACM and
 // bitmap traffic — all of which count as address-translation requests at
-// the FAM (Figures 4 and 11).
+// the FAM (Figures 4 and 11). *node.Node implements it.
+type FAMPath interface {
+	MetadataAccess(now sim.Time, a addr.FAddr, write bool) sim.Time
+}
+
+// FAMAccessFunc adapts a function to FAMPath.
 type FAMAccessFunc func(now sim.Time, a addr.FAddr, write bool) sim.Time
+
+// MetadataAccess calls f.
+func (f FAMAccessFunc) MetadataAccess(now sim.Time, a addr.FAddr, write bool) sim.Time {
+	return f(now, a, write)
+}
+
+// Mapper is the broker's allocation service for a node page with no FAM
+// mapping yet: it backs the page and returns its FAM page. *node.Node
+// implements it for its own pages.
+type Mapper interface {
+	MapFAM(np addr.NPPage) (addr.FPage, error)
+}
+
+// MapFunc adapts a function to Mapper.
+type MapFunc func(np addr.NPPage) (addr.FPage, error)
+
+// MapFAM calls f.
+func (f MapFunc) MapFAM(np addr.NPPage) (addr.FPage, error) { return f(np) }
 
 // Stats aggregates STU activity.
 type Stats struct {
@@ -155,8 +178,8 @@ type STU struct {
 	nodeID  uint16
 	layout  addr.Layout
 	meta    *acm.Store
-	famRead FAMAccessFunc
-	fault   func(np addr.NPPage) (addr.FPage, error) // broker allocation callback
+	famRead FAMPath
+	fault   Mapper // broker allocation service; nil if none
 
 	port sim.Server
 	// pooled is the arena buffer the port's calendar came from; the port
@@ -180,16 +203,14 @@ type STU struct {
 // allocation service for unmapped node pages (may be nil if the OS
 // pre-installs mappings on first touch).
 func New(cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
-	table *pagetable.Table, fam FAMAccessFunc,
-	fault func(np addr.NPPage) (addr.FPage, error)) (*STU, error) {
+	table *pagetable.Table, fam FAMPath, fault Mapper) (*STU, error) {
 	return NewInArena(nil, cfg, nodeID, layout, meta, table, fam, fault)
 }
 
 // NewInArena is New drawing the STU, its cache, PTW cache, walk buffer and
 // port calendar from a. A nil arena allocates normally.
 func NewInArena(a *arena.Arena, cfg Config, nodeID uint16, layout addr.Layout, meta *acm.Store,
-	table *pagetable.Table, fam FAMAccessFunc,
-	fault func(np addr.NPPage) (addr.FPage, error)) (*STU, error) {
+	table *pagetable.Table, fam FAMPath, fault Mapper) (*STU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -276,7 +297,7 @@ func (s *STU) verify(now sim.Time, fp addr.FPage, want acm.Perm) (sim.Time, acm.
 		s.stats.ACMMisses++
 		// Fetch the 64B metadata block from FAM and fill the cache with
 		// the coverage the organization provides.
-		t = s.famRead(t, s.layout.ACMBlockAddr(fp), false)
+		t = s.famRead.MetadataAccess(t, s.layout.ACMBlockAddr(fp), false)
 		s.stats.ACMFetches++
 		s.cache.Insert(s.acmTag(fp), 0)
 	}
@@ -291,7 +312,7 @@ func (s *STU) verify(now sim.Time, fp addr.FPage, want acm.Perm) (sim.Time, acm.
 func (s *STU) decide(t sim.Time, fp addr.FPage, want acm.Perm) (sim.Time, acm.Decision) {
 	d := s.meta.Check(fp, s.nodeID, want)
 	if d.BitmapFetch {
-		t = s.famRead(t, s.layout.BitmapBlockAddr(fp.Huge(), s.nodeID), false)
+		t = s.famRead.MetadataAccess(t, s.layout.BitmapBlockAddr(fp.Huge(), s.nodeID), false)
 		s.stats.BitmapFetches++
 	}
 	if !d.Allowed {
@@ -331,7 +352,7 @@ type walkPort struct{ s *STU }
 
 func (p walkPort) ReadEntry(now sim.Time, entryAddr uint64) (sim.Time, error) {
 	p.s.stats.PTWSteps++
-	return p.s.famRead(now, addr.FAddr(entryAddr), false), nil
+	return p.s.famRead.MetadataAccess(now, addr.FAddr(entryAddr), false), nil
 }
 
 func (p walkPort) Fault(key uint64) (uint64, error) {
@@ -339,7 +360,7 @@ func (p walkPort) Fault(key uint64) (uint64, error) {
 	if s.fault == nil {
 		return 0, fmt.Errorf("stu(node %d): node page %#x has no FAM mapping", s.nodeID, npPage)
 	}
-	fp, err := s.fault(npPage)
+	fp, err := s.fault.MapFAM(npPage)
 	if err != nil {
 		return 0, fmt.Errorf("stu(node %d): broker fault for node page %#x: %w", s.nodeID, npPage, err)
 	}
@@ -380,7 +401,7 @@ func (s *STU) TranslateAndVerify(now sim.Time, npPage addr.NPPage, want acm.Perm
 			return t, 0, acm.Decision{}, err
 		}
 		// The coupled entry needs the metadata too: one ACM block fetch.
-		t = s.famRead(t, s.layout.ACMBlockAddr(fp), false)
+		t = s.famRead.MetadataAccess(t, s.layout.ACMBlockAddr(fp), false)
 		s.stats.ACMFetches++
 		s.cache.Insert(uint64(npPage), uint64(fp))
 	}

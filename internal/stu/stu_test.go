@@ -32,11 +32,11 @@ func newFixture(t testing.TB, cfg Config, nodeID uint16) *fixture {
 		t.Fatal(err)
 	}
 	f := &fixture{b: b}
-	fam := func(now sim.Time, a addr.FAddr, write bool) sim.Time {
+	var fam FAMAccessFunc = func(now sim.Time, a addr.FAddr, write bool) sim.Time {
 		f.famReads++
 		return now + sim.US(1) // 500ns each way, service folded in
 	}
-	fault := func(np addr.NPPage) (addr.FPage, error) { return b.MapForNode(nodeID, np) }
+	var fault MapFunc = func(np addr.NPPage) (addr.FPage, error) { return b.MapForNode(nodeID, np) }
 	s, err := New(cfg, nodeID, layout(), b.Meta(), tbl, fam, fault)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestBrokerFaultPath(t *testing.T) {
 	// No fault handler: error.
 	tbl, _ := f.b.NodeTable(10)
 	s2, err := New(defaultCfg(OrgDeACTN), 10, layout(), f.b.Meta(), tbl,
-		func(now sim.Time, a addr.FAddr, w bool) sim.Time { return now }, nil)
+		FAMAccessFunc(func(now sim.Time, a addr.FAddr, w bool) sim.Time { return now }), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

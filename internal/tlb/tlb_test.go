@@ -136,7 +136,7 @@ func TestMMUBadConfig(t *testing.T) {
 
 func seqAlloc() pagetable.PageAllocator {
 	next := uint64(1000)
-	return func() (uint64, error) { next++; return next, nil }
+	return pagetable.AllocFunc(func() (uint64, error) { next++; return next, nil })
 }
 
 func TestPTWCacheShortensWalks(t *testing.T) {

@@ -67,11 +67,18 @@ type Stats struct {
 	SlotStallsPS sim.Time // time spent waiting for an outstanding-list slot
 }
 
+// entry is one cached mapping as the host stores it: np1 is the node page
+// + 1, with 0 marking an empty or invalidated entry, and fp is the FAM
+// page. Both fit 32 bits because addr.Layout.Validate bounds every node
+// and FAM page number below addr.MaxPages, so the modelled 104-bit entry
+// takes 8 host bytes.
 type entry struct {
-	np    addr.NPPage
-	fp    addr.FPage
-	valid bool
+	np1 uint32
+	fp  uint32
 }
+
+// key returns the np1 value an entry caching np holds.
+func key(np addr.NPPage) uint32 { return uint32(np) + 1 }
 
 // Translator is one node's FAM translator.
 type Translator struct {
@@ -93,9 +100,9 @@ func New(cfg Config, dram *memdev.Device, seed int64) (*Translator, error) {
 	return NewInArena(nil, cfg, dram, seed)
 }
 
-// NewInArena is New drawing the translator, its line array — the
-// second-largest single allocation a DeACT system makes — the
-// outstanding-list slots and the replacement source from a. A nil arena
+// NewInArena is New drawing the translator, its line array (8 host
+// bytes per entry, half of CacheBytes), the outstanding-list slots and the
+// replacement source from a. A nil arena
 // allocates normally.
 func NewInArena(a *arena.Arena, cfg Config, dram *memdev.Device, seed int64) (*Translator, error) {
 	if err := cfg.Validate(); err != nil {
@@ -146,10 +153,11 @@ func (t *Translator) Lookup(now sim.Time, np addr.NPPage) (done sim.Time, fp add
 	done = t.dram.Access(now, t.lineAddr(set), false)
 	t.stats.DRAMReads++
 	done += t.cfg.TagMatchTime
+	k := key(np)
 	for _, e := range t.line(set) {
-		if e.valid && e.np == np {
+		if e.np1 == k {
 			t.stats.Hits++
-			return done, e.fp, true
+			return done, addr.FPage(e.fp), true
 		}
 	}
 	t.stats.Misses++
@@ -165,20 +173,21 @@ func (t *Translator) Update(now sim.Time, np addr.NPPage, fp addr.FPage) (done s
 	done = t.dram.Access(now, t.lineAddr(set), false)
 	t.stats.DRAMReads++
 	line := t.line(set)
+	k := key(np)
 	slot := -1
 	for i, e := range line {
-		if e.valid && e.np == np {
+		if e.np1 == k {
 			slot = i
 			break
 		}
-		if !e.valid && slot < 0 {
+		if e.np1 == 0 && slot < 0 {
 			slot = i
 		}
 	}
 	if slot < 0 {
 		slot = t.rng.Intn(EntriesPerLine)
 	}
-	line[slot] = entry{np: np, fp: fp, valid: true}
+	line[slot] = entry{np1: k, fp: uint32(fp)}
 	done = t.dram.Access(done, t.lineAddr(set), true)
 	t.stats.DRAMWrites++
 	return done
@@ -205,9 +214,10 @@ func (t *Translator) ReserveSlot(now sim.Time, completion func(start sim.Time) s
 // system-level shootdown).
 func (t *Translator) Invalidate(np addr.NPPage) bool {
 	line := t.line(t.setFor(np))
+	k := key(np)
 	for i, e := range line {
-		if e.valid && e.np == np {
-			line[i].valid = false
+		if e.np1 == k {
+			line[i].np1 = 0
 			t.stats.Invalidates++
 			return true
 		}
@@ -224,8 +234,8 @@ func (t *Translator) InvalidateAll() (dirtyLines uint64) {
 		line := t.line(set)
 		touched := false
 		for i := range line {
-			if line[i].valid {
-				line[i].valid = false
+			if line[i].np1 != 0 {
+				line[i].np1 = 0
 				touched = true
 			}
 		}
@@ -243,13 +253,14 @@ func (t *Translator) InvalidateAll() (dirtyLines uint64) {
 // STU must catch whatever comes out of it.
 func (t *Translator) Corrupt(np addr.NPPage, fp addr.FPage) {
 	line := t.line(t.setFor(np))
+	k := key(np)
 	for i, e := range line {
-		if e.valid && e.np == np {
-			line[i].fp = fp
+		if e.np1 == k {
+			line[i].fp = uint32(fp)
 			return
 		}
 	}
-	line[t.rng.Intn(EntriesPerLine)] = entry{np: np, fp: fp, valid: true}
+	line[t.rng.Intn(EntriesPerLine)] = entry{np1: k, fp: uint32(fp)}
 }
 
 // Stats returns a copy of the counters.

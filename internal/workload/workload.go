@@ -214,25 +214,28 @@ type Generator struct {
 // NewGenerator builds a deterministic generator for profile p. Each core
 // should use a distinct seed so the cores do not ride in lockstep.
 func NewGenerator(p Profile, seed int64) (*Generator, error) {
-	return newGenerator(p, rand.New(rand.NewSource(seed)))
+	return newGenerator(nil, p, rand.New(rand.NewSource(seed)))
 }
 
-// newGenerator builds a generator drawing from rng.
-func newGenerator(p Profile, rng *rand.Rand) (*Generator, error) {
+// newGenerator builds a generator drawing from rng, its header drawn from
+// a (nil allocates normally).
+func newGenerator(a *arena.Arena, p Profile, rng *rand.Rand) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if p.StrideBlocks <= 0 {
 		p.StrideBlocks = 1
 	}
-	return &Generator{
+	g := arena.Alloc[Generator](a, "workload.Generator")
+	*g = Generator{
 		p:         p,
 		rng:       rng,
 		fpBlocks:  p.FootprintPages * blocksPerPage,
 		hotBlocks: p.HotPages * blocksPerPage,
 		meanGap:   1000/p.MemPer1000 - 1,
 		skew:      skewTableFor(p.FootprintPages, p.SkewExp),
-	}, nil
+	}
+	return g, nil
 }
 
 // Profile returns the generator's profile.
@@ -243,9 +246,10 @@ func (g *Generator) Profile() Profile { return g.p }
 // generator produces the identical reference stream as an untagged one.
 func (g *Generator) SetTenant(t uint8) { g.tenant = t }
 
-// release hands the generator's random source back to a.
+// release hands the generator's random source and header back to a.
 func (g *Generator) release(a *arena.Arena) {
 	arena.ReleaseRand(a, g.rng)
+	arena.Free(a, "workload.Generator", g)
 }
 
 // uint64n returns a uniform value in [0, n) without modulo bias. Powers of
@@ -354,7 +358,7 @@ func NewSource(p Profile, seed int64) (Source, error) {
 func NewSourceInArena(a *arena.Arena, p Profile, seed int64) (Source, error) {
 	switch p.Pattern {
 	case "", PatternSkew:
-		return newGenerator(p, arena.Rand(a, seed))
+		return newGenerator(a, p, arena.Rand(a, seed))
 	case PatternPointerChase:
 		return newPointerChase(p, seed, arena.Rand(a, seed))
 	case PatternGraphFrontier:
