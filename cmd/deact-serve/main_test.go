@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"deact/internal/addr"
 	"deact/internal/experiments"
 	"deact/internal/resultstore"
 )
@@ -458,5 +459,30 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	health.Body.Close()
 	if health.StatusCode != http.StatusOK {
 		t.Errorf("GET /healthz = %d", health.StatusCode)
+	}
+}
+
+// TestServeLargestPoolCostsNoMore: a POST naming the largest FAM pool
+// addr.Layout.Validate accepts (~16TB) is simulated with host memory that
+// follows the pages the run touches, not the pool. It answers 200, and the
+// handler allocates at most twice what the same POST on a 1GB pool does.
+func TestServeLargestPoolCostsNoMore(t *testing.T) {
+	allocated := func(famSize uint64) uint64 {
+		s := newServer(experiments.Options{Warmup: 1_000, Measure: 2_000, Cores: 1, Seed: 42, Parallelism: 1})
+		t.Cleanup(s.runner.WaitIdle)
+		body := fmt.Sprintf(`{"Benchmark":"sp","Scheme":"deact-n","WarmupInstructions":2000,"MeasureInstructions":2000,"Layout":{"FAMSize":%d}}`, famSize)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /run %s = %d: %s", body, rec.Code, rec.Body)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small := allocated(1 << 30)
+	if largest := allocated(addr.MaxPages * addr.PageSize); largest > 2*small {
+		t.Errorf("POST on the largest pool allocated %d bytes, %d on a 1GB pool", largest, small)
 	}
 }

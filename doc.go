@@ -54,7 +54,7 @@
 //
 // Construction memory is recycled: core.SystemPool (backed by
 // internal/arena) hands the large zeroed arrays a System is built from —
-// ACM chunk slabs, the broker owner table and free-pool map, translator
+// the ACM page table, the broker's free-pool map, translator
 // lines, cache line arrays, TLB and STU arrays, page-table arenas, OS
 // backing tables — along with its contention calendars, random sources
 // and per-structure headers from run to run, clearing instead of

@@ -12,14 +12,18 @@
 // fetch.
 //
 // The per-page Check sits on the per-FAM-access hot path of every scheme:
-// entries live in dense per-1GB-region chunk slabs (no map on the lookup
-// path, no allocation after a chunk materializes), and the slabs recycle
-// through internal/arena across runs — zeroed on reuse, so a recycled
-// store is indistinguishable from a fresh one.
+// entries live in one page-keyed open-addressing table (no Go map on the
+// lookup path, no allocation once the table has grown), sized by the pages
+// a run owns rather than by the pool, and the table recycles through
+// internal/arena across runs — cleared on reuse, so a recycled store is
+// indistinguishable from a fresh one.
 package acm
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"deact/internal/addr"
 	"deact/internal/arena"
@@ -105,9 +109,7 @@ func Decode(raw uint32, acmBits uint) Entry {
 // slot is one stored per-page entry packed into 4 bytes: the owner in bits
 // 0–15, the permission in bits 16–23 and a presence bit at 24, so a page
 // explicitly set to the zero Entry is distinguishable from an unallocated
-// page (the zero slot). Every Check reads one slot from a chunk too large
-// for the host caches, and 4-byte slots make each 1GB region's chunk 1MB
-// where an {Entry, bool} struct took 1.5MB.
+// page (the zero slot).
 type slot uint32
 
 const slotPresent slot = 1 << 24
@@ -116,22 +118,56 @@ func packSlot(e Entry) slot { return slot(e.Owner) | slot(e.Perm)<<16 | slotPres
 
 func (v slot) entry() Entry { return Entry{Owner: uint16(v), Perm: Perm(uint8(v >> 16))} }
 
+// cell is one page's place in the store's table: the page number + 1 (so
+// the zero cell is empty and a cleared table holds nothing) and its slot.
+// addr.Layout.Validate bounds pool pages below addr.MaxPages, so the key
+// fits 32 bits and a cell is 8 bytes.
+type cell struct {
+	key uint32
+	v   slot
+}
+
+// minCells is the size of a fresh table. The table doubles before more
+// than maxLoadNum/maxLoadDen of its cells fill, which keeps linear probes
+// short.
+const (
+	minCells   = 1 << 10
+	maxLoadNum = 3
+	maxLoadDen = 4
+)
+
+// tableTag is the arena tag of the page table.
+const tableTag = "acm.table"
+
+// region is a carved 1GB region's fill: the slot every sub-page without a
+// cell of its own holds.
+type region struct {
+	huge uint64
+	fill slot
+}
+
 // Store holds the metadata contents for one FAM pool.
 //
-// Per-page entries are stored in dense per-1GB-region chunks rather than a
-// map: the ACM check sits on the per-FAM-access hot path of every scheme,
-// and a chunk index + array load is both allocation-free and an order of
-// magnitude cheaper than hashing. Chunks materialize on first write, so
-// memory scales with the regions actually touched.
+// Per-page entries live in one open-addressing table keyed by page
+// number: linear probing over a power-of-two array of 8-byte cells, found
+// by the top bits of a multiplicative hash. Host memory therefore follows
+// the pages a run owns, not the pool's size. A filled cell is never
+// emptied — Clear stores the zero slot in place — so the table needs no
+// tombstones and a probe stops at the first empty cell. A region carved
+// for sharing is one fill slot, read only for its pages that have no cell.
 type Store struct {
 	layout addr.Layout
-	chunks [][]slot // indexed [page/PagesPerHuge][page%PagesPerHuge]
+	cells  []cell // len is a power of two, at least minCells
+	shift  uint   // 64 − log2(len(cells)): the hash's top bits index the table
+	used   int    // filled cells
+	// fills lists the carved regions in ascending order; nil until the
+	// first MarkShared, so the hot path skips it in unshared runs.
+	fills []region
 	// shared[huge][node] = permission granted to node in the 1GB region.
 	shared map[uint64]map[uint16]Perm
 
-	// a recycles chunk slabs across runs; chunks materialize mid-run (on
-	// first metadata write into a region), so the store keeps the arena it
-	// was built in. nil allocates normally.
+	// a supplies the doubled table when the table grows mid-run. nil
+	// allocates normally.
 	a *arena.Arena
 
 	writes uint64
@@ -142,65 +178,142 @@ func NewStore(layout addr.Layout) *Store {
 	return NewStoreInArena(nil, layout)
 }
 
-// NewStoreInArena is NewStore drawing the store, its region index, its
-// shared-region map and the per-region chunk slabs — at 1MB per touched
-// region, the single largest allocation a run makes — from a. A nil arena
+// NewStoreInArena is NewStore drawing the store, its page table and its
+// shared-region map from a. A recycled table comes back at its full
+// capacity, so a warm run of the same shape never grows it. A nil arena
 // allocates normally.
 func NewStoreInArena(a *arena.Arena, layout addr.Layout) *Store {
-	regions := (layout.FAMSize + addr.HugeSize - 1) / addr.HugeSize
 	s := arena.Alloc[Store](a, "acm.Store")
 	s.layout = layout
-	s.chunks = arena.Slice[[]slot](a, "acm.chunks", int(regions))
+	t := arena.Slice[cell](a, tableTag, 0) // the largest recycled table
+	if cap(t) < minCells {
+		t = arena.Slice[cell](a, tableTag, minCells)
+	} else {
+		t = t[:1<<(bits.Len(uint(cap(t)))-1)]
+		clear(t)
+	}
+	s.setTable(t)
 	s.shared = arena.Map[uint64, map[uint16]Perm](a, "acm.shared")
 	s.a = a
 	return s
 }
 
-// Recycle returns the store, its region index, its shared-region map and
-// the materialized chunk slabs to a for the next run's construction. The
-// store must not be used afterwards.
+// Recycle returns the store, its page table and its shared-region map to
+// a for the next run's construction. The store must not be used
+// afterwards.
 func (s *Store) Recycle(a *arena.Arena) {
-	for i, c := range s.chunks {
-		arena.Release(a, "acm.chunk", c)
-		s.chunks[i] = nil
-	}
-	arena.Release(a, "acm.chunks", s.chunks)
+	arena.Release(a, tableTag, s.cells)
 	arena.ReleaseMap(a, "acm.shared", s.shared)
 	arena.Free(a, "acm.Store", s)
 }
 
-// chunkFor returns the chunk holding p, materializing it if create is set.
-func (s *Store) chunkFor(p addr.FPage, create bool) []slot {
-	idx := p.Huge()
-	for idx >= uint64(len(s.chunks)) {
-		// Out-of-pool pages (tests use synthetic layouts) grow the index.
-		if !create {
-			return nil
-		}
-		s.chunks = append(s.chunks, nil)
-	}
-	c := s.chunks[idx]
-	if c == nil && create {
-		c = arena.Slice[slot](s.a, "acm.chunk", addr.PagesPerHuge)
-		s.chunks[idx] = c
-	}
-	return c
+// setTable installs an empty table t.
+func (s *Store) setTable(t []cell) {
+	s.cells = t
+	s.shift = uint(64 - bits.TrailingZeros(uint(len(t))))
+	s.used = 0
 }
 
-// Set installs the metadata entry for page p.
+// home is the first cell a key probes.
+func (s *Store) home(key uint32) int {
+	return int(uint64(key) * 0x9E3779B97F4A7C15 >> s.shift)
+}
+
+// find returns the index of p's cell, or -1 if p has none.
+func (s *Store) find(p addr.FPage) int {
+	if uint64(p) >= addr.MaxPages {
+		return -1
+	}
+	key := uint32(p) + 1
+	mask := len(s.cells) - 1
+	for i := s.home(key); ; i = (i + 1) & mask {
+		switch s.cells[i].key {
+		case key:
+			return i
+		case 0:
+			return -1
+		}
+	}
+}
+
+// put stores v in p's cell, adding the cell if p has none. p must be below
+// addr.MaxPages.
+func (s *Store) put(p addr.FPage, v slot) {
+	if i := s.find(p); i >= 0 {
+		s.cells[i].v = v
+		return
+	}
+	if (s.used+1)*maxLoadDen > len(s.cells)*maxLoadNum {
+		old := s.cells
+		s.setTable(arena.Slice[cell](s.a, tableTag, 2*len(old)))
+		for _, c := range old {
+			if c.key != 0 {
+				s.insert(c)
+			}
+		}
+	}
+	s.insert(cell{key: uint32(p) + 1, v: v})
+}
+
+// insert places c, whose key the table does not hold, in the first empty
+// cell of its probe sequence.
+func (s *Store) insert(c cell) {
+	mask := len(s.cells) - 1
+	i := s.home(c.key)
+	for s.cells[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	s.cells[i] = c
+	s.used++
+}
+
+// fillOf returns the fill of the carved region huge, or the zero slot if
+// the region is not carved.
+func (s *Store) fillOf(huge uint64) slot {
+	for _, r := range s.fills {
+		if r.huge == huge {
+			return r.fill
+		}
+	}
+	return 0
+}
+
+// slotOf returns the slot page p holds: its cell's, else its carved
+// region's fill, else the zero slot. Pages at or beyond addr.MaxPages hold
+// the zero slot.
+func (s *Store) slotOf(p addr.FPage) slot {
+	if i := s.find(p); i >= 0 {
+		return s.cells[i].v
+	}
+	if s.fills != nil && uint64(p) < addr.MaxPages {
+		return s.fillOf(p.Huge())
+	}
+	return 0
+}
+
+// Set installs the metadata entry for page p. Pages at or beyond
+// addr.MaxPages, which addr.Layout.Validate keeps out of every pool, are
+// refused.
 func (s *Store) Set(p addr.FPage, e Entry) error {
 	if _, err := Encode(e, s.layout.ACMBits); err != nil {
 		return err
 	}
-	s.chunkFor(p, true)[uint64(p)%addr.PagesPerHuge] = packSlot(e)
+	if uint64(p) >= addr.MaxPages {
+		return fmt.Errorf("acm: page %d is beyond the %d pages a store can hold", p, uint64(addr.MaxPages))
+	}
+	s.put(p, packSlot(e))
 	s.writes++
 	return nil
 }
 
-// Clear removes the entry for p (page freed).
+// Clear removes the entry for p (page freed). A page of a carved region
+// without a cell of its own gets a cell holding the zero slot, so it no
+// longer reads its region's fill.
 func (s *Store) Clear(p addr.FPage) {
-	if c := s.chunkFor(p, false); c != nil {
-		c[uint64(p)%addr.PagesPerHuge] = 0
+	if i := s.find(p); i >= 0 {
+		s.cells[i].v = 0
+	} else if s.slotOf(p) != 0 {
+		s.put(p, 0)
 	}
 	s.writes++
 }
@@ -208,43 +321,78 @@ func (s *Store) Clear(p addr.FPage) {
 // Entry returns the metadata for p; unallocated pages decode as
 // {Owner:0, Perm:PermNone}, which denies everyone.
 func (s *Store) Entry(p addr.FPage) Entry {
-	if c := s.chunkFor(p, false); c != nil {
-		return c[uint64(p)%addr.PagesPerHuge].entry()
-	}
-	return Entry{}
+	return s.slotOf(p).entry()
 }
 
 // Has reports whether p has an installed metadata entry.
 func (s *Store) Has(p addr.FPage) bool {
-	c := s.chunkFor(p, false)
-	return c != nil && c[uint64(p)%addr.PagesPerHuge] != 0
+	return s.slotOf(p) != 0
 }
 
 // Entries calls yield for every page that has an installed entry, in
-// ascending page order, until yield returns false. It reads only the
-// materialized chunks. yield may Set the entry of the page it is handed,
-// which rewrites it in place; any other mutation of the store during the
-// iteration is not allowed.
+// ascending page order, until yield returns false: every page of a carved
+// region is included. It sorts a copy of the table, so it allocates and
+// belongs off the hot path. yield may Set the entry of the page it is
+// handed, which rewrites it in place; any other mutation of the store
+// during the iteration is not allowed.
 func (s *Store) Entries(yield func(addr.FPage, Entry) bool) {
-	for ci, c := range s.chunks {
-		base := uint64(ci) * addr.PagesPerHuge
-		for i, v := range c {
-			if v != 0 && !yield(addr.FPage(base+uint64(i)), v.entry()) {
+	// Each cell packs into one word that sorts by page: key<<32 | slot.
+	cells := make([]uint64, 0, s.used)
+	for _, c := range s.cells {
+		if c.key != 0 {
+			cells = append(cells, uint64(c.key)<<32|uint64(c.v))
+		}
+	}
+	slices.Sort(cells)
+	page := func(i int) uint64 { return cells[i]>>32 - 1 }
+	ci := 0
+	// upTo yields the cells of pages below end.
+	upTo := func(end uint64) bool {
+		for ; ci < len(cells) && page(ci) < end; ci++ {
+			if v := slot(cells[ci]); v != 0 && !yield(addr.FPage(page(ci)), v.entry()) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, r := range s.fills {
+		lo := r.huge * addr.PagesPerHuge
+		hi := min(lo+addr.PagesPerHuge, addr.MaxPages)
+		if !upTo(lo) {
+			return
+		}
+		for p := lo; p < hi; p++ {
+			v := r.fill
+			if ci < len(cells) && page(ci) == p {
+				v = slot(cells[ci])
+				ci++
+			}
+			if v != 0 && !yield(addr.FPage(p), v.entry()) {
 				return
 			}
 		}
 	}
+	upTo(addr.MaxPages)
 }
 
 // MarkShared flags every 4KB sub-page of the 1GB region as shared (the
 // paper sets all sub-page node-ID fields to the shared marker when a page
-// becomes shared) with the given default permission.
+// becomes shared) with the given default permission: the region's fill
+// becomes the marker, and every cell already in the region is overwritten
+// with it.
 func (s *Store) MarkShared(huge uint64, defaultPerm Perm) {
-	marker := SharedOwner(s.layout.ACMBits)
-	c := s.chunkFor(addr.FPage(huge*addr.PagesPerHuge), true)
-	fill := packSlot(Entry{Owner: marker, Perm: defaultPerm})
-	for i := range c {
-		c[i] = fill
+	fill := packSlot(Entry{Owner: SharedOwner(s.layout.ACMBits), Perm: defaultPerm})
+	i, found := slices.BinarySearchFunc(s.fills, huge, func(r region, h uint64) int { return cmp.Compare(r.huge, h) })
+	if found {
+		s.fills[i].fill = fill
+	} else {
+		s.fills = slices.Insert(s.fills, i, region{huge: huge, fill: fill})
+	}
+	lo := huge * addr.PagesPerHuge
+	for i, c := range s.cells {
+		if c.key != 0 && uint64(c.key-1)-lo < addr.PagesPerHuge {
+			s.cells[i].v = fill
+		}
 	}
 	s.writes++
 	if s.shared[huge] == nil {

@@ -2,6 +2,7 @@ package acm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -171,16 +172,68 @@ func TestOwnershipQuick(t *testing.T) {
 // benchDecision keeps BenchmarkACMCheck's result live.
 var benchDecision Decision
 
+// BenchmarkACMCheck measures the per-FAM-access policy lookup. The allowed
+// cases scatter their pages across a 16GB pool the way the broker's random
+// placement does, at the occupancies of a 1-node sp run (2k entries) and a
+// 2-node sssp run (23k); dense4k is the old contiguous layout. denied
+// measures the refusal path, which formats its reason.
 func BenchmarkACMCheck(b *testing.B) {
-	l := addr.Layout{DRAMSize: 64 << 20, FAMZoneSize: 448 << 20, FAMSize: 1 << 30, ACMBits: 16}
-	s := NewStore(l)
-	for p := addr.FPage(0); p < 4096; p++ {
-		s.Set(p, Entry{Owner: uint16(p) % 63, Perm: PermRWX})
+	l := layout()
+	scattered := func(n int) []addr.FPage {
+		rng := rand.New(rand.NewSource(1))
+		seen := map[addr.FPage]bool{}
+		var pages []addr.FPage
+		for len(pages) < n {
+			p := addr.FPage(rng.Int63n(int64(l.TotalFAMPages())))
+			if !seen[p] {
+				seen[p] = true
+				pages = append(pages, p)
+			}
+		}
+		return pages
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchDecision = s.Check(addr.FPage(i)%4096, uint16(i)%63, PermR)
+	dense := make([]addr.FPage, 4096)
+	for i := range dense {
+		dense[i] = addr.FPage(i)
+	}
+	for _, bc := range []struct {
+		name   string
+		pages  []addr.FPage
+		denied bool
+	}{
+		{"allowed-2k", scattered(2048), false},
+		{"allowed-23k", scattered(23 * 1024), false},
+		{"dense4k", dense, false},
+		{"denied", dense, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewStore(l)
+			owner := func(p addr.FPage) uint16 { return uint16(p % 63) }
+			for _, p := range bc.pages {
+				s.Set(p, Entry{Owner: owner(p), Perm: PermRWX})
+			}
+			// Visit the pages in a fixed shuffled order, as a run's
+			// accesses do, and check each by its owner (or its neighbour
+			// node, for the denied path).
+			order := slices.Clone(bc.pages)
+			rand.New(rand.NewSource(2)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			nodes := make([]uint16, len(order))
+			for i, p := range order {
+				nodes[i] = owner(p)
+				if bc.denied {
+					nodes[i]++
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(order)
+				benchDecision = s.Check(order[k], nodes[k], PermR)
+			}
+			if benchDecision.Allowed == bc.denied {
+				b.Fatalf("last check %+v, want allowed=%v", benchDecision, !bc.denied)
+			}
+		})
 	}
 }
 
@@ -202,7 +255,7 @@ func TestSlotPackingRoundTrips(t *testing.T) {
 		ref := map[addr.FPage]refSlot{}
 		rng := rand.New(rand.NewSource(int64(bits)))
 		maxOwner := int(SharedOwner(bits))
-		// Pages in three 1GB regions, so chunks materialize and stay sparse.
+		// Pages in three 1GB regions, each sparsely filled.
 		page := func() addr.FPage {
 			return addr.FPage(uint64(rng.Intn(3))*addr.PagesPerHuge + uint64(rng.Intn(64)))
 		}

@@ -2,7 +2,7 @@
 // built from, so a sweep's hundreds of runs reuse one set of allocations
 // instead of handing ~2.5MB of zeroed memory to the garbage collector per
 // run. Construction-time consumers (cache line arrays, TLB arrays,
-// translator lines, page-table arenas, broker owner tables, ACM chunks)
+// translator lines, page-table arenas, the ACM page table)
 // request buffers with Slice and hand them back with Release once the run's
 // System is torn down; the next run's identical geometry then reuses them
 // byte-for-byte. Maps (the broker's free-pool overrides) recycle the same

@@ -17,8 +17,8 @@ import (
 
 // SystemPool recycles the construction-time memory of a System across the
 // hundreds of runs of a sweep: the large arrays — cache line arrays, TLB
-// and STU arrays, page-table arenas, the broker's owner table and
-// free-pool map, ACM chunk slabs, translator lines, OS backing tables
+// and STU arrays, page-table arenas, the broker's free-pool map, the
+// ACM page table, translator lines, OS backing tables
 // (~2.5MB zeroed per run) — the contention calendars with their gap
 // arrays, the random sources of the generators, broker and translators
 // (re-seeded), the engine's event queue, and the per-structure headers

@@ -7,6 +7,8 @@ import (
 
 	"deact/internal/core"
 	"deact/internal/node"
+	"deact/internal/stu"
+	"deact/internal/translator"
 )
 
 // FuzzLookup feeds arbitrary bytes to the store as an on-disk entry file
@@ -27,7 +29,7 @@ func FuzzLookup(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := st.Put(cfg, core.Result{Instructions: 100}); err != nil {
+	if err := st.Put(cfg, shapedResult(cfg)); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(st.path(fp))
@@ -42,14 +44,20 @@ func FuzzLookup(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"Model":"bogus"}`))
-	// A well-bound envelope whose node holds two tenant sets for a
-	// single-tenant config: a result no run produces.
-	twoSets, err := json.Marshal(Entry{Model: core.ModelVersion, Fingerprint: fp, Config: cfg,
-		Result: core.Result{Instructions: 100, NodeStats: []node.Stats{{Tenants: make([]node.TenantLatency, 2)}}}})
-	if err != nil {
-		f.Fatal(err)
+	// Well-bound envelopes holding results no run produces: a node with
+	// two tenant sets for a single-tenant config, and a 1-node config's
+	// result carrying three nodes.
+	twoSets := shapedResult(cfg)
+	twoSets.NodeStats[0].Tenants = make([]node.TenantLatency, 2)
+	threeNodes := cfg
+	threeNodes.Nodes = 3
+	for _, r := range []core.Result{twoSets, shapedResult(threeNodes)} {
+		body, err := json.Marshal(Entry{Model: core.ModelVersion, Fingerprint: fp, Config: cfg, Result: r})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
 	}
-	f.Add(twoSets)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -66,8 +74,8 @@ func FuzzLookup(f *testing.F) {
 			if e.Fingerprint != fp || e.Config.Fingerprint() != fp {
 				t.Fatalf("hit with broken binding: %+v", e)
 			}
-			if !tenantShaped(e) {
-				t.Fatalf("hit with misshaped tenant sets: %+v", e.Result.NodeStats)
+			if !runShaped(e) {
+				t.Fatalf("hit with a result no run of its config produces: %+v", e.Result)
 			}
 			var want Entry
 			if json.Unmarshal(data, &want) != nil {
@@ -83,4 +91,20 @@ func FuzzLookup(f *testing.F) {
 			t.Fatalf("missed entry not reclaimed (stat err: %v)", err)
 		}
 	})
+}
+
+// shapedResult is a synthetic result with the shape a run of cfg
+// produces: node, STU and translator stats for each of its nodes, every
+// node holding one latency set per tenant.
+func shapedResult(cfg core.Config) core.Result {
+	r := core.Result{
+		Instructions:    cfg.MeasureInstructions,
+		NodeStats:       make([]node.Stats, cfg.Nodes),
+		STUStats:        make([]stu.Stats, cfg.Nodes),
+		TranslatorStats: make([]translator.Stats, cfg.Nodes),
+	}
+	for i := range r.NodeStats {
+		r.NodeStats[i].Tenants = make([]node.TenantLatency, cfg.TenantCount())
+	}
+	return r
 }

@@ -170,9 +170,10 @@ func (s *Store) path(fp string) string { return filepath.Join(s.dir, fp+".json")
 
 // Get returns the stored result for cfg, if a valid entry exists. Any
 // read or decode failure — missing file, truncated write survivor,
-// corrupted bytes, mismatched fingerprint, a node holding other than its
-// config's number of tenant latency sets — is a cache miss, never an
-// error: the caller simulates and re-persists.
+// corrupted bytes, mismatched fingerprint, per-node stats for other than
+// the config's number of nodes, a node holding other than its config's
+// number of tenant latency sets — is a cache miss, never an error: the
+// caller simulates and re-persists.
 func (s *Store) Get(cfg core.Config) (core.Result, bool) {
 	e, ok := s.Lookup(cfg.Fingerprint())
 	return e.Result, ok
@@ -196,7 +197,7 @@ func (s *Store) Lookup(fp string) (Entry, bool) {
 	// Bind the payload to its address and semantics: a renamed file, a
 	// foreign entry or a stale model tag must miss, and the embedded
 	// config must actually hash to the address it is filed under.
-	if e.Model != s.model || e.Fingerprint != fp || e.Config.Fingerprint() != fp || !tenantShaped(e) {
+	if e.Model != s.model || e.Fingerprint != fp || e.Config.Fingerprint() != fp || !runShaped(e) {
 		s.drop(fp)
 		return Entry{}, false
 	}
@@ -204,9 +205,14 @@ func (s *Store) Lookup(fp string) (Entry, bool) {
 	return e, true
 }
 
-// tenantShaped reports whether every node of e's result holds exactly
-// one latency set per tenant of its config, as a run produces.
-func tenantShaped(e Entry) bool {
+// runShaped reports whether e's result has the shape a run of its config
+// produces: one node, STU and translator stats entry per node, and on
+// every node exactly one latency set per tenant.
+func runShaped(e Entry) bool {
+	r, nodes := e.Result, e.Config.Nodes
+	if len(r.NodeStats) != nodes || len(r.STUStats) != nodes || len(r.TranslatorStats) != nodes {
+		return false
+	}
 	want := e.Config.TenantCount()
 	for _, ns := range e.Result.NodeStats {
 		if len(ns.Tenants) != want || len(ns.Tenants) > node.MaxTenants {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -386,6 +387,61 @@ func TestStoreDropsMisshapedTenantSets(t *testing.T) {
 		if _, statErr := os.Stat(st.path(fp)); !os.IsNotExist(statErr) {
 			t.Errorf("%s: misshaped entry not reclaimed", tc.name)
 		}
+	}
+}
+
+// TestStoreDropsMisshapedNodeStats: an entry whose node, STU or
+// translator stats cover other than its config's number of nodes is a
+// result no run produces. It is a miss, and its file is reclaimed.
+func TestStoreDropsMisshapedNodeStats(t *testing.T) {
+	st, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := storeTestConfig(core.DeACTN, "mcf", 42)
+	res := mustRun(t, cfg)
+	if len(res.NodeStats) != 1 || len(res.STUStats) != 1 || len(res.TranslatorStats) != 1 {
+		t.Fatalf("a 1-node run has %d/%d/%d per-node stats", len(res.NodeStats), len(res.STUStats), len(res.TranslatorStats))
+	}
+	for _, tc := range []struct {
+		name   string
+		mangle func(*core.Result)
+	}{
+		{"three-nodes", func(r *core.Result) {
+			r.NodeStats = append(r.NodeStats, r.NodeStats[0], r.NodeStats[0])
+			r.STUStats = append(r.STUStats, r.STUStats[0], r.STUStats[0])
+			r.TranslatorStats = append(r.TranslatorStats, r.TranslatorStats[0], r.TranslatorStats[0])
+		}},
+		{"no-nodes", func(r *core.Result) { r.NodeStats, r.STUStats, r.TranslatorStats = nil, nil, nil }},
+		{"no-stu", func(r *core.Result) { r.STUStats = nil }},
+		{"two-translators", func(r *core.Result) { r.TranslatorStats = append(r.TranslatorStats, r.TranslatorStats[0]) }},
+	} {
+		r := res
+		r.NodeStats = slices.Clone(res.NodeStats)
+		r.STUStats = slices.Clone(res.STUStats)
+		r.TranslatorStats = slices.Clone(res.TranslatorStats)
+		tc.mangle(&r)
+		fp := cfg.Fingerprint()
+		body, err := json.Marshal(Entry{Model: core.ModelVersion, Fingerprint: fp, Config: cfg, Result: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.path(fp), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Lookup(fp); ok {
+			t.Errorf("%s: misshaped entry served", tc.name)
+		}
+		if _, statErr := os.Stat(st.path(fp)); !os.IsNotExist(statErr) {
+			t.Errorf("%s: misshaped entry not reclaimed", tc.name)
+		}
+	}
+	// The unmangled result is served, so the misses above are the shape's.
+	if err := st.Put(cfg, res); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(cfg); !ok {
+		t.Fatal("well-shaped entry missed")
 	}
 }
 

@@ -52,7 +52,8 @@ func (b *patternBase) gap() int {
 
 func (b *patternBase) SetTenant(t uint8) { b.tenant = t }
 
-// release hands the generator's random source back to a.
+// release hands the generator's random source back to a; each pattern's
+// own release also frees its header.
 func (b *patternBase) release(a *arena.Arena) {
 	arena.ReleaseRand(a, b.rng)
 }
@@ -93,7 +94,9 @@ type pointerChase struct {
 	payload uint64 // payload loads remaining before the next chase step
 }
 
-func newPointerChase(p Profile, seed int64, rng *rand.Rand) (*pointerChase, error) {
+// newPointerChase builds a pointer chase drawing from rng, its header
+// drawn from a (nil allocates normally).
+func newPointerChase(a *arena.Arena, p Profile, seed int64, rng *rand.Rand) (*pointerChase, error) {
 	b, err := newPatternBase(p, rng)
 	if err != nil {
 		return nil, err
@@ -102,12 +105,19 @@ func newPointerChase(p Profile, seed int64, rng *rand.Rand) (*pointerChase, erro
 	if deg == 0 {
 		deg = 4
 	}
+	g := arena.Alloc[pointerChase](a, "workload.pointerChase")
 	// A nonzero start keeps the LCG out of its zero-adjacent prefix.
-	return &pointerChase{
+	*g = pointerChase{
 		patternBase: b,
 		degree:      deg,
 		cur:         uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
-	}, nil
+	}
+	return g, nil
+}
+
+func (g *pointerChase) release(a *arena.Arena) {
+	g.patternBase.release(a)
+	arena.Free(a, "workload.pointerChase", g)
 }
 
 func (g *pointerChase) Next() Op {
@@ -141,7 +151,9 @@ type graphFrontier struct {
 	rem          uint64 // edge visits remaining for the current vertex
 }
 
-func newGraphFrontier(p Profile, rng *rand.Rand) (*graphFrontier, error) {
+// newGraphFrontier builds a frontier expansion drawing from rng, its
+// header drawn from a (nil allocates normally).
+func newGraphFrontier(a *arena.Arena, p Profile, rng *rand.Rand) (*graphFrontier, error) {
 	b, err := newPatternBase(p, rng)
 	if err != nil {
 		return nil, err
@@ -158,7 +170,14 @@ func newGraphFrontier(p Profile, rng *rand.Rand) (*graphFrontier, error) {
 	if eb == 0 {
 		return nil, fmt.Errorf("workload %s: footprint too small for graph-frontier", p.Name)
 	}
-	return &graphFrontier{patternBase: b, degree: deg, vertexBlocks: vb, edgeBlocks: eb}, nil
+	g := arena.Alloc[graphFrontier](a, "workload.graphFrontier")
+	*g = graphFrontier{patternBase: b, degree: deg, vertexBlocks: vb, edgeBlocks: eb}
+	return g, nil
+}
+
+func (g *graphFrontier) release(a *arena.Arena) {
+	g.patternBase.release(a)
+	arena.Free(a, "workload.graphFrontier", g)
 }
 
 func (g *graphFrontier) Next() Op {
@@ -199,7 +218,9 @@ type stencil struct {
 	sidx    uint64 // round-robin stream index
 }
 
-func newStencil(p Profile, rng *rand.Rand) (*stencil, error) {
+// newStencil builds a stencil sweep drawing from rng, its header drawn
+// from a (nil allocates normally).
+func newStencil(a *arena.Arena, p Profile, rng *rand.Rand) (*stencil, error) {
 	b, err := newPatternBase(p, rng)
 	if err != nil {
 		return nil, err
@@ -211,12 +232,19 @@ func newStencil(p Profile, rng *rand.Rand) (*stencil, error) {
 	if deg > b.fpBlocks {
 		deg = b.fpBlocks
 	}
-	return &stencil{
+	g := arena.Alloc[stencil](a, "workload.stencil")
+	*g = stencil{
 		patternBase: b,
 		streams:     deg,
 		rowOff:      b.fpBlocks / deg,
 		stride:      uint64(b.p.StrideBlocks),
-	}, nil
+	}
+	return g, nil
+}
+
+func (g *stencil) release(a *arena.Arena) {
+	g.patternBase.release(a)
+	arena.Free(a, "workload.stencil", g)
 }
 
 func (g *stencil) Next() Op {

@@ -352,25 +352,26 @@ func NewSource(p Profile, seed int64) (Source, error) {
 	return NewSourceInArena(nil, p, seed)
 }
 
-// NewSourceInArena is NewSource drawing the source's random generator
-// from a, re-seeded: a recycled generator draws exactly the stream a fresh
-// one does. Recycle hands it back. A nil arena allocates normally.
+// NewSourceInArena is NewSource drawing the source's header and random
+// generator from a, re-seeded: a recycled generator draws exactly the
+// stream a fresh one does. Recycle hands them back. A nil arena allocates
+// normally.
 func NewSourceInArena(a *arena.Arena, p Profile, seed int64) (Source, error) {
 	switch p.Pattern {
 	case "", PatternSkew:
 		return newGenerator(a, p, arena.Rand(a, seed))
 	case PatternPointerChase:
-		return newPointerChase(p, seed, arena.Rand(a, seed))
+		return newPointerChase(a, p, seed, arena.Rand(a, seed))
 	case PatternGraphFrontier:
-		return newGraphFrontier(p, arena.Rand(a, seed))
+		return newGraphFrontier(a, p, arena.Rand(a, seed))
 	case PatternStencil:
-		return newStencil(p, arena.Rand(a, seed))
+		return newStencil(a, p, arena.Rand(a, seed))
 	default:
 		return nil, fmt.Errorf("workload: unknown pattern %q (have %v)", p.Pattern, Patterns())
 	}
 }
 
-// Recycle hands the random generator of a source built by
+// Recycle hands the header and random generator of a source built by
 // NewSourceInArena back to a; sources without one (a trace replay) have
 // nothing to return. The source must not be used afterwards.
 func Recycle(a *arena.Arena, src Source) {
